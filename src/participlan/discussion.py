@@ -26,7 +26,7 @@ from .geometry import compass_label
 from .llm import (Backend, PlanEdit, RuleBackend, assistant,
                   parse_opinion_response, parse_plan_edits,
                   render_opinion_prompt, render_revision_prompt, user)
-from .metrics import DistanceCache, MetricsConfig, MetricsReport
+from .metrics import MetricsConfig, MetricsReport, ProximityIndex
 from .population import Population, Resident
 from .region import (ASSIGNABLE_USES, LandUse, Plan, Region, plan_digest,
                      validate_plan)
@@ -188,7 +188,7 @@ def render_transcript_text(t: Transcript) -> str:
 
 def invite(community_id: int, region: Region, population: Population,
            invite_buffer_m: float = 500.0,
-           cache: Optional[DistanceCache] = None) -> tuple[int, ...]:
+           cache: Optional[ProximityIndex] = None) -> tuple[int, ...]:
     """Residents living in a community area or within the buffer of one.
 
     Membership uses boundary distance (0 inside), so "lives there" and
@@ -197,12 +197,16 @@ def invite(community_id: int, region: Region, population: Population,
     if community_id not in region.community_ids:
         raise NotPresent(f"no community with id {community_id}")
     if cache is None:
-        cache = DistanceCache(region, population.homes)
-    cols = [j for j, a in enumerate(region.areas)
-            if a.community_id == community_id]
-    if not cols:
+        cache = ProximityIndex(region, population.homes, invite_buffer_m)
+    index = cache.in_mode("boundary")
+    index.require(invite_buffer_m)
+    in_community = np.array([a.community_id == community_id
+                             for a in region.areas], dtype=bool)
+    if not in_community.any():
         raise EmptyCommunity(f"community {community_id} has no areas")
-    near = cache.matrix("boundary")[:, cols].min(axis=1) <= invite_buffer_m
+    hit = in_community[index.columns] & (index.distances <= invite_buffer_m)
+    near = np.zeros(len(population), dtype=bool)
+    near[index.residents[hit]] = True
     invited = tuple(r.id for i, r in enumerate(population.residents) if near[i])
     if not invited:
         raise EmptyCommunity(
@@ -211,14 +215,16 @@ def invite(community_id: int, region: Region, population: Population,
 
 
 def view_payload(resident: Resident, region: Region, plan: Plan,
-                 radius: float, cache: DistanceCache,
+                 radius: float, cache: ProximityIndex,
                  resident_index: int) -> list[dict]:
     """Neighborhood entries as plain dicts for prompts and rule replies."""
-    row = cache.matrix("boundary")[resident_index]
+    index = cache.in_mode("boundary")
+    index.require(radius)
+    columns, distances = index.row(resident_index)
     entries = []
-    for j, area in enumerate(region.areas):
-        d = float(row[j])
+    for j, d in zip(columns.tolist(), distances.tolist()):
         if d <= radius:
+            area = region.areas[j]
             use = plan.use_of(area)
             cx, cy = area.centroid
             entries.append({
@@ -257,35 +263,10 @@ def apply_edits(plan: Plan, edits: PlanEdit) -> Plan:
     return Plan(assignment)
 
 
-class _InvitedSatisfaction:
-    """Mean satisfaction over the invited residents, cheap to re-evaluate.
-
-    Restricting the distance matrix to invited rows keeps the greedy
-    repair fast on large populations; values match the metrics module
-    exactly (same masks, same division, same summation order).
-    """
-
-    def __init__(self, region: Region, population: Population,
-                 invited_idx: np.ndarray, metrics_config: MetricsConfig,
-                 cache: DistanceCache):
-        mask, lens = metrics_mod.needs_matrix(population)
-        near = cache.matrix(metrics_config.distance_mode) \
-            < metrics_config.service_radius_m
-        self._region = region
-        self._near = near[invited_idx]
-        self._mask = mask[invited_idx]
-        self._lens = lens[invited_idx]
-
-    def mean(self, plan: Plan) -> float:
-        hits = metrics_mod.use_hits(self._region, plan, self._near)
-        met = (hits & self._mask).sum(axis=1)
-        return float(np.mean(met / self._lens))
-
-
 def _greedy_repair(plan: Plan, community_id: int, region: Region,
                    population: Population, invited: Sequence[int],
                    rounds: Sequence[Round], metrics_config: MetricsConfig,
-                   cache: DistanceCache) -> tuple[Plan, PlanEdit]:
+                   cache: ProximityIndex) -> tuple[Plan, PlanEdit]:
     """Apply the most-requested edits that keep quotas feasible and never
     lower the invited residents' mean satisfaction."""
     tally: dict[tuple[int, LandUse], int] = {}
@@ -302,14 +283,19 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
 
     pos_by_id = {r.id: i for i, r in enumerate(population.residents)}
     invited_idx = np.array([pos_by_id[r] for r in invited], dtype=int)
-    evaluator = _InvitedSatisfaction(region, population, invited_idx,
-                                     metrics_config, cache)
+    # the coverage evaluator on the invited residents' rows only
+    evaluator = metrics_mod.Coverage(cache, metrics_config, rows=invited_idx)
+    needs = evaluator.needs(population)
+
+    def invited_satisfaction(p: Plan) -> float:
+        return float(np.mean(evaluator.satisfaction(evaluator.bits(p), needs)))
+
     req = region.requirements
     current = dict(plan.assignment)
     counts = {u: 0 for u in ASSIGNABLE_USES}
     for u in current.values():
         counts[u] += 1
-    base = evaluator.mean(plan)
+    base = invited_satisfaction(plan)
     accepted: list[tuple[int, LandUse]] = []
     for area_id, use in order:
         old = current[area_id]
@@ -319,7 +305,7 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
             continue
         cand = dict(current)
         cand[area_id] = use
-        cand_sat = evaluator.mean(Plan(cand))
+        cand_sat = invited_satisfaction(Plan(cand))
         if cand_sat >= base:
             current, base = cand, cand_sat
             counts[old] -= 1
@@ -372,19 +358,28 @@ def _llm_revision(plan: Plan, community_id: int, region: Region,
     return plan, PlanEdit((), "revision rejected after repair"), notes
 
 
+def _proximity_index(region: Region, population: Population,
+                     config: DiscussionConfig,
+                     metrics_config: MetricsConfig) -> ProximityIndex:
+    """One index out to every radius a revision asks about: the metrics',
+    the neighbourhood view's (the service radius) and the invite buffer."""
+    return ProximityIndex(region, population.homes,
+                          max(metrics_config.reach_m, config.invite_buffer_m))
+
+
 def run_community_revision(plan: Plan, community_id: int, region: Region,
                            population: Population, backend: Backend,
                            planner_backend: Backend,
                            config: DiscussionConfig = DiscussionConfig(),
                            *,
-                           cache: Optional[DistanceCache] = None,
+                           cache: Optional[ProximityIndex] = None,
                            metrics_config: MetricsConfig = MetricsConfig(),
                            roleplay: bool = True) -> tuple[Plan, Transcript]:
     """One community through the fishbowl protocol; the plan stays frozen
     until the planner's revision at the end."""
     config.validate()
     if cache is None:
-        cache = DistanceCache(region, population.homes)
+        cache = _proximity_index(region, population, config, metrics_config)
     invited = invite(community_id, region, population,
                      config.invite_buffer_m, cache)
     rng = np.random.default_rng([config.seed, community_id])
@@ -461,7 +456,7 @@ def run_full_pipeline(region: Region, population: Population,
     check = validate_plan(region, plan)
     if not check.ok:
         raise InvariantError(f"initial plan invalid: {check.summary()}")
-    cache = DistanceCache(region, population.homes)
+    cache = _proximity_index(region, population, config, metrics_config)
     reports = [metrics_mod.report(region, plan, population, metrics_config, cache)]
     transcripts: list[Transcript] = []
     order = list(community_order) if community_order is not None \

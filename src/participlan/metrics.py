@@ -13,20 +13,26 @@ Four population-level scores on a (region, plan, population) triple:
 Strict-vs-closed thresholds are deliberate and pinned by tests: a
 facility exactly at the service radius does not count, a home exactly at
 the ecology radius does.
+
+Every metric asks only whether some area lies within a radius, so
+home-to-area distances are kept only up to the largest radius in use
+(ProximityIndex); a query beyond that radius raises InvariantError
+instead of answering from a truncated index. One bitmask pass over the
+kept pairs (Coverage) gives all four metrics of a plan.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NeedsMissing, NoMarginalized
+from .errors import InvariantError, NeedsMissing, NoMarginalized
 from .population import Population
-from .region import (ASSIGNABLE_USES, LandUse, Plan, Region,
-                     min_distance_many)
+from .region import (ASSIGNABLE_USES, GREEN_USES, USE_CODES, LandUse, Plan,
+                     Region, min_distance_many)
 
 #: Service categories and the uses that satisfy each.
 DEFAULT_SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
@@ -37,6 +43,8 @@ DEFAULT_SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
     ("entertainment", (LandUse.RECREATION,)),
 )
 
+DISTANCE_MODES = ("boundary", "centroid")
+
 
 @dataclass(frozen=True)
 class MetricsConfig:
@@ -46,85 +54,212 @@ class MetricsConfig:
     include_fixed_green: bool = True
     distance_mode: str = "boundary"
 
+    @property
+    def reach_m(self) -> float:
+        """The largest radius the metrics ask about."""
+        return max(self.service_radius_m, self.esr_radius_m)
 
-class DistanceCache:
-    """Home-to-area distance matrix shared across metric calls.
 
-    Boundary distances are built eagerly (the common path); centroid
-    distances fill in lazily on first request.
+class ProximityIndex:
+    """Home-to-area distances up to `radius`, in CSR rows per resident.
+
+    Only pairs with distance <= radius are stored. Row i spans
+    indptr[i]:indptr[i + 1] of `columns` (area positions in region.areas,
+    ascending) and `distances`. Distances come from min_distance_many, so
+    they equal the dense values bit for bit. Any query beyond `radius`
+    raises InvariantError.
     """
 
-    def __init__(self, region: Region, homes: np.ndarray):
+    def __init__(self, region: Region, homes: np.ndarray, radius: float,
+                 mode: str = "boundary"):
+        if mode not in DISTANCE_MODES:
+            raise ValueError(f"unknown distance mode {mode!r}")
+        if not 0.0 <= radius < np.inf:
+            raise ValueError(f"index radius must be finite and >= 0, got {radius}")
         self.region = region
-        self.homes = np.asarray(homes, dtype=float)
-        self._by_mode: dict[str, np.ndarray] = {
-            "boundary": self._build("boundary")}
+        self.homes = np.asarray(homes, dtype=float).reshape(-1, 2)
+        self.radius = float(radius)
+        self.mode = mode
+        self._other_modes: dict[str, ProximityIndex] = {}
+        self._coverage: dict[MetricsConfig, Coverage] = {}
 
-    def _build(self, mode: str) -> np.ndarray:
-        n_m = len(self.homes)
-        n_a = len(self.region.areas)
-        mat = np.empty((n_m, n_a), dtype=float)
-        for j, area in enumerate(self.region.areas):
-            mat[:, j] = min_distance_many(self.homes, area, mode)
-        return mat
+        # Candidates come from a box around each area, padded by the radius
+        # plus a metre so that rounding in the box test never drops a pair
+        # the exact distance keeps; the distance alone decides membership.
+        pad = self.radius + 1.0
+        x, y = self.homes[:, 0], self.homes[:, 1]
+        by_x = np.argsort(x, kind="stable")
+        sorted_x = x[by_x]
+        # a zero-length head keeps concatenate valid when nothing is in range
+        rows = [np.zeros(0, dtype=np.intp)]
+        cols = [np.zeros(0, dtype=np.int32)]
+        dists = [np.zeros(0)]
+        for j, area in enumerate(region.areas):
+            if mode == "centroid":
+                (x0, y0) = (x1, y1) = area.centroid
+            else:
+                x0, y0 = np.min(area.boundary, axis=0)
+                x1, y1 = np.max(area.boundary, axis=0)
+            lo = np.searchsorted(sorted_x, x0 - pad, side="left")
+            hi = np.searchsorted(sorted_x, x1 + pad, side="right")
+            cand = by_x[lo:hi]
+            cand = cand[(y[cand] >= y0 - pad) & (y[cand] <= y1 + pad)]
+            d = min_distance_many(self.homes[cand], area, mode)
+            keep = d <= self.radius
+            rows.append(cand[keep])
+            cols.append(np.full(int(keep.sum()), j, dtype=np.int32))
+            dists.append(d[keep])
+        rows = np.concatenate(rows)
+        # areas were visited in order, so a stable sort keeps columns ascending
+        by_row = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows, minlength=len(self.homes))
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.columns = np.concatenate(cols)[by_row]
+        self.distances = np.concatenate(dists)[by_row]
 
-    def matrix(self, mode: str = "boundary") -> np.ndarray:
-        if mode not in self._by_mode:
-            self._by_mode[mode] = self._build(mode)
-        return self._by_mode[mode]
+    @property
+    def residents(self) -> np.ndarray:
+        """The row of every stored pair."""
+        return np.repeat(np.arange(len(self.homes)), np.diff(self.indptr))
 
-    def column_index(self) -> dict[int, int]:
-        return {a.id: j for j, a in enumerate(self.region.areas)}
+    def require(self, radius: float) -> None:
+        """Raise unless a query up to `radius` is answered in full."""
+        if not radius <= self.radius:
+            raise InvariantError(
+                f"query radius {radius} m exceeds the proximity index "
+                f"radius {self.radius} m")
 
+    def in_mode(self, mode: str) -> "ProximityIndex":
+        """This index in the other distance mode, built once on first use."""
+        if mode == self.mode:
+            return self
+        if mode not in self._other_modes:
+            self._other_modes[mode] = ProximityIndex(
+                self.region, self.homes, self.radius, mode)
+        return self._other_modes[mode]
 
-def _use_columns(region: Region, plan: Plan,
-                 uses: Sequence[LandUse]) -> np.ndarray:
-    wanted = set(uses)
-    return np.array([plan.use_of(a) in wanted for a in region.areas], dtype=bool)
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(area positions, distances) of resident i's stored pairs."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.columns[lo:hi], self.distances[lo:hi]
 
-
-def _ensure_cache(region: Region, population: Population,
-                  cache: Optional[DistanceCache]) -> DistanceCache:
-    if cache is None:
-        return DistanceCache(region, population.homes)
-    return cache
-
-
-def per_resident_service(region: Region, plan: Plan, population: Population,
-                         config: MetricsConfig = MetricsConfig(),
-                         cache: Optional[DistanceCache] = None) -> np.ndarray:
-    """Share of service categories reachable per resident, in [0, 1]."""
-    cache = _ensure_cache(region, population, cache)
-    dist = cache.matrix(config.distance_mode)
-    n_m = len(population)
-    covered = np.zeros(n_m, dtype=float)
-    for _, uses in config.categories:
-        cols = _use_columns(region, plan, uses)
-        if cols.any():
-            hit = (dist[:, cols] < config.service_radius_m).any(axis=1)
-        else:
-            hit = np.zeros(n_m, dtype=bool)
-        covered += hit
-    return covered / float(len(config.categories))
+    def coverage(self, config: MetricsConfig) -> "Coverage":
+        """The coverage evaluator of every resident under `config`, kept
+        for reuse."""
+        if config not in self._coverage:
+            self._coverage[config] = Coverage(self, config)
+        return self._coverage[config]
 
 
-def per_resident_in_esr(region: Region, plan: Plan, population: Population,
-                        config: MetricsConfig = MetricsConfig(),
-                        cache: Optional[DistanceCache] = None) -> np.ndarray:
-    """1.0 for residents inside the ecology service range, else 0.0.
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
+                          dtype=np.intp)
 
-    The range is the union of closed esr_radius_m buffers around every
-    green area (parks, open spaces, and optionally the fixed green stock).
+
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    """Set bits per element of a contiguous unsigned array."""
+    per_byte = _BYTE_POPCOUNT[bits.view(np.uint8)]
+    return per_byte.reshape(len(bits), bits.itemsize).sum(axis=1)
+
+
+class Coverage:
+    """What each resident has in range under a plan, as one bitmask.
+
+    Bits, low to high: one per service category, one per assignable use
+    (in ASSIGNABLE_USES order), then one for green. Each area's use gives
+    its bits through a lookup on its use code; each stored pair keeps the
+    category and use bits only strictly within service_radius_m, and the
+    green bit only within esr_radius_m inclusive. OR-ing the pairs of a
+    row gives the resident's bits, and popcounts give the same integer
+    counts the metrics divide, so the values are exact. `rows` restricts
+    the evaluator to those residents, in that order.
     """
-    cache = _ensure_cache(region, population, cache)
-    dist = cache.matrix(config.distance_mode)
-    greens = [LandUse.PARK, LandUse.OPEN_SPACE]
-    if config.include_fixed_green:
-        greens.append(LandUse.GREEN_FIXED)
-    cols = _use_columns(region, plan, greens)
-    if not cols.any():
-        return np.zeros(len(population), dtype=float)
-    return (dist[:, cols] <= config.esr_radius_m).any(axis=1).astype(float)
+
+    def __init__(self, index: ProximityIndex, config: MetricsConfig,
+                 rows: Optional[np.ndarray] = None):
+        index = index.in_mode(config.distance_mode)
+        index.require(config.reach_m)
+        n_cat = len(config.categories)
+        n_bits = n_cat + len(ASSIGNABLE_USES) + 1
+        self.dtype = np.min_scalar_type(1 << (n_bits - 1)).type
+        if not issubclass(self.dtype, np.unsignedinteger):
+            raise ValueError(f"{n_cat} service categories do not fit a bitmask")
+        self.n_categories = n_cat
+        self.category_bits = (1 << n_cat) - 1
+        self.use_shift = n_cat
+        self.green_bit = 1 << (n_bits - 1)
+
+        greens = GREEN_USES if config.include_fixed_green \
+            else (LandUse.PARK, LandUse.OPEN_SPACE)
+        # one entry per use code; code -1 (unassigned) reads the trailing 0
+        table = [0] * (len(USE_CODES) + 1)
+        for use, code in USE_CODES.items():
+            for k, (_, uses) in enumerate(config.categories):
+                if use in uses:
+                    table[code] |= 1 << k
+            if use in ASSIGNABLE_USES:
+                table[code] |= 1 << (n_cat + ASSIGNABLE_USES.index(use))
+            if use in greens:
+                table[code] |= self.green_bit
+        self._table = np.array(table, dtype=self.dtype)
+
+        indptr = index.indptr
+        if rows is None:
+            self.n_rows = len(index.homes)
+            lengths = np.diff(indptr)
+            columns, dist = index.columns, index.distances
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            self.n_rows = len(rows)
+            lengths = indptr[rows + 1] - indptr[rows]
+            offsets = np.cumsum(lengths) - lengths
+            pairs = np.arange(int(lengths.sum())) + np.repeat(
+                indptr[rows] - offsets, lengths)
+            columns, dist = index.columns[pairs], index.distances[pairs]
+        # reduceat needs the start of every non-empty row
+        self._filled = np.flatnonzero(lengths)
+        self._starts = (np.cumsum(lengths) - lengths)[self._filled]
+        self._columns = columns
+        zero = self.dtype(0)
+        self._mask = (np.where(dist < config.service_radius_m,
+                               self.dtype(self.green_bit - 1), zero)
+                      | np.where(dist <= config.esr_radius_m,
+                                 self.dtype(self.green_bit), zero))
+        self.region = index.region
+        self.rows = rows
+
+    def bits(self, plan: Plan) -> np.ndarray:
+        """Per-row bitmask of what the plan puts in range."""
+        out = np.zeros(self.n_rows, dtype=self.dtype)
+        if len(self._starts):
+            pair_bits = self._table[plan.use_codes(self.region)][self._columns]
+            pair_bits &= self._mask
+            out[self._filled] = np.bitwise_or.reduceat(pair_bits, self._starts)
+        return out
+
+    def service(self, bits: np.ndarray) -> np.ndarray:
+        """Share of service categories in range per row."""
+        hits = _popcount(bits & self.dtype(self.category_bits))
+        return hits.astype(float) / float(self.n_categories)
+
+    def in_esr(self, bits: np.ndarray) -> np.ndarray:
+        """1.0 where some green area is in the ecology range, else 0.0."""
+        return ((bits & self.dtype(self.green_bit)) != 0).astype(float)
+
+    def needs(self, population: Population) -> tuple[np.ndarray, np.ndarray]:
+        """(need bits, need counts) of the rows; raises if any resident
+        lacks needs."""
+        mask, lens = needs_matrix(population)
+        weights = 1 << (self.use_shift + np.arange(len(ASSIGNABLE_USES)))
+        need_bits = (mask @ weights).astype(self.dtype)
+        if self.rows is not None:
+            return need_bits[self.rows], lens[self.rows]
+        return need_bits, lens
+
+    def satisfaction(self, bits: np.ndarray,
+                     needs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Share of each row's needs with a facility strictly in range."""
+        need_bits, lens = needs
+        return _popcount(bits & need_bits) / lens
 
 
 def needs_matrix(population: Population) -> tuple[np.ndarray, np.ndarray]:
@@ -143,49 +278,66 @@ def needs_matrix(population: Population) -> tuple[np.ndarray, np.ndarray]:
     return mask, lens
 
 
-def use_hits(region: Region, plan: Plan, near: np.ndarray) -> np.ndarray:
-    """bool[resident, assignable-use]: some area of that use is in range."""
-    hits = np.zeros((near.shape[0], len(ASSIGNABLE_USES)), dtype=bool)
-    for k, u in enumerate(ASSIGNABLE_USES):
-        cols = _use_columns(region, plan, [u])
-        if cols.any():
-            hits[:, k] = near[:, cols].any(axis=1)
-    return hits
+def coverage(region: Region, population: Population, config: MetricsConfig,
+             cache: Optional[ProximityIndex] = None) -> Coverage:
+    """The evaluator for `config`, from `cache` or from an index built
+    out to the metrics' own radius."""
+    if cache is None:
+        cache = ProximityIndex(region, population.homes, config.reach_m,
+                               config.distance_mode)
+    return cache.coverage(config)
+
+
+def per_resident_service(region: Region, plan: Plan, population: Population,
+                         config: MetricsConfig = MetricsConfig(),
+                         cache: Optional[ProximityIndex] = None) -> np.ndarray:
+    """Share of service categories reachable per resident, in [0, 1]."""
+    cov = coverage(region, population, config, cache)
+    return cov.service(cov.bits(plan))
+
+
+def per_resident_in_esr(region: Region, plan: Plan, population: Population,
+                        config: MetricsConfig = MetricsConfig(),
+                        cache: Optional[ProximityIndex] = None) -> np.ndarray:
+    """1.0 for residents inside the ecology service range, else 0.0.
+
+    The range is the union of closed esr_radius_m buffers around every
+    green area (parks, open spaces, and optionally the fixed green stock).
+    """
+    cov = coverage(region, population, config, cache)
+    return cov.in_esr(cov.bits(plan))
 
 
 def per_resident_satisfaction(region: Region, plan: Plan, population: Population,
                               config: MetricsConfig = MetricsConfig(),
-                              cache: Optional[DistanceCache] = None) -> np.ndarray:
+                              cache: Optional[ProximityIndex] = None) -> np.ndarray:
     """Share of each resident's needs with a facility strictly in range."""
-    mask, lens = needs_matrix(population)
-    cache = _ensure_cache(region, population, cache)
-    near = cache.matrix(config.distance_mode) < config.service_radius_m
-    hits = use_hits(region, plan, near)
-    met = (hits & mask).sum(axis=1)
-    return met / lens
+    cov = coverage(region, population, config, cache)
+    needs = cov.needs(population)
+    return cov.satisfaction(cov.bits(plan), needs)
 
 
 def service(region: Region, plan: Plan, population: Population,
             config: MetricsConfig = MetricsConfig(),
-            cache: Optional[DistanceCache] = None) -> float:
+            cache: Optional[ProximityIndex] = None) -> float:
     return float(np.mean(per_resident_service(region, plan, population, config, cache)))
 
 
 def ecology(region: Region, plan: Plan, population: Population,
             config: MetricsConfig = MetricsConfig(),
-            cache: Optional[DistanceCache] = None) -> float:
+            cache: Optional[ProximityIndex] = None) -> float:
     return float(np.mean(per_resident_in_esr(region, plan, population, config, cache)))
 
 
 def satisfaction(region: Region, plan: Plan, population: Population,
                  config: MetricsConfig = MetricsConfig(),
-                 cache: Optional[DistanceCache] = None) -> float:
+                 cache: Optional[ProximityIndex] = None) -> float:
     return float(np.mean(per_resident_satisfaction(region, plan, population, config, cache)))
 
 
 def inclusion(region: Region, plan: Plan, population: Population,
               config: MetricsConfig = MetricsConfig(),
-              cache: Optional[DistanceCache] = None) -> float:
+              cache: Optional[ProximityIndex] = None) -> float:
     mask = np.array([r.is_marginalized for r in population.residents], dtype=bool)
     if not mask.any():
         raise NoMarginalized("population has no marginalized residents")
@@ -216,16 +368,17 @@ class MetricsReport:
 
 def report(region: Region, plan: Plan, population: Population,
            config: MetricsConfig = MetricsConfig(),
-           cache: Optional[DistanceCache] = None) -> MetricsReport:
-    """All four metrics plus per-resident rows from one distance pass.
+           cache: Optional[ProximityIndex] = None) -> MetricsReport:
+    """All four metrics plus per-resident rows from one coverage pass.
 
     Aggregates are means of the per-resident arrays, so report() and the
     scalar functions agree exactly.
     """
-    cache = _ensure_cache(region, population, cache)
-    srv = per_resident_service(region, plan, population, config, cache)
-    esr = per_resident_in_esr(region, plan, population, config, cache)
-    sat = per_resident_satisfaction(region, plan, population, config, cache)
+    cov = coverage(region, population, config, cache)
+    bits = cov.bits(plan)
+    srv = cov.service(bits)
+    esr = cov.in_esr(bits)
+    sat = cov.satisfaction(bits, cov.needs(population))
     mask = np.array([r.is_marginalized for r in population.residents], dtype=bool)
     incl = float(np.mean(sat[mask])) if mask.any() else None
     rows = tuple(

@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .errors import Infeasible
 from .geometry import Point
-from .metrics import DistanceCache, MetricsConfig
+from .metrics import MetricsConfig, ProximityIndex
 from .population import Population
 from .region import ASSIGNABLE_USES, LandUse, Plan, Region
 
@@ -190,12 +190,11 @@ def decentralized_plan(region: Region,
 def _coverage_masks(region: Region, population: Population,
                     radius: float) -> tuple[list[int], np.ndarray]:
     """(vacant ids, bool matrix[resident, vacant]) for centroid coverage."""
-    homes = population.homes
-    ids = list(region.vacant_ids)
-    cents = np.array([region.areas_by_id[a].centroid for a in ids])
-    diff = homes[:, None, :] - cents[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return ids, dist < radius
+    index = ProximityIndex(region, population.homes, radius, mode="centroid")
+    hit = index.distances < radius
+    near = np.zeros((len(population), len(region.areas)), dtype=bool)
+    near[index.residents[hit], index.columns[hit]] = True
+    return list(region.vacant_ids), near[:, region.vacant_columns]
 
 
 def _gsca_core(region: Region, population: Population, config: PlannerConfig):
@@ -303,17 +302,18 @@ def gsca_trace(region: Region, population: Population,
 def plan_objective(region: Region, population: Population, plan: Plan,
                    weights: tuple[float, float] = (0.5, 0.5),
                    metrics_config: MetricsConfig = MetricsConfig(),
-                   cache: Optional[DistanceCache] = None) -> float:
-    """w_service * Service + w_ecology * Ecology, via the metric functions."""
-    if cache is None:
-        cache = DistanceCache(region, population.homes)
-    s = metrics_mod.service(region, plan, population, metrics_config, cache)
-    e = metrics_mod.ecology(region, plan, population, metrics_config, cache)
+                   cache: Optional[ProximityIndex] = None) -> float:
+    """w_service * Service + w_ecology * Ecology from one coverage pass;
+    equal to the weighted metric functions."""
+    cov = metrics_mod.coverage(region, population, metrics_config, cache)
+    bits = cov.bits(plan)
+    s = float(np.mean(cov.service(bits)))
+    e = float(np.mean(cov.in_esr(bits)))
     return weights[0] * s + weights[1] * e
 
 
 def _anneal(region: Region, population: Population, config: PlannerConfig,
-            metrics_config: MetricsConfig, cache: DistanceCache,
+            metrics_config: MetricsConfig, cache: ProximityIndex,
             restart: int) -> tuple[float, dict[int, LandUse]]:
     seed = config.seed + restart
     rng = np.random.default_rng(seed)
@@ -374,7 +374,8 @@ def local_search_plan(region: Region, population: Population,
     across restarts (ties to the lowest restart index)."""
     config.validate()
     _check_feasible(region)
-    cache = DistanceCache(region, population.homes)
+    cache = ProximityIndex(region, population.homes, metrics_config.reach_m,
+                           metrics_config.distance_mode)
     best_obj = -math.inf
     best: dict[int, LandUse] = {}
     for restart in range(config.restarts):

@@ -73,6 +73,9 @@ FIXED_USES = (LandUse.RESIDENTIAL, LandUse.GREEN_FIXED)
 #: Green uses whose surroundings count toward the ecology service range.
 GREEN_USES = (LandUse.PARK, LandUse.OPEN_SPACE, LandUse.GREEN_FIXED)
 
+#: int8 code of every land use (its position in LandUse); -1 is unassigned.
+USE_CODES = {u: k for k, u in enumerate(LandUse)}
+
 DistanceMode = str  # "boundary" | "centroid"
 
 
@@ -119,6 +122,17 @@ class Region:
     @cached_property
     def community_ids(self) -> tuple[int, ...]:
         return tuple(cid for cid, _ in self.communities)
+
+    @cached_property
+    def fixed_codes(self) -> np.ndarray:
+        """int8 use code per area: the fixed use's code, -1 where vacant."""
+        return np.array([USE_CODES[a.fixed_use] if a.fixed_use is not None
+                         else -1 for a in self.areas], dtype=np.int8)
+
+    @cached_property
+    def vacant_columns(self) -> np.ndarray:
+        """Positions in `areas` of the vacant areas, in vacant_ids order."""
+        return np.flatnonzero(self.fixed_codes == -1)
 
     def community_areas(self, community_id: int) -> tuple[Area, ...]:
         return tuple(a for a in self.areas if a.community_id == community_id)
@@ -169,6 +183,15 @@ class Plan:
         if area.fixed_use is not None:
             return area.fixed_use
         return self.assignment.get(area.id)
+
+    def use_codes(self, region: Region) -> np.ndarray:
+        """int8 USE_CODES of use_of(area) for every area of the region,
+        in region order; -1 where a vacant area is unassigned."""
+        codes = region.fixed_codes.copy()
+        get = self.assignment.get
+        codes[region.vacant_columns] = [USE_CODES.get(get(a), -1)
+                                        for a in region.vacant_ids]
+        return codes
 
 
 def plan_to_json_dict(plan: Plan, provenance: Optional[dict] = None) -> dict:

@@ -19,8 +19,8 @@ from participlan.discussion import DiscussionConfig, run_ablation, run_full_pipe
 from participlan.geometry import Point
 from participlan.llm import BackendConfig, make_backend
 from participlan.metrics import (
-    DistanceCache,
     MetricsConfig,
+    ProximityIndex,
     ecology,
     inclusion,
     report,
@@ -350,7 +350,7 @@ def test_06_local_search_toy_optimality():
         quotas[LandUse.PARK] = len(vacant) - n_school
         region = _with_requirements(region, quotas)
         pop = scatter_population(region, 25, rng)
-        cache = DistanceCache(region, pop.homes)
+        cache = ProximityIndex(region, pop.homes, metrics_config.reach_m)
 
         best = -1.0
         for schools in itertools.combinations(vacant, n_school):

@@ -119,6 +119,17 @@ def test_simulate_run_directory(tmp_path):
     assert agg["failures"] == {}
 
 
+def test_simulate_with_buffer_above_the_service_radius(tmp_path):
+    out = tmp_path / "run"
+    code = main(["simulate", "--region", REGION, "--demographics", DEMOGRAPHICS,
+                 "--method", "random", "--rounds", "1", "--speakers", "5",
+                 "--buffer", "800", "--seeds", "101", "--out", str(out)])
+    assert code == 0
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert agg["failures"] == {}
+    assert agg["seeds"] == [101]
+
+
 def test_simulate_trajectory_start_matches_plan_output(tmp_path):
     plan_out = tmp_path / "plan"
     sim_out = tmp_path / "sim"

@@ -18,7 +18,7 @@ from participlan.discussion import (
 )
 from participlan.errors import EmptyCommunity, NotPresent
 from participlan.llm import PlanEdit
-from participlan.metrics import DistanceCache, satisfaction
+from participlan.metrics import ProximityIndex, satisfaction
 from participlan.planners import PlannerConfig, random_plan
 from participlan.region import LandUse, Plan, validate_plan
 
@@ -57,6 +57,18 @@ def test_invite_buffer_threshold(hlg, pop_hlg):
         assert dist > 500.0
 
 
+def test_invite_buffer_above_the_service_radius(hlg, pop_hlg):
+    # an index sized only for the 500 m metrics would miss these residents
+    for cid in hlg.community_ids:
+        rings = [[(p.x, p.y) for p in a.boundary]
+                 for a in hlg.community_areas(cid)]
+        want = tuple(r.id for r in pop_hlg.residents
+                     if min(oracles.poly_dist(r.home.x, r.home.y, ring)
+                            for ring in rings) <= 800.0)
+        assert invite(cid, hlg, pop_hlg, invite_buffer_m=800.0) == want
+        assert len(want) > len(invite(cid, hlg, pop_hlg, 500.0))
+
+
 def test_sample_speakers_full_exchange():
     rng = np.random.default_rng(0)
     invited = list(range(100))
@@ -92,7 +104,7 @@ def test_apply_edits():
 def test_community_revision_confined_and_monotone(hlg, pop_hlg, rule_backend):
     config = DiscussionConfig(rounds=3, speakers_per_round=50, seed=7)
     plan = random_plan(hlg, PlannerConfig(seed=7))
-    cache = DistanceCache(hlg, pop_hlg.homes)
+    cache = ProximityIndex(hlg, pop_hlg.homes, config.invite_buffer_m)
     revised, transcript = run_community_revision(
         plan, 2, hlg, pop_hlg, rule_backend, rule_backend, config,
         cache=cache)

@@ -6,8 +6,8 @@ import pytest
 from participlan.errors import NeedsMissing, NoMarginalized
 from participlan.metrics import (
     METRIC_COLUMNS,
-    DistanceCache,
     MetricsConfig,
+    ProximityIndex,
     ecology,
     inclusion,
     per_resident_in_esr,
@@ -135,15 +135,22 @@ def test_fixed_green_counts_with_flag(hlg, pop_hlg):
 
 
 def test_distance_cache_reuse(grid16, hand_plan, pop_grid16):
-    cache = DistanceCache(grid16, pop_grid16.homes)
+    cache = ProximityIndex(grid16, pop_grid16.homes, 500.0)
     a = satisfaction(grid16, hand_plan, pop_grid16, cache=cache)
     b = satisfaction(grid16, hand_plan, pop_grid16)
     assert a == b
-    mat = cache.matrix("boundary")
-    assert mat.shape == (len(pop_grid16.residents), len(grid16.areas))
-    assert np.all(mat >= 0)
-    cen = cache.matrix("centroid")
-    assert np.all(cen + 1e-12 >= mat)  # boundary distance never exceeds centroid
+    assert cache.indptr.shape == (len(pop_grid16.residents) + 1,)
+    assert np.all(cache.distances >= 0)
+    assert np.all(cache.distances <= 500.0)
+    boundary = dict(zip(zip(cache.residents.tolist(), cache.columns.tolist()),
+                        cache.distances.tolist()))
+    cen = cache.in_mode("centroid")
+    assert len(cen.columns) > 0
+    # boundary distance never exceeds centroid, so every centroid pair is
+    # also a stored boundary pair at no larger distance
+    for i, j, d in zip(cen.residents.tolist(), cen.columns.tolist(),
+                       cen.distances.tolist()):
+        assert d + 1e-12 >= boundary[i, j]
 
 
 def test_write_metrics_csv(tmp_path):

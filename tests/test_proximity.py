@@ -1,0 +1,147 @@
+"""The radius-bounded proximity index and the coverage evaluator on it.
+
+The index must hold exactly the (resident, area) pairs within its radius,
+with the distances the dense kernel gives, and must refuse any query
+beyond that radius rather than answer it from missing pairs.
+"""
+import numpy as np
+import pytest
+
+from participlan import fixtures
+from participlan.discussion import invite, view_payload
+from participlan.errors import InvariantError
+from participlan.metrics import (
+    Coverage,
+    MetricsConfig,
+    ProximityIndex,
+    report,
+    satisfaction,
+)
+from participlan.region import min_distance_many
+
+import oracles
+from conftest import random_plan_for, scatter_population
+from test_acceptance import _random_region
+
+
+def _pairs(index):
+    return {(int(i), int(j)): float(d) for i, j, d in
+            zip(index.residents, index.columns, index.distances)}
+
+
+def _homes_around(region, n, rng, margin):
+    pts = np.array([p for a in region.areas for p in a.boundary])
+    lo, hi = pts.min(axis=0) - margin, pts.max(axis=0) + margin
+    return rng.uniform(lo, hi, size=(n, 2))
+
+
+def _check_against_oracle(region, homes, radius):
+    index = ProximityIndex(region, homes, radius)
+    got = _pairs(index)
+    want = set()
+    for j, area in enumerate(region.areas):
+        ring = [(p.x, p.y) for p in area.boundary]
+        dense = min_distance_many(homes, area)
+        for i, (x, y) in enumerate(homes):
+            if oracles.poly_dist(x, y, ring) <= radius:
+                want.add((i, j))
+            if (i, j) in got:
+                # bit-identical to the dense kernel, not merely close
+                assert got[i, j] == dense[i]
+    assert set(got) == want
+    # rows are sorted by resident, then by area
+    order = list(zip(index.residents.tolist(), index.columns.tolist()))
+    assert order == sorted(order)
+    assert index.indptr[-1] == len(index.columns)
+    return index
+
+
+@pytest.mark.parametrize("radius", [0.0, 150.0, 300.0, 500.0])
+def test_index_matches_the_oracle_on_random_regions(radius):
+    rng = np.random.default_rng(31337)
+    for _ in range(12):
+        region = _random_region(rng, int(rng.integers(2, 6)),
+                                int(rng.integers(2, 6)))
+        homes = _homes_around(region, 40, rng, margin=700.0)
+        _check_against_oracle(region, homes, radius)
+
+
+def test_index_matches_the_oracle_on_grid16(grid16, pop_grid16):
+    _check_against_oracle(grid16, pop_grid16.homes, 500.0)
+    rng = np.random.default_rng(5)
+    _check_against_oracle(grid16, _homes_around(grid16, 200, rng, 800.0),
+                          500.0)
+
+
+def test_centroid_index_matches_hypot(grid16):
+    rng = np.random.default_rng(8)
+    homes = _homes_around(grid16, 300, rng, 600.0)
+    index = ProximityIndex(grid16, homes, 400.0, mode="centroid")
+    got = _pairs(index)
+    want = {}
+    for j, area in enumerate(grid16.areas):
+        dense = min_distance_many(homes, area, "centroid")
+        want.update({(i, j): float(d) for i, d in enumerate(dense)
+                     if d <= 400.0})
+    assert got == want
+
+
+def test_radius_is_inclusive_to_the_last_micrometre(grid16):
+    # area 4 is the cell [750, 1000] x [0, 250]; its east edge is x = 1000
+    homes = np.array([[1500.0, 125.0], [1500.0 + 1e-6, 125.0]])
+    index = ProximityIndex(grid16, homes, 500.0)
+    east = [a.id for a in grid16.areas].index(4)
+    assert _pairs(index) == {(0, east): 500.0}
+
+
+def test_query_beyond_the_radius_raises(grid16, hand_plan, pop_grid16):
+    index = ProximityIndex(grid16, pop_grid16.homes, 400.0)
+    index.require(400.0)
+    with pytest.raises(InvariantError):
+        index.require(400.0 + 1e-9)
+    with pytest.raises(InvariantError):
+        index.require(float("nan"))
+    # the default metrics need 500 m
+    with pytest.raises(InvariantError):
+        satisfaction(grid16, hand_plan, pop_grid16, cache=index)
+    assert satisfaction(grid16, hand_plan, pop_grid16,
+                        MetricsConfig(service_radius_m=400.0), cache=index) \
+        == satisfaction(grid16, hand_plan, pop_grid16,
+                        MetricsConfig(service_radius_m=400.0))
+    with pytest.raises(InvariantError):
+        invite(1, grid16, pop_grid16, invite_buffer_m=450.0, cache=index)
+    with pytest.raises(InvariantError):
+        view_payload(pop_grid16.residents[0], grid16, hand_plan, 450.0,
+                     index, 0)
+
+
+def test_wider_index_gives_the_same_metrics(hlg, pop_hlg):
+    rng = np.random.default_rng(12)
+    plan = random_plan_for(hlg, rng)
+    narrow = report(hlg, plan, pop_hlg)
+    wide = report(hlg, plan, pop_hlg,
+                  cache=ProximityIndex(hlg, pop_hlg.homes, 900.0))
+    assert narrow == wide
+
+
+def test_restricted_rows_match_the_full_evaluator():
+    rng = np.random.default_rng(77)
+    region = _random_region(rng, 5, 5)
+    pop = scatter_population(region, 60, rng)
+    plan = random_plan_for(region, rng)
+    config = MetricsConfig()
+    index = ProximityIndex(region, pop.homes, 600.0)
+    full = index.coverage(config)
+    rows = np.array(sorted(rng.choice(len(pop), size=25, replace=False)))
+    part = Coverage(index, config, rows=rows)
+    assert np.array_equal(part.bits(plan), full.bits(plan)[rows])
+    want = full.satisfaction(full.bits(plan), full.needs(pop))[rows]
+    got = part.satisfaction(part.bits(plan), part.needs(pop))
+    assert np.array_equal(got, want)
+
+
+def test_empty_population_builds_an_empty_index():
+    region = fixtures.grid16_region()
+    index = ProximityIndex(region, np.zeros((0, 2)), 500.0)
+    assert index.indptr.tolist() == [0]
+    assert len(index.columns) == len(index.distances) == 0
