@@ -540,6 +540,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "rounds_list", None) is not None \
             and any(n < 1 for n in args.rounds_list):
         parser.error("--rounds-list values must be >= 1")
+    if getattr(args, "buffer", None) is not None \
+            and not 0 < args.buffer < np.inf:
+        parser.error("--buffer must be positive and finite")
     try:
         return args.func(args)
     except PlanningError as exc:

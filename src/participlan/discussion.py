@@ -51,8 +51,8 @@ class DiscussionConfig:
             raise ValueError("speakers_per_round must be >= 1")
         if not (0.0 <= self.exchange_fraction <= 1.0):
             raise ValueError("exchange_fraction must be in [0, 1]")
-        if self.invite_buffer_m <= 0:
-            raise ValueError("invite_buffer_m must be positive")
+        if not 0 < self.invite_buffer_m < np.inf:
+            raise ValueError("invite_buffer_m must be positive and finite")
 
 
 @dataclass(frozen=True)

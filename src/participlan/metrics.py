@@ -54,6 +54,11 @@ class MetricsConfig:
     include_fixed_green: bool = True
     distance_mode: str = "boundary"
 
+    def __post_init__(self):
+        for name in ("service_radius_m", "esr_radius_m"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+
     @property
     def reach_m(self) -> float:
         """The largest radius the metrics ask about."""

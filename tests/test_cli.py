@@ -221,6 +221,17 @@ def test_zero_rounds_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("buffer", ["inf", "nan", "0"])
+def test_bad_buffer_is_usage_error(tmp_path, buffer):
+    # an infinite buffer cannot size the proximity index; fail before any seed
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--region", REGION,
+              "--demographics", DEMOGRAPHICS, "--buffer", buffer,
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_method_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,

@@ -69,6 +69,12 @@ def test_invite_buffer_above_the_service_radius(hlg, pop_hlg):
         assert len(want) > len(invite(cid, hlg, pop_hlg, 500.0))
 
 
+@pytest.mark.parametrize("buffer", [0.0, -1.0, np.inf, np.nan])
+def test_invite_buffer_must_be_positive_and_finite(buffer):
+    with pytest.raises(ValueError, match="invite_buffer_m"):
+        DiscussionConfig(invite_buffer_m=buffer).validate()
+
+
 def test_sample_speakers_full_exchange():
     rng = np.random.default_rng(0)
     invited = list(range(100))

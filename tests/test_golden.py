@@ -7,15 +7,15 @@ that changes any plan, transcript or metric byte fails here. The runs
 happen in a temporary working directory with relative input paths, so
 config.snapshot.json and the run id do not depend on where the suite runs.
 
-The hashes hold for the recording platform (x86-64, numpy 2.4): they pin
-floating-point output with repr, and a different numpy build may round a
-last bit differently. Re-record them with GOLDEN_PRINT=1 only when a
-change is meant to alter a run's output.
+The hashes hold for the recording platform (x86-64, numpy GOLDEN_NUMPY):
+they pin floating-point output with repr, and a different numpy build may
+round a last bit differently, so a mismatch names both numpy versions.
 """
 import hashlib
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from participlan.cli import main
@@ -31,6 +31,8 @@ RUNS = {
                      "--seeds", "101,202"],
     "gsca": ["plan", *INPUTS, "--method", "gsca", "--seeds", "101,202"],
 }
+
+GOLDEN_NUMPY = "2.4.6"
 
 GOLDEN = {
     "gsca": {
@@ -130,9 +132,6 @@ def test_golden_run_directory(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(RUNS[name] + ["--out", "run"]) == 0
     got = _digests("run")
-    if os.environ.get("GOLDEN_PRINT"):
-        print(f"\n    {name!r}: {{")
-        for rel, digest in got.items():
-            print(f"        {rel!r}:\n            {digest!r},")
-        print("    },")
-    assert got == GOLDEN[name]
+    assert got == GOLDEN[name], (
+        f"run files differ from the golden digests, recorded with numpy "
+        f"{GOLDEN_NUMPY}; this run used numpy {np.__version__}")

@@ -134,6 +134,13 @@ def test_fixed_green_counts_with_flag(hlg, pop_hlg):
     assert with_fixed > 0.0
 
 
+@pytest.mark.parametrize("field", ["service_radius_m", "esr_radius_m"])
+@pytest.mark.parametrize("radius", [-1.0, np.inf, np.nan])
+def test_radius_must_be_finite_and_non_negative(field, radius):
+    with pytest.raises(ValueError, match=field):
+        MetricsConfig(**{field: radius})
+
+
 def test_distance_cache_reuse(grid16, hand_plan, pop_grid16):
     cache = ProximityIndex(grid16, pop_grid16.homes, 500.0)
     a = satisfaction(grid16, hand_plan, pop_grid16, cache=cache)
