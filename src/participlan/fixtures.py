@@ -144,10 +144,6 @@ def hlg_like_demographics(n_agents: int = 1000) -> DemographicSpec:
     return spec
 
 
-BUNDLED_FILES = ("hlg_like.region.json", "dhm_like.region.json",
-                 "hlg_like.demographics.json")
-
-
 def data_path(filename: str) -> Path:
     """Path of a bundled data file (for CLI defaults and docs)."""
     return Path(resources.files("participlan").joinpath("data", filename))

@@ -16,7 +16,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -69,7 +69,6 @@ class BackendConfig:
     max_tokens: Optional[int] = None
     timeout_s: float = 60.0
     max_retries: int = 3
-    max_inflight: int = 4
     api_key_env: str = "OPENAI_API_KEY"
     transcript_path: Optional[str] = None
     verbose: bool = False
@@ -83,8 +82,6 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if self.kind == "remote" and not (self.endpoint and self.model):
             raise ValueError("remote backend needs endpoint and model")
         if self.kind == "scripted" and not self.transcript_path:
@@ -133,7 +130,6 @@ class RemoteBackend:
         self._transport = transport if transport is not None else requests.post
         self._sleep = sleeper
         self._record = record_to
-        self._sem = threading.BoundedSemaphore(config.max_inflight)
         self._lock = threading.Lock()
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
@@ -148,8 +144,7 @@ class RemoteBackend:
         if cfg.verbose:
             log.debug("request to %s: %s", cfg.endpoint,
                       json.dumps(body)[:2000])
-        with self._sem:
-            text = self._send(body)
+        text = self._send(body)
         if cfg.verbose:
             log.debug("reply: %s", text[:2000])
         if self._record is not None:
@@ -189,7 +184,8 @@ class RemoteBackend:
                 self._bump("rate_limited")
                 if attempt >= cfg.max_retries:
                     raise RateLimited(f"rate limited after {attempt + 1} attempts")
-                self._sleep(_retry_after(resp, 0.5 * 2 ** attempt))
+                self._sleep(min(_retry_after(resp, 0.5 * 2 ** attempt),
+                                cfg.timeout_s))
                 attempt += 1
                 self._bump("retries")
                 continue
@@ -214,10 +210,13 @@ class RemoteBackend:
 
 
 def _retry_after(resp, fallback: float) -> float:
+    """Seconds to wait after a 429: Retry-After, or `fallback` if the
+    header is absent, not a number, negative or not finite."""
     try:
-        return float(resp.headers.get("Retry-After", ""))
+        wait = float(resp.headers.get("Retry-After", ""))
     except (TypeError, ValueError):
         return fallback
+    return wait if 0.0 <= wait < math.inf else fallback
 
 
 class ScriptedBackend:
@@ -258,12 +257,20 @@ class ScriptedBackend:
 
 
 def load_transcript_file(path: Union[str, Path]) -> list[dict]:
-    doc = json.loads(Path(path).read_text())
+    """A JSON list of {"reply_text": str, "request_digest": str or null}."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, list):
         raise ParseError(f"{path}: transcript must be a JSON list")
     for i, entry in enumerate(doc):
-        if "reply_text" not in entry:
-            raise ParseError(f"{path}: entry {i} lacks reply_text")
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: entry {i} is not a JSON object")
+        if not isinstance(entry.get("reply_text"), str):
+            raise ParseError(f"{path}: entry {i} lacks a string reply_text")
+        if not isinstance(entry.get("request_digest"), (str, type(None))):
+            raise ParseError(f"{path}: entry {i} has a non-string request_digest")
     return doc
 
 
@@ -280,11 +287,8 @@ class RuleBackend:
 
     kind = "rule-based"
 
-    def __init__(self, needs_rules=None, ranking=None):
+    def __init__(self):
         self.telemetry = Telemetry()
-        self._needs_rules = needs_rules if needs_rules is not None \
-            else rules.DEFAULT_NEEDS_RULES
-        self._ranking = ranking if ranking is not None else rules.DEFAULT_RANKING
         self._lock = threading.Lock()
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
@@ -309,29 +313,20 @@ class RuleBackend:
                     except json.JSONDecodeError:
                         continue
             if tag == "needs":
-                facts = payload.get("facts", {})
-                needs = rules.needs_from_rules(facts, self._needs_rules, self._ranking)
-                names = [u.value for u in needs]
-                return ("The facilities that matter most to me: " + ", ".join(names)
-                        + ".\n```json\n" + json.dumps({"needs": names}, sort_keys=True)
-                        + "\n```")
-            if tag == "describe":
-                return rules.describe_reply(payload)
+                return rules.needs_reply(payload)
             if tag == "resident_opinion":
                 return rules.opinion_reply(payload)
             if tag == "summarize":
                 return rules.summary_reply(payload)
             if tag == "initial_plan":
                 return rules.initial_plan_reply(payload)
-            if tag == "plan_revision":
-                return rules.plan_revision_reply(payload)
             raise BackendError(f"rule backend: unknown role tag {tag!r}")
 
 
 Backend = Union[RemoteBackend, ScriptedBackend, RuleBackend]
 
 
-def make_backend(config: BackendConfig, needs_rules=None, ranking=None,
+def make_backend(config: BackendConfig,
                  transport: Optional[Callable] = None,
                  record_to: Optional[list] = None) -> Backend:
     config.validate()
@@ -339,7 +334,7 @@ def make_backend(config: BackendConfig, needs_rules=None, ranking=None,
         return RemoteBackend(config, transport=transport, record_to=record_to)
     if config.kind == "scripted":
         return ScriptedBackend(config)
-    return RuleBackend(needs_rules=needs_rules, ranking=ranking)
+    return RuleBackend()
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +360,6 @@ def render_needs_prompt(facts: dict) -> list[ChatMessage]:
              + "\n".join(f"- {k}: {v}" for k, v in sorted(facts.items())
                          if v is not None)
              + "\n" + _payload({"facts": facts})),
-    ]
-
-
-def render_describe_prompt(facts: dict) -> list[ChatMessage]:
-    return [
-        system("[role:describe] Write one short first-person sentence "
-               "introducing the resident whose profile follows."),
-        user(_payload({"facts": facts})),
     ]
 
 
@@ -580,6 +567,18 @@ def _all_json_objects(text: str) -> list[dict]:
     return out
 
 
+def _area_id(value) -> int:
+    """An area id from a reply: an int, an integral finite float such as
+    3.0, or a string int() reads. Anything else is a ParseError."""
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, (int, str)) and not isinstance(value, bool)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"non-integer area id {value!r} in reply")
+
+
 def parse_needs_response(text: str) -> tuple[LandUse, ...]:
     """3..5 assignable uses from a JSON {"needs": []} reply or a comma list."""
     tokens: list[str] = []
@@ -626,7 +625,6 @@ class RepairNeeded:
     missing: tuple[int, ...]
     unexpected: tuple[int, ...]
     deficits: dict[LandUse, int]
-    assignment: dict[int, LandUse] = field(default_factory=dict)
 
     def describe(self) -> str:
         parts = []
@@ -649,10 +647,7 @@ def parse_plan_response(text: str, region: Region) -> Union[Plan, RepairNeeded]:
         raise ParseError('reply JSON lacks an "assignments" object')
     assignment: dict[int, LandUse] = {}
     for key, value in raw.items():
-        try:
-            area_id = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"non-integer area id {key!r} in plan reply") from None
+        area_id = _area_id(key)
         try:
             use = LandUse.parse(value)
         except ValueError:
@@ -666,8 +661,7 @@ def parse_plan_response(text: str, region: Region) -> Union[Plan, RepairNeeded]:
         return plan
     return RepairNeeded(missing=rep.missing_areas,
                         unexpected=rep.unexpected_areas,
-                        deficits=rep.deficits,
-                        assignment=assignment)
+                        deficits=rep.deficits)
 
 
 @dataclass(frozen=True)
@@ -675,19 +669,16 @@ class PlanEdit:
     edits: tuple[tuple[int, LandUse], ...]
     rationale: str = ""
 
-    def is_identity(self) -> bool:
-        return not self.edits
-
 
 def parse_plan_edits(text: str, region: Region, community_id: int) -> PlanEdit:
     doc = extract_first_json(text)
     raw = doc.get("edits")
-    if raw is None:
+    if not isinstance(raw, list):
         raise ParseError('reply JSON lacks an "edits" list')
     edits: list[tuple[int, LandUse]] = []
     for entry in raw:
         try:
-            area_id = int(entry["area_id"])
+            area_id = _area_id(entry["area_id"])
             use = LandUse.parse(entry["use"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed edit entry {entry!r}: {exc}") from None
@@ -722,10 +713,10 @@ def parse_opinion_response(text: str) -> list[dict]:
                 use = LandUse.parse(entry["use"])
                 if use not in ASSIGNABLE_USES:
                     continue
-                items.append({"area_id": int(entry["area_id"]),
+                items.append({"area_id": _area_id(entry["area_id"]),
                               "use": use,
                               "reason": str(entry.get("reason", ""))})
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, ParseError):
                 continue
     return items
 

@@ -356,7 +356,6 @@ class MetricsReport:
     ecology: float
     satisfaction: float
     inclusion: Optional[float]
-    per_resident: tuple[tuple[int, float, float, float], ...]
     service_radius_m: float
     esr_radius_m: float
 
@@ -374,7 +373,7 @@ class MetricsReport:
 def report(region: Region, plan: Plan, population: Population,
            config: MetricsConfig = MetricsConfig(),
            cache: Optional[ProximityIndex] = None) -> MetricsReport:
-    """All four metrics plus per-resident rows from one coverage pass.
+    """All four metrics from one coverage pass.
 
     Aggregates are means of the per-resident arrays, so report() and the
     scalar functions agree exactly.
@@ -386,15 +385,11 @@ def report(region: Region, plan: Plan, population: Population,
     sat = cov.satisfaction(bits, cov.needs(population))
     mask = np.array([r.is_marginalized for r in population.residents], dtype=bool)
     incl = float(np.mean(sat[mask])) if mask.any() else None
-    rows = tuple(
-        (r.id, float(srv[i]), float(esr[i]), float(sat[i]))
-        for i, r in enumerate(population.residents))
     return MetricsReport(
         service=float(np.mean(srv)),
         ecology=float(np.mean(esr)),
         satisfaction=float(np.mean(sat)),
         inclusion=incl,
-        per_resident=rows,
         service_radius_m=config.service_radius_m,
         esr_radius_m=config.esr_radius_m,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -64,10 +64,6 @@ def _check_feasible(region: Region) -> None:
     if total > len(region.vacant_ids):
         raise Infeasible(
             f"requirements sum {total} exceeds {len(region.vacant_ids)} vacant areas")
-
-
-def _quota_order_canonical(region: Region) -> list[LandUse]:
-    return list(ASSIGNABLE_USES)
 
 
 def _quota_order_descending(region: Region) -> list[LandUse]:

@@ -9,7 +9,7 @@ and a short list of facility needs. Synthesis is a pure function of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -18,8 +18,7 @@ import numpy as np
 from . import geometry, rules
 from .errors import GeometryError, ParseError, SpecError
 from .geometry import Point
-from .llm import (assistant, parse_needs_response, render_describe_prompt,
-                  render_needs_prompt, user)
+from .llm import assistant, parse_needs_response, render_needs_prompt, user
 from .region import ASSIGNABLE_USES, LandUse, Region
 
 _PROFILE_FIELDS = ("gender", "age_band", "education", "family_size")
@@ -285,35 +284,6 @@ def elicit_needs(resident: Resident, backend) -> tuple[LandUse, ...]:
                  'single JSON object: {"needs": [3 to 5 land use names]}.'),
         ]
         return parse_needs_response(backend.complete(repair))
-
-
-def elicit_needs_many(residents: Sequence[Resident], backend,
-                      max_workers: int = 1) -> dict[int, tuple[LandUse, ...]]:
-    """Elicit needs for many residents, merged by id for a stable order."""
-    if max_workers <= 1:
-        return {r.id: elicit_needs(r, backend) for r in residents}
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {r.id: pool.submit(elicit_needs, r, backend) for r in residents}
-        return {rid: futures[rid].result() for rid in sorted(futures)}
-
-
-def generate_description(resident: Resident, backend) -> str:
-    """One-paragraph self introduction from the backend."""
-    text = backend.complete(render_describe_prompt(resident.facts())).strip()
-    return " ".join(text.split())
-
-
-def with_needs(pop: Population,
-               needs_by_id: Mapping[int, Sequence[LandUse]]) -> Population:
-    """Copy of the population with needs replaced where given."""
-    out = []
-    for r in pop.residents:
-        if r.id in needs_by_id:
-            out.append(replace(r, needs=tuple(needs_by_id[r.id])))
-        else:
-            out.append(r)
-    return Population(residents=tuple(out), seed=pop.seed)
 
 
 def population_to_json_dict(pop: Population) -> dict:

@@ -11,16 +11,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import geometry
-from .errors import InvariantError, NotPresent, ParseError
+from .errors import InvariantError, ParseError
 from .geometry import Point
 
 
@@ -174,9 +173,6 @@ class Region:
 @dataclass(frozen=True)
 class Plan:
     assignment: Mapping[int, LandUse]
-
-    def get(self, area_id: int) -> Optional[LandUse]:
-        return self.assignment.get(area_id)
 
     def use_of(self, area: Area) -> Optional[LandUse]:
         """Effective use of an area under this plan (fixed use wins)."""
@@ -415,18 +411,6 @@ def save_region(region: Region, path: Union[str, Path]) -> None:
 # Spatial queries
 
 
-def min_distance(point: Point, area: Area, mode: DistanceMode = "boundary") -> float:
-    """Distance from a point to an area: 0 inside, else to the nearest edge.
-
-    mode="centroid" measures to the area centroid instead; used for
-    sensitivity checks and for cheap planner-side weights.
-    """
-    if mode == "centroid":
-        cx, cy = area.centroid
-        return math.hypot(point[0] - cx, point[1] - cy)
-    return geometry.distance_to_polygon(point, area.boundary)
-
-
 def min_distance_many(points: np.ndarray, area: Area,
                       mode: DistanceMode = "boundary") -> np.ndarray:
     pts = np.asarray(points, dtype=float)
@@ -435,59 +419,3 @@ def min_distance_many(points: np.ndarray, area: Area,
         return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
     return geometry.distance_to_polygon_many(pts, area.boundary)
 
-
-def nearest_of_types(home: Point, region: Region, plan: Plan,
-                     types: Iterable[LandUse],
-                     mode: DistanceMode = "boundary") -> tuple[int, float]:
-    """Closest area whose effective use is in `types`; ties go to lower id."""
-    wanted = set(types)
-    if not wanted:
-        raise ValueError("types must be non-empty")
-    best_id = None
-    best_d = math.inf
-    for area in region.areas:
-        if plan.use_of(area) not in wanted:
-            continue
-        d = min_distance(home, area, mode)
-        if d < best_d:
-            best_id, best_d = area.id, d
-    if best_id is None:
-        raise NotPresent(
-            "no area of type(s) " + ", ".join(sorted(u.value for u in wanted)))
-    return best_id, best_d
-
-
-@dataclass(frozen=True)
-class NeighborhoodEntry:
-    area_id: int
-    land_use: Optional[LandUse]
-    distance_m: float
-    direction: str
-
-
-@dataclass(frozen=True)
-class NeighborhoodView:
-    entries: tuple[NeighborhoodEntry, ...] = field(default_factory=tuple)
-
-    def area_ids(self) -> tuple[int, ...]:
-        return tuple(e.area_id for e in self.entries)
-
-
-def neighborhood(home: Point, region: Region, plan: Plan, radius: float,
-                 mode: DistanceMode = "boundary") -> NeighborhoodView:
-    """All areas within `radius` of home, labeled with use, distance, bearing."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    entries = []
-    for area in region.areas:
-        d = min_distance(home, area, mode)
-        if d <= radius:
-            cx, cy = area.centroid
-            entries.append(NeighborhoodEntry(
-                area_id=area.id,
-                land_use=plan.use_of(area),
-                distance_m=d,
-                direction=geometry.compass_label(cx - home[0], cy - home[1]),
-            ))
-    entries.sort(key=lambda e: (e.distance_m, e.area_id))
-    return NeighborhoodView(entries=tuple(entries))

@@ -7,7 +7,7 @@ and so property tests can reason about them directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .region import ASSIGNABLE_USES, LandUse
@@ -132,12 +132,8 @@ def needs_reply(payload: dict) -> str:
     facts = payload.get("facts", {})
     needs = needs_from_rules(facts)
     names = [u.value for u in needs]
-    return ("Given my situation, the facilities that matter most to me are: "
-            + ", ".join(names) + ".\n" + _fence({"needs": names}))
-
-
-def describe_reply(payload: dict) -> str:
-    return describe(payload.get("facts", {}))
+    return ("The facilities that matter most to me: " + ", ".join(names)
+            + ".\n" + _fence({"needs": names}))
 
 
 def opinion_reply(payload: dict) -> str:
@@ -251,15 +247,3 @@ def initial_plan_reply(payload: dict) -> str:
     doc = {"assignments": {str(k): assignment[k] for k in sorted(assignment)}}
     return ("Here is a complete assignment meeting every quota.\n" + _fence(doc))
 
-
-def plan_revision_reply(payload: dict) -> str:
-    """Echo the edits the caller proposes (the acceptance logic lives upstream)."""
-    edits = payload.get("edits", [])
-    doc = {"edits": [{"area_id": int(e["area_id"]), "use": str(e["use"])}
-                     for e in edits]}
-    if not edits:
-        return "The current assignment already serves the discussion well; no edits.\n" + _fence(doc)
-    lines = ["Based on the discussion summaries I will adjust the community:"]
-    for e in doc["edits"]:
-        lines.append(f"- area {e['area_id']} becomes {e['use']}")
-    return "\n".join(lines) + "\n" + _fence(doc)

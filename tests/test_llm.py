@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from participlan.errors import (
     BadReply,
@@ -18,11 +20,14 @@ from participlan.llm import (
     RuleBackend,
     ScriptedBackend,
     extract_first_json,
+    load_transcript_file,
     make_backend,
     parse_needs_response,
+    parse_opinion_response,
     parse_plan_edits,
     parse_plan_response,
     render_initial_plan_prompt,
+    render_needs_prompt,
     render_opinion_prompt,
     render_revision_prompt,
     request_digest,
@@ -133,6 +138,67 @@ class TestParseEdits:
                 json.dumps({"edits": [{"area_id": other.id, "use": "park"}]}),
                 hlg, community_id=1)
 
+    def test_edits_must_be_a_list(self, grid16):
+        with pytest.raises(ParseError, match="edits"):
+            parse_plan_edits('{"edits": 5}', grid16, community_id=1)
+
+    # 2.5 used to be truncated to area 2, a vacant area of community 1
+    @pytest.mark.parametrize("area_id", ["1e400", "2.5", "true", '"two"'])
+    def test_rejects_non_integral_area_id(self, grid16, area_id):
+        text = '{"edits": [{"area_id": %s, "use": "park"}]}' % area_id
+        with pytest.raises(ParseError):
+            parse_plan_edits(text, grid16, community_id=1)
+
+    def test_integral_float_area_id(self, grid16):
+        edits = parse_plan_edits('{"edits": [{"area_id": 2.0, "use": "park"}]}',
+                                 grid16, community_id=1)
+        assert edits.edits == ((2, LandUse.PARK),)
+
+
+class TestParseOpinion:
+    def test_skips_non_integral_area_ids(self):
+        text = ('{"requests": [{"area_id": 1e400, "use": "park"}, '
+                '{"area_id": 1.5, "use": "park"}, '
+                '{"area_id": 3.0, "use": "school", "reason": "far"}]}')
+        assert parse_opinion_response(text) == [
+            {"area_id": 3, "use": LandUse.SCHOOL, "reason": "far"}]
+
+
+# Arbitrary JSON, biased toward the keys and values the reply parsers read
+# so that the interesting branches are reached, not only the no-JSON one.
+_KEYS = st.sampled_from(["needs", "edits", "requests", "assignments",
+                         "area_id", "use", "reason"]) | st.text(max_size=4)
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 20)
+           | st.integers() | st.floats()
+           | st.sampled_from(["park", "school", "residential", "castle", "2"])
+           | st.text(max_size=8))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(_KEYS, inner, max_size=5)),
+    max_leaves=25)
+_REPLIES = (st.builds(lambda prose, doc: prose + "\n```json\n"
+                      + json.dumps(doc) + "\n```",
+                      st.text(max_size=20),
+                      st.dictionaries(_KEYS, _JSON, min_size=1, max_size=4))
+            | st.builds(json.dumps, _JSON)
+            | st.text(max_size=40))
+
+
+@given(text=_REPLIES)
+@settings(max_examples=200, deadline=None)
+def test_reply_parsers_raise_only_parse_errors(grid16, text):
+    for parse in (parse_needs_response,
+                  lambda t: parse_plan_response(t, grid16),
+                  lambda t: parse_plan_edits(t, grid16, community_id=1)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+    for item in parse_opinion_response(text):
+        assert type(item["area_id"]) is int
+        assert isinstance(item["use"], LandUse)
+
 
 class TestRuleBackend:
     def test_unknown_role_tag(self, rule_backend):
@@ -150,6 +216,16 @@ class TestRuleBackend:
         a = request_initial_plan(grid16, rule_backend)
         b = request_initial_plan(grid16, make_backend(BackendConfig()))
         assert a.assignment == b.assignment
+
+    def test_needs_reply_text(self, rule_backend):
+        facts = {"gender": "female", "age_band": "65+",
+                 "education": "primary", "family_size": "1",
+                 "background": "elderly living alone"}
+        assert rule_backend.complete(render_needs_prompt(facts)) == (
+            "The facilities that matter most to me: hospital, park, clinic, "
+            "business, recreation.\n```json\n"
+            '{"needs": ["hospital", "park", "clinic", "business", '
+            '"recreation"]}\n```')
 
 
 class TestPrompts:
@@ -273,6 +349,26 @@ class TestRemoteBackend:
         with pytest.raises(BadReply):
             backend.complete([user("hi")])
 
+    @pytest.mark.parametrize("header, wait", [
+        ("2", 2.0),       # honoured as sent
+        ("1e9", 30.0),    # capped at timeout_s
+        ("nan", 0.5),     # the exponential fallback for the first retry
+        ("inf", 0.5),
+        ("-5", 0.5),
+        ("soon", 0.5),
+    ])
+    def test_retry_after_is_bounded(self, header, wait):
+        replies = [_FakeResponse(429, headers={"Retry-After": header}),
+                   _FakeResponse(200, _chat_body("ok"))]
+        sleeps = []
+        config = BackendConfig(kind="remote", endpoint="https://x.test/v1/chat",
+                               model="test-model", timeout_s=30.0,
+                               api_key_env="PARTICIPLAN_TEST_KEY")
+        backend = RemoteBackend(config, transport=lambda url, **kw: replies.pop(0),
+                                sleeper=sleeps.append)
+        assert backend.complete([user("hi")]) == "ok"
+        assert sleeps == [wait]
+
     def test_missing_key_fails_fast(self, monkeypatch):
         monkeypatch.delenv("PARTICIPLAN_TEST_KEY", raising=False)
         config = BackendConfig(kind="remote", endpoint="https://x.test/chat",
@@ -319,3 +415,17 @@ class TestScriptedBackend:
         replay = ScriptedBackend(
             BackendConfig(kind="scripted", transcript_path=str(path)))
         assert replay.complete([user("anything")]) == "canned"
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[5]",
+    '[{"request_digest": 7, "reply_text": "hi"}]',
+    '[{"request_digest": null, "reply_text": 5}]',
+], ids=["invalid-json", "non-object-entry", "non-string-digest",
+        "non-string-reply"])
+def test_bad_transcript_is_parse_error(tmp_path, text):
+    path = tmp_path / "tape.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        load_transcript_file(path)

@@ -107,12 +107,13 @@ def test_satisfaction_requires_needs(grid16, hand_plan, hand_population):
 def test_report_aggregates_equal_per_resident_means(grid16, hand_plan,
                                                     pop_grid16):
     rep = report(grid16, hand_plan, pop_grid16)
-    rows = rep.per_resident  # (resident_id, service, in_esr, satisfaction)
-    assert [r[0] for r in rows] == [r.id for r in pop_grid16.residents]
-    assert rep.service == pytest.approx(np.mean([r[1] for r in rows]), abs=0)
-    assert rep.ecology == pytest.approx(np.mean([r[2] for r in rows]), abs=0)
-    assert rep.satisfaction == pytest.approx(
-        np.mean([r[3] for r in rows]), abs=0)
+    srv = per_resident_service(grid16, hand_plan, pop_grid16)
+    esr = per_resident_in_esr(grid16, hand_plan, pop_grid16)
+    sat = per_resident_satisfaction(grid16, hand_plan, pop_grid16)
+    assert len(srv) == len(esr) == len(sat) == len(pop_grid16)
+    assert rep.service == pytest.approx(np.mean(srv), abs=0)
+    assert rep.ecology == pytest.approx(np.mean(esr), abs=0)
+    assert rep.satisfaction == pytest.approx(np.mean(sat), abs=0)
     doc = rep.to_json_dict()
     assert set(METRIC_COLUMNS) <= set(doc)
 

@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
-from participlan.errors import InvariantError, NotPresent, ParseError
+from participlan.discussion import view_payload
+from participlan.errors import InvariantError, ParseError
 from participlan.fixtures import make_grid_region
 from participlan.geometry import Point
+from participlan.metrics import ProximityIndex
+from participlan.population import Profile, Resident
 from participlan.region import (
     ASSIGNABLE_USES,
     FIXED_USES,
@@ -12,8 +16,6 @@ from participlan.region import (
     Plan,
     load_plan,
     load_region,
-    neighborhood,
-    nearest_of_types,
     plan_digest,
     save_plan,
     save_region,
@@ -130,43 +132,66 @@ def test_region_requires_all_quota_keys():
         )
 
 
-def test_nearest_of_types_prefers_lower_id(grid16, hand_plan):
-    # two schools (areas 2 and 11); from the grid center both quadrants
-    # matter, so probe from a point equidistant to neither
+def _probe(home):
+    return Resident(
+        id=0, profile=Profile("female", "30-44", "bachelor", "2"),
+        background=None, description="probe", home=home, home_area_id=1,
+        needs=())
+
+
+def _view(region, plan, home, radius):
+    """The neighbourhood view of one resident at `home`, from a
+    one-resident proximity index built out to `radius`."""
+    index = ProximityIndex(region, np.array([home]), radius)
+    return view_payload(_probe(home), region, plan, radius, index, 0)
+
+
+def _first_of(view, use):
+    return next((e for e in view if e["land_use"] == use.value), None)
+
+
+def test_view_lists_the_nearest_of_a_type_first(grid16, hand_plan):
+    # two schools (areas 2 and 11); area 2 borders the probe's home cell
     home = Point(125.0, 125.0)
-    aid, dist = nearest_of_types(home, grid16, hand_plan, (LandUse.SCHOOL,))
-    assert aid == 2
-    assert dist == pytest.approx(125.0)
-    with pytest.raises(NotPresent, match="hospital"):
-        nearest_of_types(home, grid16, Plan({}), (LandUse.HOSPITAL,))
+    view = _view(grid16, hand_plan, home, 1500.0)
+    school = _first_of(view, LandUse.SCHOOL)
+    assert school["area_id"] == 2
+    assert school["distance_m"] == pytest.approx(125.0)
+    assert _first_of(_view(grid16, Plan({}), home, 1500.0),
+                     LandUse.HOSPITAL) is None
 
 
-def test_nearest_of_types_tie_breaks_by_id(grid16, hand_plan):
+def test_view_tie_breaks_by_id(grid16, hand_plan):
     # parks sit in areas 9 and 13, both spanning x in [0, 250]; the probe
     # point y=750 touches both cells' y-ranges, so both are exactly 125 m
     home = Point(375.0, 750.0)
-    aid, dist = nearest_of_types(home, grid16, hand_plan, (LandUse.PARK,))
-    assert dist == pytest.approx(125.0)
-    assert aid == 9
+    view = _view(grid16, hand_plan, home, 500.0)
+    parks = [e for e in view if e["land_use"] == LandUse.PARK.value]
+    assert [e["area_id"] for e in parks] == [9, 13]
+    assert parks[0]["distance_m"] == pytest.approx(125.0)
+    assert parks[1]["distance_m"] == parks[0]["distance_m"]
 
 
-def test_neighborhood_sorted_and_thresholded(grid16, hand_plan):
+def test_view_sorted_and_thresholded(grid16, hand_plan):
     home = Point(125.0, 125.0)
-    view = neighborhood(home, grid16, hand_plan, radius=400.0)
-    ids = [e.area_id for e in view.entries]
-    dists = [e.distance_m for e in view.entries]
+    view = _view(grid16, hand_plan, home, 400.0)
+    ids = [e["area_id"] for e in view]
+    dists = [e["distance_m"] for e in view]
     assert dists == sorted(dists)
     assert all(d <= 400.0 for d in dists)
     assert 1 in ids          # home cell, distance 0
     assert 4 not in ids      # 625 m away
-    entry = next(e for e in view.entries if e.area_id == 2)
-    assert entry.land_use is LandUse.SCHOOL
-    assert entry.direction == "E"
-    with pytest.raises(ValueError):
-        neighborhood(home, grid16, hand_plan, radius=0.0)
+    entry = next(e for e in view if e["area_id"] == 2)
+    assert entry["land_use"] == LandUse.SCHOOL.value
+    assert entry["direction"] == "E"
+    # the view cannot see past the index it reads
+    index = ProximityIndex(grid16, np.array([home]), 400.0)
+    with pytest.raises(InvariantError):
+        view_payload(_probe(home), grid16, hand_plan, 500.0, index, 0)
 
 
-def test_neighborhood_unassigned_vacant_shows_none(grid16):
-    view = neighborhood(Point(125.0, 125.0), grid16, Plan({}), radius=200.0)
-    entry = next(e for e in view.entries if e.area_id == 2)
-    assert entry.land_use is None
+def test_view_unassigned_vacant_shows_none(grid16):
+    view = _view(grid16, Plan({}), Point(125.0, 125.0), 200.0)
+    entry = next(e for e in view if e["area_id"] == 2)
+    assert entry["land_use"] is None
+    assert entry["changeable"] is True
