@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -28,11 +29,14 @@ from . import planners as planners_mod
 from . import svgmap
 from .discussion import DiscussionConfig
 from .errors import PlanningError
-from .llm import BackendConfig, make_backend, request_initial_plan
+from .llm import (BackendConfig, make_backend, request_initial_plan,
+                  save_transcript_file)
 from .metrics import METRIC_COLUMNS, MetricsConfig
 from .planners import PlannerConfig
 from .population import load_demographics, synthesize
 from .region import load_plan, load_region, save_plan, validate_plan
+
+log = logging.getLogger(__name__)
 
 DEFAULT_SEEDS = (101, 202, 303, 404, 505)
 
@@ -62,7 +66,6 @@ def _backend_config(args) -> BackendConfig:
         timeout_s=getattr(args, "timeout", 60.0),
         api_key_env=getattr(args, "api_key_env", "OPENAI_API_KEY"),
         transcript_path=getattr(args, "transcript", None),
-        verbose=bool(getattr(args, "verbose", False)),
     )
 
 
@@ -187,22 +190,56 @@ def _make_planner(method: str, population, seed: int, args, backend):
     raise ValueError(f"unknown method {method!r}")
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-
-
-def cmd_plan(args) -> int:
+def _setup(args):
+    """(region, demographic spec, backend, tape), or None once the error is
+    printed: bad inputs or backend config are usage errors. One backend
+    serves every seed, so a scripted replay reads its transcript straight
+    through; a remote one records to the tape list if --transcript is set."""
     stage = "loading inputs"
     try:
         region = load_region(args.region)
         spec = load_demographics(args.demographics)
         stage = "configuring backend"
-        backend = make_backend(_backend_config(args))
+        config = _backend_config(args)
+        tape = [] if config.kind == "remote" and config.transcript_path else None
+        return region, spec, make_backend(config, record_to=tape), tape
     except Exception as exc:
-        # bad inputs or backend config are usage errors, not runtime ones
         print(f"error while {stage}: {exc}", file=sys.stderr)
-        return 2
+        return None
 
+
+def _finish(args, out: Path, snapshot: dict, run_id: str, rows: list[dict],
+            failures: dict[int, str], t0: float, tape: Optional[list],
+            trajectory: Optional[list[dict]] = None) -> int:
+    """Write the run directory and tape, print each seed's metrics or
+    failure; the exit status is 1 if every seed failed."""
+    timings = {"total": time.perf_counter() - t0}
+    if tape is not None:
+        save_transcript_file(tape, args.transcript)
+    _write_run_files(out, snapshot, run_id, args.method, rows, failures,
+                     timings, trajectory)
+    for row in sorted(rows, key=lambda r: r["seed"]):
+        incl = f"{row['inclusion']:.4f}" if row["inclusion"] is not None else "n/a"
+        print(f"seed {row['seed']}: service={row['service']:.4f} "
+              f"ecology={row['ecology']:.4f} "
+              f"satisfaction={row['satisfaction']:.4f} inclusion={incl}")
+    for seed, msg in sorted(failures.items()):
+        print(f"seed {seed} failed: {msg}", file=sys.stderr)
+    if rows:
+        return 0
+    print("error: every seed failed", file=sys.stderr)
+    return 1
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+
+
+def cmd_plan(args) -> int:
+    setup = _setup(args)
+    if setup is None:
+        return 2
+    region, spec, backend, tape = setup
     snapshot = _snapshot(args, {"command": "plan", "region_name": region.name})
     run_id = _run_id(snapshot)
     out = Path(args.out)
@@ -225,26 +262,16 @@ def cmd_plan(args) -> int:
                       provenance={"run_id": run_id, "seed": seed,
                                   "method": args.method})
             rows.append(_report_row(run_id, seed, args.method, report))
-        except Exception as exc:
+        except (PlanningError, OSError) as exc:
             failures[seed] = f"{stage}: {exc}"
-    timings = {"total": time.perf_counter() - t0}
-    _write_run_files(out, snapshot, run_id, args.method, rows, failures, timings)
-    for row in sorted(rows, key=lambda r: r["seed"]):
-        print(f"seed {row['seed']}: service={row['service']:.4f} "
-              f"ecology={row['ecology']:.4f} "
-              f"satisfaction={row['satisfaction']:.4f}")
-    for seed, msg in sorted(failures.items()):
-        print(f"seed {seed} failed during {msg}", file=sys.stderr)
-    if rows:
-        return 0
-    print("error: every seed failed", file=sys.stderr)
-    return 1
+            log.debug("seed %s failed", seed, exc_info=True)
+    return _finish(args, out, snapshot, run_id, rows, failures, t0, tape)
 
 
-def _simulate_one_seed(args, region, spec, seed, run_id, out, mode=None):
+def _simulate_one_seed(args, region, spec, seed, run_id, out, backend,
+                       mode=None):
     """One pipeline run; returns (final metrics row, trajectory rows)."""
     population = synthesize(spec, region, seed)
-    backend = make_backend(_backend_config(args))
     planner = _make_planner(args.method, population, seed, args, backend)
     config = DiscussionConfig(
         rounds=args.rounds,
@@ -288,16 +315,10 @@ def _simulate_one_seed(args, region, spec, seed, run_id, out, mode=None):
 
 
 def _run_simulation_command(args, mode=None) -> int:
-    stage = "loading inputs"
-    try:
-        region = load_region(args.region)
-        spec = load_demographics(args.demographics)
-        stage = "configuring backend"
-        make_backend(_backend_config(args))  # fail fast before any work
-    except Exception as exc:
-        print(f"error while {stage}: {exc}", file=sys.stderr)
+    setup = _setup(args)
+    if setup is None:
         return 2
-
+    region, spec, backend, tape = setup
     extra = {"command": "simulate" if mode is None else f"ablate:{mode}",
              "region_name": region.name}
     snapshot = _snapshot(args, extra)
@@ -309,25 +330,14 @@ def _run_simulation_command(args, mode=None) -> int:
     for seed in args.seeds:
         try:
             row, traj = _simulate_one_seed(args, region, spec, seed,
-                                           run_id, out, mode)
+                                           run_id, out, backend, mode)
             rows.append(row)
             trajectory.extend(traj)
-        except Exception as exc:
+        except (PlanningError, OSError) as exc:
             failures[seed] = str(exc)
-    timings = {"total": time.perf_counter() - t0}
-    _write_run_files(out, snapshot, run_id, args.method, rows, failures,
-                     timings, trajectory=trajectory)
-    for row in sorted(rows, key=lambda r: r["seed"]):
-        incl = f"{row['inclusion']:.4f}" if row["inclusion"] is not None else "n/a"
-        print(f"seed {row['seed']}: service={row['service']:.4f} "
-              f"ecology={row['ecology']:.4f} "
-              f"satisfaction={row['satisfaction']:.4f} inclusion={incl}")
-    for seed, msg in sorted(failures.items()):
-        print(f"seed {seed} failed: {msg}", file=sys.stderr)
-    if rows:
-        return 0
-    print("error: every seed failed", file=sys.stderr)
-    return 1
+            log.debug("seed %s failed", seed, exc_info=True)
+    return _finish(args, out, snapshot, run_id, rows, failures, t0, tape,
+                   trajectory)
 
 
 def cmd_simulate(args) -> int:
@@ -463,7 +473,8 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--api-key-env", dest="api_key_env", default="OPENAI_API_KEY")
     p.add_argument("--transcript", default=None,
-                   help="recorded transcript file (scripted backend)")
+                   help="transcript file to record to (remote) or replay "
+                        "from (scripted)")
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
@@ -474,7 +485,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--search-iters", dest="search_iters", type=int, default=800)
     p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="debug logging on stderr")
     _add_backend_args(p)
 
 
@@ -532,20 +544,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Numeric flags are checked before any seed runs: a bad value is a usage
+# error, not a failure of every seed.
+_FLAG_CHECKS = (
+    ("rounds", lambda v: v >= 1, "--rounds must be >= 1"),
+    ("rounds_list", lambda v: min(v) >= 1, "--rounds-list values must be >= 1"),
+    ("buffer", lambda v: 0 < v < np.inf, "--buffer must be positive and finite"),
+    ("speakers", lambda v: v >= 1, "--speakers must be >= 1"),
+    ("exchange_fraction", lambda v: 0 <= v <= 1,
+     "--exchange-fraction must be in [0, 1]"),
+    ("restarts", lambda v: v >= 1, "--restarts must be >= 1"),
+    ("search_iters", lambda v: v >= 0, "--search-iters must be >= 0"),
+)
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to sys.stderr as it is at each record, so one handler serves
+    every call of main wherever stderr is redirected."""
+    stream = property(lambda self: sys.stderr, lambda self, _stream: None)
+
+
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "rounds", None) is not None and args.rounds < 1:
-        parser.error("--rounds must be >= 1")
-    if getattr(args, "rounds_list", None) is not None \
-            and any(n < 1 for n in args.rounds_list):
-        parser.error("--rounds-list values must be >= 1")
-    if getattr(args, "buffer", None) is not None \
-            and not 0 < args.buffer < np.inf:
-        parser.error("--buffer must be positive and finite")
+    for dest, ok, message in _FLAG_CHECKS:
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            parser.error(message)
+    package_log = logging.getLogger("participlan")
+    package_log.setLevel(logging.DEBUG if getattr(args, "verbose", False)
+                         else logging.WARNING)
+    package_log.addHandler(_LOG_HANDLER)  # a no-op once it is there
     try:
         return args.func(args)
-    except PlanningError as exc:
+    except (PlanningError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -198,15 +198,14 @@ def invite(community_id: int, region: Region, population: Population,
         raise NotPresent(f"no community with id {community_id}")
     if cache is None:
         cache = ProximityIndex(region, population.homes, invite_buffer_m)
-    index = cache.in_mode("boundary")
-    index.require(invite_buffer_m)
+    cache.require(invite_buffer_m)
     in_community = np.array([a.community_id == community_id
                              for a in region.areas], dtype=bool)
     if not in_community.any():
         raise EmptyCommunity(f"community {community_id} has no areas")
-    hit = in_community[index.columns] & (index.distances <= invite_buffer_m)
+    hit = in_community[cache.columns] & (cache.distances <= invite_buffer_m)
     near = np.zeros(len(population), dtype=bool)
-    near[index.residents[hit]] = True
+    near[cache.residents[hit]] = True
     invited = tuple(r.id for i, r in enumerate(population.residents) if near[i])
     if not invited:
         raise EmptyCommunity(
@@ -218,9 +217,8 @@ def view_payload(resident: Resident, region: Region, plan: Plan,
                  radius: float, cache: ProximityIndex,
                  resident_index: int) -> list[dict]:
     """Neighborhood entries as plain dicts for prompts and rule replies."""
-    index = cache.in_mode("boundary")
-    index.require(radius)
-    columns, distances = index.row(resident_index)
+    cache.require(radius)
+    columns, distances = cache.row(resident_index)
     entries = []
     for j, d in zip(columns.tolist(), distances.tolist()):
         if d <= radius:
@@ -445,7 +443,6 @@ def run_full_pipeline(region: Region, population: Population,
                       *,
                       planner_backend: Optional[Backend] = None,
                       metrics_config: MetricsConfig = MetricsConfig(),
-                      community_order: Optional[Sequence[int]] = None,
                       roleplay: bool = True
                       ) -> tuple[Plan, list[Transcript], list[MetricsReport]]:
     """Initial plan, then sequential community revisions with a metrics
@@ -459,9 +456,7 @@ def run_full_pipeline(region: Region, population: Population,
     cache = _proximity_index(region, population, config, metrics_config)
     reports = [metrics_mod.report(region, plan, population, metrics_config, cache)]
     transcripts: list[Transcript] = []
-    order = list(community_order) if community_order is not None \
-        else sorted(region.community_ids)
-    for cid in order:
+    for cid in sorted(region.community_ids):
         try:
             plan, transcript = run_community_revision(
                 plan, cid, region, population, backend, planner_backend,

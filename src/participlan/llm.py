@@ -71,7 +71,6 @@ class BackendConfig:
     max_retries: int = 3
     api_key_env: str = "OPENAI_API_KEY"
     transcript_path: Optional[str] = None
-    verbose: bool = False
 
     def validate(self) -> None:
         if self.kind not in ("remote", "rule-based", "scripted"):
@@ -141,11 +140,10 @@ class RemoteBackend:
         }
         if cfg.max_tokens is not None:
             body["max_tokens"] = cfg.max_tokens
-        if cfg.verbose:
-            log.debug("request to %s: %s", cfg.endpoint,
-                      json.dumps(body)[:2000])
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("request to %s: %s", cfg.endpoint, json.dumps(body)[:2000])
         text = self._send(body)
-        if cfg.verbose:
+        if log.isEnabledFor(logging.DEBUG):
             log.debug("reply: %s", text[:2000])
         if self._record is not None:
             digest = request_digest(cfg.model, cfg.temperature, list(messages))
@@ -267,8 +265,8 @@ def load_transcript_file(path: Union[str, Path]) -> list[dict]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: entry {i} is not a JSON object")
-        if not isinstance(entry.get("reply_text"), str):
-            raise ParseError(f"{path}: entry {i} lacks a string reply_text")
+        if not isinstance(entry.get("reply_text"), str) or not entry["reply_text"]:
+            raise ParseError(f"{path}: entry {i} lacks a non-empty reply_text")
         if not isinstance(entry.get("request_digest"), (str, type(None))):
             raise ParseError(f"{path}: entry {i} has a non-string request_digest")
     return doc
@@ -312,8 +310,6 @@ class RuleBackend:
                         payload = json.loads(block)
                     except json.JSONDecodeError:
                         continue
-            if tag == "needs":
-                return rules.needs_reply(payload)
             if tag == "resident_opinion":
                 return rules.opinion_reply(payload)
             if tag == "summarize":
@@ -348,19 +344,6 @@ def _payload(doc: dict) -> str:
 
 
 _ALLOWED = ", ".join(u.value for u in ASSIGNABLE_USES)
-
-
-def render_needs_prompt(facts: dict) -> list[ChatMessage]:
-    return [
-        system("[role:needs] You are a city resident. From the land-use "
-               f"types ({_ALLOWED}), pick between 3 and 5 you need most in "
-               "daily life. Reply with one sentence, then a JSON object "
-               '{"needs": [...]}.'),
-        user("Your profile:\n"
-             + "\n".join(f"- {k}: {v}" for k, v in sorted(facts.items())
-                         if v is not None)
-             + "\n" + _payload({"facts": facts})),
-    ]
 
 
 #: Persona used when resident profiles are withheld from the prompts.
@@ -455,14 +438,13 @@ def _neighbor_text(region: Region, area, k: int = 3) -> str:
     return "nearest: " + ", ".join(parts)
 
 
-def render_initial_plan_prompt(region: Region,
-                               requirements=None) -> list[ChatMessage]:
+def render_initial_plan_prompt(region: Region) -> list[ChatMessage]:
     """Planner prompt describing every area in text plus the quota table.
 
     Each area id appears exactly once as an 'Area <id>' token; neighbor
     references use bare ids so completeness checks stay simple.
     """
-    req = dict(requirements if requirements is not None else region.requirements)
+    req = region.requirements
     name_by_cid = dict(region.communities)
     lines = [f"Region {region.name}: {len(region.areas)} areas, "
              f"{len(region.vacant_ids)} of them vacant. Communities: "
@@ -579,46 +561,6 @@ def _area_id(value) -> int:
     raise ParseError(f"non-integer area id {value!r} in reply")
 
 
-def parse_needs_response(text: str) -> tuple[LandUse, ...]:
-    """3..5 assignable uses from a JSON {"needs": []} reply or a comma list."""
-    tokens: list[str] = []
-    try:
-        doc = extract_first_json(text)
-        raw = doc.get("needs")
-        if not isinstance(raw, list):
-            raise ParseError('reply JSON lacks a "needs" list')
-        tokens = [str(t) for t in raw]
-    except ParseError:
-        best_line = max(text.splitlines(), default="",
-                        key=lambda ln: ln.count(","))
-        if "," not in best_line:
-            raise ParseError("reply contains neither a needs JSON nor a comma list")
-        tokens = best_line.split(",")
-
-    needs: list[LandUse] = []
-    for token in tokens:
-        cleaned = token.strip().strip(".;:!")
-        try:
-            use = LandUse.parse(cleaned)
-        except ValueError:
-            words = cleaned.split()
-            if not words:
-                continue
-            try:
-                use = LandUse.parse(words[-1])
-            except ValueError:
-                raise ParseError(f"unknown land use {cleaned!r} in needs reply") from None
-        if use not in ASSIGNABLE_USES:
-            raise ParseError(f"{use.value} is not an assignable need")
-        if use not in needs:
-            needs.append(use)
-        if len(needs) == 5:
-            break
-    if len(needs) < 3:
-        raise ParseError(f"needs reply lists {len(needs)} usable types, expected 3-5")
-    return tuple(needs)
-
-
 @dataclass(frozen=True)
 class RepairNeeded:
     """Structural gaps in a plan reply that one repair prompt may fix."""
@@ -727,10 +669,9 @@ def summarize(opinions: Sequence[str], backend: Backend) -> str:
     return backend.complete(render_summary_prompt(opinions))
 
 
-def request_initial_plan(region: Region, backend: Backend,
-                         requirements=None) -> Plan:
+def request_initial_plan(region: Region, backend: Backend) -> Plan:
     """Prompt the backend for a full plan, with one repair attempt."""
-    messages = render_initial_plan_prompt(region, requirements)
+    messages = render_initial_plan_prompt(region)
     reply = backend.complete(messages)
     problem: str
     try:

@@ -45,14 +45,16 @@ DEFAULT_SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
 
 DISTANCE_MODES = ("boundary", "centroid")
 
+# The Coverage bit layout: fourteen bits, so a uint16 holds them.
+_N_CATEGORIES = len(DEFAULT_SERVICE_CATEGORIES)
+_GREEN_BIT = 1 << (_N_CATEGORIES + len(ASSIGNABLE_USES))
+
 
 @dataclass(frozen=True)
 class MetricsConfig:
     service_radius_m: float = 500.0
     esr_radius_m: float = 300.0
-    categories: tuple[tuple[str, tuple[LandUse, ...]], ...] = DEFAULT_SERVICE_CATEGORIES
     include_fixed_green: bool = True
-    distance_mode: str = "boundary"
 
     def __post_init__(self):
         for name in ("service_radius_m", "esr_radius_m"):
@@ -84,8 +86,6 @@ class ProximityIndex:
         self.region = region
         self.homes = np.asarray(homes, dtype=float).reshape(-1, 2)
         self.radius = float(radius)
-        self.mode = mode
-        self._other_modes: dict[str, ProximityIndex] = {}
         self._coverage: dict[MetricsConfig, Coverage] = {}
 
         # Candidates come from a box around each area, padded by the radius
@@ -134,15 +134,6 @@ class ProximityIndex:
                 f"query radius {radius} m exceeds the proximity index "
                 f"radius {self.radius} m")
 
-    def in_mode(self, mode: str) -> "ProximityIndex":
-        """This index in the other distance mode, built once on first use."""
-        if mode == self.mode:
-            return self
-        if mode not in self._other_modes:
-            self._other_modes[mode] = ProximityIndex(
-                self.region, self.homes, self.radius, mode)
-        return self._other_modes[mode]
-
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(area positions, distances) of resident i's stored pairs."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -181,31 +172,20 @@ class Coverage:
 
     def __init__(self, index: ProximityIndex, config: MetricsConfig,
                  rows: Optional[np.ndarray] = None):
-        index = index.in_mode(config.distance_mode)
         index.require(config.reach_m)
-        n_cat = len(config.categories)
-        n_bits = n_cat + len(ASSIGNABLE_USES) + 1
-        self.dtype = np.min_scalar_type(1 << (n_bits - 1)).type
-        if not issubclass(self.dtype, np.unsignedinteger):
-            raise ValueError(f"{n_cat} service categories do not fit a bitmask")
-        self.n_categories = n_cat
-        self.category_bits = (1 << n_cat) - 1
-        self.use_shift = n_cat
-        self.green_bit = 1 << (n_bits - 1)
-
         greens = GREEN_USES if config.include_fixed_green \
             else (LandUse.PARK, LandUse.OPEN_SPACE)
         # one entry per use code; code -1 (unassigned) reads the trailing 0
         table = [0] * (len(USE_CODES) + 1)
         for use, code in USE_CODES.items():
-            for k, (_, uses) in enumerate(config.categories):
+            for k, (_, uses) in enumerate(DEFAULT_SERVICE_CATEGORIES):
                 if use in uses:
                     table[code] |= 1 << k
             if use in ASSIGNABLE_USES:
-                table[code] |= 1 << (n_cat + ASSIGNABLE_USES.index(use))
+                table[code] |= 1 << (_N_CATEGORIES + ASSIGNABLE_USES.index(use))
             if use in greens:
-                table[code] |= self.green_bit
-        self._table = np.array(table, dtype=self.dtype)
+                table[code] |= _GREEN_BIT
+        self._table = np.array(table, dtype=np.uint16)
 
         indptr = index.indptr
         if rows is None:
@@ -224,17 +204,16 @@ class Coverage:
         self._filled = np.flatnonzero(lengths)
         self._starts = (np.cumsum(lengths) - lengths)[self._filled]
         self._columns = columns
-        zero = self.dtype(0)
         self._mask = (np.where(dist < config.service_radius_m,
-                               self.dtype(self.green_bit - 1), zero)
+                               np.uint16(_GREEN_BIT - 1), np.uint16(0))
                       | np.where(dist <= config.esr_radius_m,
-                                 self.dtype(self.green_bit), zero))
+                                 np.uint16(_GREEN_BIT), np.uint16(0)))
         self.region = index.region
         self.rows = rows
 
     def bits(self, plan: Plan) -> np.ndarray:
         """Per-row bitmask of what the plan puts in range."""
-        out = np.zeros(self.n_rows, dtype=self.dtype)
+        out = np.zeros(self.n_rows, dtype=np.uint16)
         if len(self._starts):
             pair_bits = self._table[plan.use_codes(self.region)][self._columns]
             pair_bits &= self._mask
@@ -243,19 +222,19 @@ class Coverage:
 
     def service(self, bits: np.ndarray) -> np.ndarray:
         """Share of service categories in range per row."""
-        hits = _popcount(bits & self.dtype(self.category_bits))
-        return hits.astype(float) / float(self.n_categories)
+        hits = _popcount(bits & np.uint16((1 << _N_CATEGORIES) - 1))
+        return hits.astype(float) / float(_N_CATEGORIES)
 
     def in_esr(self, bits: np.ndarray) -> np.ndarray:
         """1.0 where some green area is in the ecology range, else 0.0."""
-        return ((bits & self.dtype(self.green_bit)) != 0).astype(float)
+        return ((bits & np.uint16(_GREEN_BIT)) != 0).astype(float)
 
     def needs(self, population: Population) -> tuple[np.ndarray, np.ndarray]:
         """(need bits, need counts) of the rows; raises if any resident
         lacks needs."""
         mask, lens = needs_matrix(population)
-        weights = 1 << (self.use_shift + np.arange(len(ASSIGNABLE_USES)))
-        need_bits = (mask @ weights).astype(self.dtype)
+        weights = 1 << (_N_CATEGORIES + np.arange(len(ASSIGNABLE_USES)))
+        need_bits = (mask @ weights).astype(np.uint16)
         if self.rows is not None:
             return need_bits[self.rows], lens[self.rows]
         return need_bits, lens
@@ -288,8 +267,7 @@ def coverage(region: Region, population: Population, config: MetricsConfig,
     """The evaluator for `config`, from `cache` or from an index built
     out to the metrics' own radius."""
     if cache is None:
-        cache = ProximityIndex(region, population.homes, config.reach_m,
-                               config.distance_mode)
+        cache = ProximityIndex(region, population.homes, config.reach_m)
     return cache.coverage(config)
 
 

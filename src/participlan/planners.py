@@ -24,21 +24,21 @@ from .region import ASSIGNABLE_USES, LandUse, Plan, Region
 
 _CANON_INDEX = {u: i for i, u in enumerate(ASSIGNABLE_USES)}
 
-FILL_POLICIES = ("same-rule", "max-marginal-service")
+#: gsca's coverage radius, on centroid distance.
+GSCA_RADIUS_M = 500.0
+#: Local search's annealing temperature at the first and the last iteration.
+TEMPERATURE_FIRST = 0.2
+TEMPERATURE_LAST = 0.002
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
     seed: int = 0
     epsilon_m: float = 1.0
-    fill_policy: Optional[str] = None
     objective_weights: tuple[float, float] = (0.5, 0.5)
     max_iters: int = 800
     restarts: int = 3
-    t_start: float = 0.2
-    t_end: float = 0.002
     center: Optional[Point] = None
-    coverage_radius_m: float = 500.0
 
     def validate(self) -> None:
         if self.epsilon_m <= 0:
@@ -51,12 +51,6 @@ class PlannerConfig:
             raise ValueError("max_iters must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.fill_policy is not None and self.fill_policy not in FILL_POLICIES:
-            raise ValueError(f"unknown fill_policy {self.fill_policy!r}")
-        if not (0 < self.t_end <= self.t_start):
-            raise ValueError("need 0 < t_end <= t_start")
-        if self.coverage_radius_m <= 0:
-            raise ValueError("coverage_radius_m must be positive")
 
 
 def _check_feasible(region: Region) -> None:
@@ -106,9 +100,6 @@ def centralized_plan(region: Region,
     distance between area centroid and the region center."""
     config.validate()
     _check_feasible(region)
-    if config.fill_policy == "max-marginal-service":
-        raise ValueError("max-marginal-service fill needs a population; "
-                         "use gsca or local-search")
     rng = np.random.default_rng(config.seed)
     if config.center is not None:
         cx, cy = config.center
@@ -146,9 +137,6 @@ def decentralized_plan(region: Region,
     centroid distance to areas already holding the same type."""
     config.validate()
     _check_feasible(region)
-    if config.fill_policy == "max-marginal-service":
-        raise ValueError("max-marginal-service fill needs a population; "
-                         "use gsca or local-search")
     rng = np.random.default_rng(config.seed)
     ids = list(region.vacant_ids)
     centroid = {a_id: region.areas_by_id[a_id].centroid for a_id in ids}
@@ -193,9 +181,9 @@ def _coverage_masks(region: Region, population: Population,
     return list(region.vacant_ids), near[:, region.vacant_columns]
 
 
-def _gsca_core(region: Region, population: Population, config: PlannerConfig):
+def _gsca_core(region: Region, population: Population):
     """Quota-phase greedy; returns (assignment, trace, leftovers, near, col_of)."""
-    ids, near = _coverage_masks(region, population, config.coverage_radius_m)
+    ids, near = _coverage_masks(region, population, GSCA_RADIUS_M)
     col_of = {a_id: j for j, a_id in enumerate(ids)}
     unassigned = list(ids)
     assignment: dict[int, LandUse] = {}
@@ -215,20 +203,14 @@ def _gsca_core(region: Region, population: Population, config: PlannerConfig):
     return assignment, trace, unassigned, near, col_of
 
 
-def _fill_max_marginal_service(region: Region, population: Population,
-                               config: PlannerConfig,
-                               assignment: dict[int, LandUse],
-                               unassigned: list[int],
-                               near: np.ndarray,
+def _fill_max_marginal_service(assignment: dict[int, LandUse],
+                               unassigned: list[int], near: np.ndarray,
                                col_of: dict[int, int]) -> None:
     """Give each leftover area the type with the largest marginal gain in
     newly served (resident, category) pairs; ties go to canonical order."""
     categories = metrics_mod.DEFAULT_SERVICE_CATEGORIES
-    cat_of_use = {}
-    for label, uses in categories:
-        for u in uses:
-            cat_of_use[u] = label
-    served = {label: np.zeros(len(population), dtype=bool)
+    cat_of_use = {u: label for label, uses in categories for u in uses}
+    served = {label: np.zeros(len(near), dtype=bool)
               for label, _ in categories}
     for a_id, use in assignment.items():
         label = cat_of_use.get(use)
@@ -247,37 +229,16 @@ def _fill_max_marginal_service(region: Region, population: Population,
         label = cat_of_use.get(best_use)
         if label is not None:
             served[label] |= reach
-    unassigned.clear()
 
 
 def gsca_plan(region: Region, population: Population,
               config: PlannerConfig = PlannerConfig()) -> Plan:
-    """Greedy per-type maximum coverage of residents, largest quota first."""
+    """Greedy per-type maximum coverage of residents, largest quota first;
+    leftover areas are then filled by max marginal service."""
     config.validate()
     _check_feasible(region)
-    assignment, trace, unassigned, near, col_of = _gsca_core(
-        region, population, config)
-    policy = config.fill_policy or "max-marginal-service"
-    if unassigned:
-        if policy == "max-marginal-service":
-            _fill_max_marginal_service(region, population, config,
-                                       assignment, unassigned, near, col_of)
-        else:
-            # same-rule: keep maximizing per-type coverage, round-robin
-            covered_by_use = {
-                u: np.zeros(len(population), dtype=bool) for u in ASSIGNABLE_USES}
-            for a_id, use in assignment.items():
-                covered_by_use[use] |= near[:, col_of[a_id]]
-            cycle = 0
-            while unassigned:
-                use = ASSIGNABLE_USES[cycle % len(ASSIGNABLE_USES)]
-                cycle += 1
-                cols = np.array([col_of[a] for a in unassigned])
-                gains = (near[:, cols] & ~covered_by_use[use][:, None]).sum(axis=0)
-                best = int(np.argmax(gains))
-                picked = unassigned.pop(best)
-                assignment[picked] = use
-                covered_by_use[use] |= near[:, col_of[picked]]
+    assignment, _, unassigned, near, col_of = _gsca_core(region, population)
+    _fill_max_marginal_service(assignment, unassigned, near, col_of)
     return Plan(assignment)
 
 
@@ -287,7 +248,7 @@ def gsca_trace(region: Region, population: Population,
     """Per-type greedy picks as (area_id, newly_covered_count) sequences."""
     config.validate()
     _check_feasible(region)
-    _, trace, _, _, _ = _gsca_core(region, population, config)
+    _, trace, _, _, _ = _gsca_core(region, population)
     return trace
 
 
@@ -330,9 +291,9 @@ def _anneal(region: Region, population: Population, config: PlannerConfig,
     n_iters = config.max_iters
     if n_iters <= 0:
         return best_obj, best
-    ratio = config.t_end / config.t_start
+    ratio = TEMPERATURE_LAST / TEMPERATURE_FIRST
     for k in range(n_iters):
-        temp = config.t_start * ratio ** (k / max(1, n_iters - 1))
+        temp = TEMPERATURE_FIRST * ratio ** (k / max(1, n_iters - 1))
         cand = dict(current)
         if rng.random() < 0.5 or len(ids) < 2:
             a = ids[int(rng.integers(len(ids)))]
@@ -370,8 +331,7 @@ def local_search_plan(region: Region, population: Population,
     across restarts (ties to the lowest restart index)."""
     config.validate()
     _check_feasible(region)
-    cache = ProximityIndex(region, population.homes, metrics_config.reach_m,
-                           metrics_config.distance_mode)
+    cache = ProximityIndex(region, population.homes, metrics_config.reach_m)
     best_obj = -math.inf
     best: dict[int, LandUse] = {}
     for restart in range(config.restarts):

@@ -18,7 +18,6 @@ import numpy as np
 from . import geometry, rules
 from .errors import GeometryError, ParseError, SpecError
 from .geometry import Point
-from .llm import assistant, parse_needs_response, render_needs_prompt, user
 from .region import ASSIGNABLE_USES, LandUse, Region
 
 _PROFILE_FIELDS = ("gender", "age_band", "education", "family_size")
@@ -170,9 +169,6 @@ class Resident:
     def is_marginalized(self) -> bool:
         return self.background is not None
 
-    def facts(self) -> dict[str, Optional[str]]:
-        return self.profile.facts(self.background)
-
 
 @dataclass(frozen=True)
 class Population:
@@ -266,24 +262,6 @@ def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
             needs=rules.needs_from_rules(facts, spec.needs_rules, spec.ranking),
         ))
     return Population(residents=tuple(residents), seed=seed)
-
-
-def elicit_needs(resident: Resident, backend) -> tuple[LandUse, ...]:
-    """Ask a chat backend for the resident's needs instead of using rules.
-
-    One malformed reply earns a repair prompt; a second failure raises.
-    """
-    messages = render_needs_prompt(resident.facts())
-    reply = backend.complete(messages)
-    try:
-        return parse_needs_response(reply)
-    except ParseError as exc:
-        repair = messages + [
-            assistant(reply),
-            user(f"That reply could not be used ({exc}). Answer again with a "
-                 'single JSON object: {"needs": [3 to 5 land use names]}.'),
-        ]
-        return parse_needs_response(backend.complete(repair))
 
 
 def population_to_json_dict(pop: Population) -> dict:

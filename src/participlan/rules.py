@@ -128,14 +128,6 @@ def _fence(doc: dict) -> str:
     return "```json\n" + json.dumps(doc, sort_keys=True) + "\n```"
 
 
-def needs_reply(payload: dict) -> str:
-    facts = payload.get("facts", {})
-    needs = needs_from_rules(facts)
-    names = [u.value for u in needs]
-    return ("The facilities that matter most to me: " + ", ".join(names)
-            + ".\n" + _fence({"needs": names}))
-
-
 def opinion_reply(payload: dict) -> str:
     """Ask for each unmet need at the nearest changeable area in view.
 

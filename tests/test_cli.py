@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import participlan
+from participlan import planners
 from participlan.cli import main
 from participlan.fixtures import data_path
+from participlan.llm import ChatMessage, RuleBackend
+from participlan.region import load_plan, plan_digest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -270,3 +273,112 @@ def test_rerun_is_byte_identical(tmp_path):
                 "transcripts/seed101.community1.json", "metrics.csv",
                 "trajectory.csv", "aggregate.json"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+class _FakeResponse:
+    status_code = 200
+    headers = {}
+
+    def __init__(self, content):
+        self._content = content
+
+    def json(self):
+        return {"choices": [{"message": {"role": "assistant",
+                                         "content": self._content}}]}
+
+
+@pytest.fixture()
+def fake_remote(monkeypatch):
+    """requests.post answering from the rule backend, except that plan
+    revision prompts, which the rule backend does not take, get no edits."""
+    rule = RuleBackend()
+
+    def post(url, json=None, headers=None, timeout=None):
+        messages = [ChatMessage(**m) for m in json["messages"]]
+        if "[role:plan_revision]" in messages[0].content:
+            return _FakeResponse('{"edits": []}')
+        return _FakeResponse(rule.complete(messages))
+
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+    monkeypatch.setattr("requests.post", post)
+
+
+REMOTE = ["--backend", "remote", "--endpoint", "https://llm.test/v1/chat",
+          "--model", "gpt-4o-mini"]
+
+
+def test_remote_run_records_a_transcript_that_replays(tmp_path, fake_remote):
+    tape = tmp_path / "recorded.json"
+    run = ["simulate", "--region", REGION, "--demographics", DEMOGRAPHICS,
+           "--method", "llm", "--rounds", "1", "--speakers", "3",
+           "--seeds", "101,202"]
+    live, replay = tmp_path / "live", tmp_path / "replay"
+    assert main(run + REMOTE + ["--transcript", str(tape),
+                                "--out", str(live)]) == 0
+    assert json.loads(tape.read_text())
+    # one backend serves both seeds, so the replay reads the tape through
+    assert main(run + ["--backend", "scripted", "--model", "gpt-4o-mini",
+                       "--transcript", str(tape), "--out", str(replay)]) == 0
+    agg = json.loads((replay / "aggregate.json").read_text())
+    assert agg["failures"] == {}
+    assert agg["seeds"] == [101, 202]
+    live_files = sorted(p.name for p in (live / "transcripts").iterdir())
+    assert live_files == sorted(p.name for p in (replay / "transcripts").iterdir())
+    assert len(live_files) == 16
+    for name in live_files:
+        assert (live / "transcripts" / name).read_bytes() \
+            == (replay / "transcripts" / name).read_bytes(), name
+    for seed in (101, 202):
+        final = f"plans/seed{seed}.final.json"
+        assert plan_digest(load_plan(live / final)) \
+            == plan_digest(load_plan(replay / final))
+
+
+def test_unwritable_transcript_is_runtime_error(tmp_path, fake_remote,
+                                                capsys):
+    code = main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
+                 "--method", "llm", "--seeds", "101", *REMOTE,
+                 "--transcript", str(tmp_path / "missing" / "tape.json"),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "tape.json" in capsys.readouterr().err
+
+
+def test_bug_in_a_planner_is_not_a_failed_seed(tmp_path, monkeypatch):
+    def broken(region, config):
+        raise TypeError("a bug, not a bad input")
+
+    monkeypatch.setattr(planners, "random_plan", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
+              "--method", "random", "--seeds", "101",
+              "--out", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--speakers", "0"),
+    ("--exchange-fraction", "1.5"),
+    ("--exchange-fraction", "nan"),
+    ("--restarts", "0"),
+    ("--search-iters", "-1"),
+])
+def test_bad_numeric_flag_is_usage_error(tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--region", REGION, "--demographics", DEMOGRAPHICS,
+              flag, value, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_verbose_logs_remote_requests(tmp_path, fake_remote, capsys):
+    run = ["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
+           "--method", "llm", "--seeds", "101"] + REMOTE
+    assert main(run + ["--verbose", "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err
+    assert "DEBUG participlan.llm: request to https://llm.test/v1/chat" in err
+    assert "DEBUG participlan.llm: reply: " in err
+    # one handler across calls of main: each line is printed once
+    assert main(run + ["--verbose", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err.count("request to") == 1
+    assert main(run + ["--out", str(tmp_path / "c")]) == 0
+    assert "participlan.llm" not in capsys.readouterr().err

@@ -22,12 +22,10 @@ from participlan.llm import (
     extract_first_json,
     load_transcript_file,
     make_backend,
-    parse_needs_response,
     parse_opinion_response,
     parse_plan_edits,
     parse_plan_response,
     render_initial_plan_prompt,
-    render_needs_prompt,
     render_opinion_prompt,
     render_revision_prompt,
     request_digest,
@@ -62,34 +60,6 @@ def test_extract_first_json():
     assert extract_first_json(text) == {"a": 1, "b": [2]}
     with pytest.raises(ParseError):
         extract_first_json("no json here")
-
-
-class TestParseNeeds:
-    def test_json_form(self):
-        needs = parse_needs_response('{"needs": ["school", "park", "clinic"]}')
-        assert needs == (LandUse.SCHOOL, LandUse.PARK, LandUse.CLINIC)
-
-    def test_comma_line(self):
-        needs = parse_needs_response(
-            "I would pick: school, park, open space, office")
-        assert LandUse.SCHOOL in needs
-        assert LandUse.OPEN_SPACE in needs
-        assert len(needs) == 4
-
-    def test_dedupes_and_caps(self):
-        needs = parse_needs_response(
-            '{"needs": ["park", "park", "school", "clinic", "office", '
-            '"business", "recreation"]}')
-        assert len(needs) == 5
-        assert len(set(needs)) == 5
-
-    def test_rejects_non_assignable(self):
-        with pytest.raises(ParseError, match="residential"):
-            parse_needs_response('{"needs": ["residential", "park", "school"]}')
-
-    def test_rejects_too_few(self):
-        with pytest.raises(ParseError):
-            parse_needs_response('{"needs": ["park", "school"]}')
 
 
 class TestParsePlan:
@@ -188,8 +158,7 @@ _REPLIES = (st.builds(lambda prose, doc: prose + "\n```json\n"
 @given(text=_REPLIES)
 @settings(max_examples=200, deadline=None)
 def test_reply_parsers_raise_only_parse_errors(grid16, text):
-    for parse in (parse_needs_response,
-                  lambda t: parse_plan_response(t, grid16),
+    for parse in (lambda t: parse_plan_response(t, grid16),
                   lambda t: parse_plan_edits(t, grid16, community_id=1)):
         try:
             parse(text)
@@ -216,16 +185,6 @@ class TestRuleBackend:
         a = request_initial_plan(grid16, rule_backend)
         b = request_initial_plan(grid16, make_backend(BackendConfig()))
         assert a.assignment == b.assignment
-
-    def test_needs_reply_text(self, rule_backend):
-        facts = {"gender": "female", "age_band": "65+",
-                 "education": "primary", "family_size": "1",
-                 "background": "elderly living alone"}
-        assert rule_backend.complete(render_needs_prompt(facts)) == (
-            "The facilities that matter most to me: hospital, park, clinic, "
-            "business, recreation.\n```json\n"
-            '{"needs": ["hospital", "park", "clinic", "business", '
-            '"recreation"]}\n```')
 
 
 class TestPrompts:
@@ -422,8 +381,9 @@ class TestScriptedBackend:
     "[5]",
     '[{"request_digest": 7, "reply_text": "hi"}]',
     '[{"request_digest": null, "reply_text": 5}]',
+    '[{"request_digest": null, "reply_text": ""}]',
 ], ids=["invalid-json", "non-object-entry", "non-string-digest",
-        "non-string-reply"])
+        "non-string-reply", "empty-reply"])
 def test_bad_transcript_is_parse_error(tmp_path, text):
     path = tmp_path / "tape.json"
     path.write_text(text)

@@ -152,7 +152,7 @@ def test_distance_cache_reuse(grid16, hand_plan, pop_grid16):
     assert np.all(cache.distances <= 500.0)
     boundary = dict(zip(zip(cache.residents.tolist(), cache.columns.tolist()),
                         cache.distances.tolist()))
-    cen = cache.in_mode("centroid")
+    cen = ProximityIndex(grid16, pop_grid16.homes, 500.0, mode="centroid")
     assert len(cen.columns) > 0
     # boundary distance never exceeds centroid, so every centroid pair is
     # also a stored boundary pair at no larger distance

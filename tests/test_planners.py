@@ -115,23 +115,6 @@ def test_gsca_trace_and_coverage(grid16, pop_grid16):
     assert validate_plan(grid16, plan).ok
 
 
-def test_gsca_fill_policies_differ_but_validate(hlg, pop_hlg):
-    base = PlannerConfig(seed=3)
-    a = gsca_plan(hlg, pop_hlg, base)
-    b = gsca_plan(hlg, pop_hlg, dataclasses.replace(base,
-                                                    fill_policy="same-rule"))
-    assert validate_plan(hlg, a).ok
-    assert validate_plan(hlg, b).ok
-
-
-def test_fill_policy_rejected_without_population(grid16):
-    config = PlannerConfig(seed=0, fill_policy="max-marginal-service")
-    with pytest.raises(ValueError):
-        centralized_plan(grid16, config)
-    with pytest.raises(ValueError):
-        decentralized_plan(grid16, config)
-
-
 def test_local_search_zero_iterations_returns_start(grid16, pop_grid16):
     config = PlannerConfig(seed=7, max_iters=0, restarts=1)
     got = local_search_plan(grid16, pop_grid16, config, MetricsConfig())
@@ -160,8 +143,6 @@ def test_local_search_deterministic(grid16, pop_grid16):
 def test_planner_config_validation():
     with pytest.raises(ValueError):
         PlannerConfig(objective_weights=(0.0, 0.0)).validate()
-    with pytest.raises(ValueError):
-        PlannerConfig(t_start=0.1, t_end=0.2).validate()
     with pytest.raises(ValueError):
         PlannerConfig(max_iters=-1).validate()
     PlannerConfig(max_iters=0).validate()  # zero is a legal no-op search

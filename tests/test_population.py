@@ -156,14 +156,3 @@ def test_population_load_rejects_bad_needs(tmp_path, pop_grid16):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="residential"):
         load_population(path)
-
-
-def test_needs_elicited_through_rule_backend(grid16, demo_spec_small,
-                                             rule_backend):
-    from participlan.population import elicit_needs
-    pop = synthesize(demo_spec_small, grid16, seed=3)
-    resident = pop.residents[0]
-    needs = elicit_needs(resident, rule_backend)
-    # the rule backend applies the same default rules, so elicitation
-    # reproduces what synthesis already attached
-    assert needs == resident.needs
