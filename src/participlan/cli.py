@@ -28,7 +28,7 @@ from . import metrics as metrics_mod
 from . import planners as planners_mod
 from . import svgmap
 from .discussion import DiscussionConfig
-from .errors import PlanningError
+from .errors import ParseError, PlanningError
 from .llm import (BackendConfig, make_backend, request_initial_plan,
                   save_transcript_file)
 from .metrics import METRIC_COLUMNS, MetricsConfig
@@ -121,11 +121,8 @@ def _write_trajectory_csv(path: Path, rows: Sequence[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(("run_id", "seed", "stage") + METRIC_COLUMNS)
         for row in rows:
-            out = [row["run_id"], str(row["seed"]), str(row["stage"])]
-            for col in METRIC_COLUMNS:
-                value = row.get(col)
-                out.append("" if value is None else repr(float(value)))
-            writer.writerow(out)
+            writer.writerow([row["run_id"], str(row["seed"]), str(row["stage"])]
+                            + metrics_mod.metric_cells(row))
 
 
 def _write_run_files(out: Path, snapshot: dict, run_id: str, method: str,
@@ -195,17 +192,39 @@ def _setup(args):
     printed: bad inputs or backend config are usage errors. One backend
     serves every seed, so a scripted replay reads its transcript straight
     through; a remote one records to the tape list if --transcript is set."""
-    stage = "loading inputs"
     try:
         region = load_region(args.region)
         spec = load_demographics(args.demographics)
-        stage = "configuring backend"
-        config = _backend_config(args)
-        tape = [] if config.kind == "remote" and config.transcript_path else None
-        return region, spec, make_backend(config, record_to=tape), tape
-    except Exception as exc:
-        print(f"error while {stage}: {exc}", file=sys.stderr)
+    except (PlanningError, OSError) as exc:
+        print(f"error while loading inputs: {exc}", file=sys.stderr)
         return None
+    config = _backend_config(args)
+    tape = [] if config.kind == "remote" and config.transcript_path else None
+    try:
+        return region, spec, make_backend(config, record_to=tape), tape
+    except (PlanningError, OSError, ValueError) as exc:
+        print(f"error while configuring backend: {exc}", file=sys.stderr)
+        return None
+
+
+def _read_aggregate(run_dir) -> dict:
+    """A run directory's aggregate.json as its run id, region, method and
+    the mean of each metric; the means must be numbers or null."""
+    path = Path(run_dir) / "aggregate.json"
+    try:
+        doc = json.loads(path.read_text())
+        record = {"run_id": doc["run_id"], "region": doc.get("region", ""),
+                  "method": doc.get("method", "?"),
+                  **{col: doc["metrics"][col]["mean"] for col in METRIC_COLUMNS}}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc!r}") from exc
+    if not (isinstance(record["run_id"], str)
+            and isinstance(record["region"], str)
+            and all(record[col] is None or type(record[col]) in (int, float)
+                    for col in METRIC_COLUMNS)):
+        raise ParseError(f"{path}: run_id and region must be strings and "
+                         "each metric mean a number or null")
+    return record
 
 
 def _finish(args, out: Path, snapshot: dict, run_id: str, rows: list[dict],
@@ -314,10 +333,8 @@ def _simulate_one_seed(args, region, spec, seed, run_id, out, backend,
     return final_row, trajectory
 
 
-def _run_simulation_command(args, mode=None) -> int:
-    setup = _setup(args)
-    if setup is None:
-        return 2
+def _simulate_seeds(args, setup, mode) -> int:
+    """Every seed of one simulate or ablate run on the `_setup` result."""
     region, spec, backend, tape = setup
     extra = {"command": "simulate" if mode is None else f"ablate:{mode}",
              "region_name": region.name}
@@ -341,53 +358,49 @@ def _run_simulation_command(args, mode=None) -> int:
 
 
 def cmd_simulate(args) -> int:
-    return _run_simulation_command(args, mode=None)
+    setup = _setup(args)
+    return 2 if setup is None else _simulate_seeds(args, setup, None)
 
 
 def cmd_ablate(args) -> int:
-    return _run_simulation_command(args, mode=args.mode)
+    setup = _setup(args)
+    return 2 if setup is None else _simulate_seeds(args, setup, args.mode)
 
 
 def cmd_compare(args) -> int:
-    stage = "reading run directories"
     try:
-        entries = []
-        for run_dir in args.runs:
-            doc = json.loads((Path(run_dir) / "aggregate.json").read_text())
-            entries.append(doc)
-    except Exception as exc:
-        print(f"error while {stage}: {exc}", file=sys.stderr)
+        entries = [_read_aggregate(run_dir) for run_dir in args.runs]
+    except (PlanningError, OSError) as exc:
+        print(f"error while reading run directories: {exc}", file=sys.stderr)
         return 2
 
     by_region: dict[str, list[dict]] = {}
     for doc in entries:
-        by_region.setdefault(doc.get("region", ""), []).append(doc)
+        by_region.setdefault(doc["region"], []).append(doc)
 
     marks: dict[tuple[str, str, str], str] = {}
     for region_name, docs in by_region.items():
         for col in METRIC_COLUMNS:
-            scored = [(d["metrics"][col]["mean"], d["run_id"]) for d in docs
-                      if d["metrics"][col]["mean"] is not None]
+            scored = [(d[col], d["run_id"]) for d in docs if d[col] is not None]
             scored.sort(key=lambda t: (-t[0], t[1]))
             if scored:
                 marks[(region_name, scored[0][1], col)] = "best"
             if len(scored) > 1:
                 marks[(region_name, scored[1][1], col)] = "second"
 
+    ordered = sorted(entries, key=lambda d: (d["region"], d["run_id"]))
     header = ["region", "method", "run_id"] + list(METRIC_COLUMNS)
     table_rows = []
-    for region_name in sorted(by_region):
-        for doc in sorted(by_region[region_name], key=lambda d: d["run_id"]):
-            row = [region_name, doc.get("method", "?"), doc["run_id"]]
-            for col in METRIC_COLUMNS:
-                mean = doc["metrics"][col]["mean"]
-                if mean is None:
-                    row.append("n/a")
-                    continue
-                mark = marks.get((region_name, doc["run_id"], col), "")
-                suffix = {"best": " *", "second": " ^"}.get(mark, "")
-                row.append(f"{mean:.4f}{suffix}")
-            table_rows.append(row)
+    for doc in ordered:
+        row = [doc["region"], doc["method"], doc["run_id"]]
+        for col in METRIC_COLUMNS:
+            if doc[col] is None:
+                row.append("n/a")
+                continue
+            mark = marks.get((doc["region"], doc["run_id"], col), "")
+            suffix = {"best": " *", "second": " ^"}.get(mark, "")
+            row.append(f"{doc[col]:.4f}{suffix}")
+        table_rows.append(row)
 
     widths = [max(len(str(r[i])) for r in [header] + table_rows)
               for i in range(len(header))]
@@ -400,30 +413,25 @@ def cmd_compare(args) -> int:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header + [f"{c}_mark" for c in METRIC_COLUMNS])
-            for region_name in sorted(by_region):
-                for doc in sorted(by_region[region_name],
-                                  key=lambda d: d["run_id"]):
-                    row = [region_name, doc.get("method", "?"), doc["run_id"]]
-                    for col in METRIC_COLUMNS:
-                        mean = doc["metrics"][col]["mean"]
-                        row.append("" if mean is None else repr(float(mean)))
-                    for col in METRIC_COLUMNS:
-                        row.append(marks.get((region_name, doc["run_id"], col), ""))
-                    writer.writerow(row)
+            for doc in ordered:
+                writer.writerow(
+                    [doc["region"], doc["method"], doc["run_id"]]
+                    + metrics_mod.metric_cells(doc)
+                    + [marks.get((doc["region"], doc["run_id"], col), "")
+                       for col in METRIC_COLUMNS])
     return 0
 
 
 def cmd_export_svg(args) -> int:
-    stage = "loading inputs"
     try:
         region = load_region(args.region)
         plan = load_plan(args.plan) if args.plan else None
-    except Exception as exc:
-        print(f"error while {stage}: {exc}", file=sys.stderr)
+    except (PlanningError, OSError) as exc:
+        print(f"error while loading inputs: {exc}", file=sys.stderr)
         return 2
     try:
         svgmap.write_svg(region, plan, args.out)
-    except Exception as exc:
+    except (PlanningError, OSError) as exc:
         print(f"error while rendering: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.out}")
@@ -431,29 +439,29 @@ def cmd_export_svg(args) -> int:
 
 
 def cmd_sweep_rounds(args) -> int:
+    # One backend and tape serve every round count, so a scripted replay
+    # reads the tape in the order a remote sweep recorded it; each sub-run
+    # rewrites the tape with everything recorded so far.
+    setup = _setup(args)
+    if setup is None:
+        return 2
     out = Path(args.out)
     sweep_rows = []
     for n in args.rounds_list:
         sub = argparse.Namespace(**vars(args))
         sub.rounds = n
         sub.out = str(out / f"rounds{n}")
-        code = _run_simulation_command(sub, mode=None)
+        code = _simulate_seeds(sub, setup, None)
         if code != 0:
             return code
-        agg = json.loads((Path(sub.out) / "aggregate.json").read_text())
-        row = {"rounds": n, "run_id": agg["run_id"]}
-        for col in METRIC_COLUMNS:
-            row[col] = agg["metrics"][col]["mean"]
-        sweep_rows.append(row)
+        sweep_rows.append({"rounds": n, **_read_aggregate(sub.out)})
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("rounds", "run_id") + METRIC_COLUMNS)
         for row in sweep_rows:
-            vals = [str(row["rounds"]), row["run_id"]]
-            for col in METRIC_COLUMNS:
-                vals.append("" if row[col] is None else repr(float(row[col])))
-            writer.writerow(vals)
+            writer.writerow([str(row["rounds"]), row["run_id"]]
+                            + metrics_mod.metric_cells(row))
     print(f"wrote {out / 'sweep.csv'} with {len(sweep_rows)} rows")
     return 0
 

@@ -28,13 +28,10 @@ from .llm import (Backend, PlanEdit, RuleBackend, assistant,
                   render_opinion_prompt, render_revision_prompt, user)
 from .metrics import MetricsConfig, MetricsReport, ProximityIndex
 from .population import Population, Resident
-from .region import (ASSIGNABLE_USES, LandUse, Plan, Region, plan_digest,
-                     validate_plan)
+from .region import (ASSIGNABLE_USES, CANON_INDEX, LandUse, Plan, Region,
+                     plan_digest, validate_plan)
 
 log = logging.getLogger(__name__)
-
-_CANON_INDEX = {u: i for i, u in enumerate(ASSIGNABLE_USES)}
-
 
 @dataclass(frozen=True)
 class DiscussionConfig:
@@ -277,7 +274,7 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
                     continue
                 key = (item.area_id, item.use)
                 tally[key] = tally.get(key, 0) + 1
-    order = sorted(tally, key=lambda k: (-tally[k], k[0], _CANON_INDEX[k[1]]))
+    order = sorted(tally, key=lambda k: (-tally[k], k[0], CANON_INDEX[k[1]]))
 
     pos_by_id = {r.id: i for i, r in enumerate(population.residents)}
     invited_idx = np.array([pos_by_id[r] for r in invited], dtype=int)

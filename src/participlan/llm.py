@@ -277,7 +277,6 @@ def save_transcript_file(records: Sequence[dict], path: Union[str, Path]) -> Non
 
 
 _ROLE_TAG_RE = re.compile(r"\[role:([a-z_]+)\]")
-_FENCE_RE = re.compile(r"```json\s*(.*?)```", re.DOTALL)
 
 
 class RuleBackend:
@@ -301,15 +300,9 @@ class RuleBackend:
                     break
             if tag is None:
                 raise BackendError("rule backend: no role tag in system message")
-            payload = {}
-            for m in messages:
-                if m.role != "user":
-                    continue
-                for block in _FENCE_RE.findall(m.content):
-                    try:
-                        payload = json.loads(block)
-                    except json.JSONDecodeError:
-                        continue
+            docs = [doc for m in messages if m.role == "user"
+                    for doc in rules.fenced_docs(m.content)]
+            payload = docs[-1] if docs else {}
             if tag == "resident_opinion":
                 return rules.opinion_reply(payload)
             if tag == "summarize":
@@ -337,10 +330,6 @@ def make_backend(config: BackendConfig,
 # Prompt templates. Every prompt ends with a fenced JSON payload carrying
 # the machine-readable inputs, which is what the rule backend consumes;
 # remote models read the prose above it.
-
-
-def _payload(doc: dict) -> str:
-    return "```json\n" + json.dumps(doc, sort_keys=True) + "\n```"
 
 
 _ALLOWED = ", ".join(u.value for u in ASSIGNABLE_USES)
@@ -374,7 +363,7 @@ def render_opinion_prompt(description: str, needs: Sequence[LandUse],
         'with a JSON object {"requests": [{"area_id": int, "use": str, '
         '"reason": str}]} touching only changeable areas; otherwise end with '
         '{"requests": []}.')
-    lines.append(_payload({
+    lines.append(rules.fence({
         "needs": [u.value for u in needs],
         "view": list(view_entries),
         "service_radius_m": service_radius_m,
@@ -401,7 +390,7 @@ def render_summary_prompt(opinions: Sequence[str]) -> list[ChatMessage]:
         "'area, requested use, number of supporters', most supported first. "
         'End with a JSON object {"requests": [{"area_id": int, "use": str, '
         '"count": int}]}.')
-    lines.append(_payload({"opinions": list(opinions)}))
+    lines.append(rules.fence({"opinions": list(opinions)}))
     return [
         system("[role:summarize] You compress one round of resident opinions "
                "into a short brief for the planner, keeping exact counts."),
@@ -409,14 +398,8 @@ def render_summary_prompt(opinions: Sequence[str]) -> list[ChatMessage]:
     ]
 
 
-def _region_center(region: Region) -> tuple[float, float]:
-    xs = [a.centroid[0] for a in region.areas]
-    ys = [a.centroid[1] for a in region.areas]
-    return (sum(xs) / len(xs), sum(ys) / len(ys))
-
-
 def _position_text(region: Region, area) -> str:
-    cx, cy = _region_center(region)
+    cx, cy = region.center
     ax, ay = area.centroid
     d = math.hypot(ax - cx, ay - cy)
     if d < 1.0:
@@ -464,7 +447,7 @@ def render_initial_plan_prompt(region: Region) -> list[ChatMessage]:
         "space. Reply with a single JSON object "
         '{"assignments": {"<area_id>": "<land_use>"}} covering every vacant '
         "area id exactly once.")
-    lines.append(_payload({
+    lines.append(rules.fence({
         "vacant_ids": list(region.vacant_ids),
         "requirements": {u.value: int(req.get(u, 0)) for u in ASSIGNABLE_USES},
     }))
@@ -502,7 +485,7 @@ def render_revision_prompt(region: Region, community_id: int, plan: Plan,
         "region-wide count at or above its minimum. Reply with a JSON object "
         '{"edits": [{"area_id": int, "use": str}]}; an empty list means no '
         "change.")
-    lines.append(_payload({"community_id": community_id}))
+    lines.append(rules.fence({"community_id": community_id}))
     return [
         system("[role:plan_revision] You are the urban planner revising one "
                "community's land-use assignment after a resident discussion. "
@@ -513,22 +496,6 @@ def render_revision_prompt(region: Region, community_id: int, plan: Plan,
 
 # ---------------------------------------------------------------------------
 # Reply parsing
-
-
-def extract_first_json(text: str) -> dict:
-    """First parseable JSON object in the text (fenced or bare)."""
-    decoder = json.JSONDecoder()
-    idx = text.find("{")
-    while idx >= 0:
-        try:
-            doc, _ = decoder.raw_decode(text[idx:])
-        except json.JSONDecodeError:
-            idx = text.find("{", idx + 1)
-            continue
-        if isinstance(doc, dict):
-            return doc
-        idx = text.find("{", idx + 1)
-    raise ParseError("no JSON object found in reply")
 
 
 def _all_json_objects(text: str) -> list[dict]:
@@ -547,6 +514,14 @@ def _all_json_objects(text: str) -> list[dict]:
         else:
             idx = text.find("{", idx + 1)
     return out
+
+
+def extract_first_json(text: str) -> dict:
+    """First parseable JSON object in the text (fenced or bare)."""
+    docs = _all_json_objects(text)
+    if not docs:
+        raise ParseError("no JSON object found in reply")
+    return docs[0]
 
 
 def _area_id(value) -> int:

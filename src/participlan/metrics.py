@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvariantError, NeedsMissing, NoMarginalized
+from .errors import InvariantError, NoMarginalized
 from .population import Population
 from .region import (ASSIGNABLE_USES, GREEN_USES, USE_CODES, LandUse, Plan,
                      Region, min_distance_many)
@@ -45,16 +45,41 @@ DEFAULT_SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
 
 DISTANCE_MODES = ("boundary", "centroid")
 
-# The Coverage bit layout: fourteen bits, so a uint16 holds them.
+# The coverage bit layout, low to high: one bit per service category, one
+# per assignable use (in ASSIGNABLE_USES order), then one for green.
+# Fourteen bits, so a uint16 holds them.
 _N_CATEGORIES = len(DEFAULT_SERVICE_CATEGORIES)
 _GREEN_BIT = 1 << (_N_CATEGORIES + len(ASSIGNABLE_USES))
+#: The service category bits.
+CATEGORY_MASK = np.uint16((1 << _N_CATEGORIES) - 1)
+#: The assignable use bits.
+USE_MASK = np.uint16(_GREEN_BIT - 1 - CATEGORY_MASK)
+
+
+def _use_code_bits() -> np.ndarray:
+    table = np.zeros(len(USE_CODES) + 1, dtype=np.uint16)
+    for k, (_, uses) in enumerate(DEFAULT_SERVICE_CATEGORIES):
+        for use in uses:
+            table[USE_CODES[use]] |= 1 << k
+    for k, use in enumerate(ASSIGNABLE_USES):
+        table[USE_CODES[use]] |= 1 << (_N_CATEGORIES + k)
+    for use in GREEN_USES:
+        table[USE_CODES[use]] |= _GREEN_BIT
+    return table
+
+
+#: The coverage bits an area gives, indexed by its use code: its service
+#: category, its own use bit and green. Code -1 (unassigned) reads the
+#: trailing 0.
+USE_CODE_BITS = _use_code_bits()
+#: USE_CODE_BITS of each assignable use, in ASSIGNABLE_USES order.
+ASSIGNABLE_USE_BITS = USE_CODE_BITS[[USE_CODES[u] for u in ASSIGNABLE_USES]]
 
 
 @dataclass(frozen=True)
 class MetricsConfig:
     service_radius_m: float = 500.0
     esr_radius_m: float = 300.0
-    include_fixed_green: bool = True
 
     def __post_init__(self):
         for name in ("service_radius_m", "esr_radius_m"):
@@ -160,11 +185,9 @@ def _popcount(bits: np.ndarray) -> np.ndarray:
 class Coverage:
     """What each resident has in range under a plan, as one bitmask.
 
-    Bits, low to high: one per service category, one per assignable use
-    (in ASSIGNABLE_USES order), then one for green. Each area's use gives
-    its bits through a lookup on its use code; each stored pair keeps the
-    category and use bits only strictly within service_radius_m, and the
-    green bit only within esr_radius_m inclusive. OR-ing the pairs of a
+    Each area's use gives its bits through USE_CODE_BITS; each stored pair
+    keeps the category and use bits only strictly within service_radius_m,
+    and the green bit only within esr_radius_m inclusive. OR-ing the pairs of a
     row gives the resident's bits, and popcounts give the same integer
     counts the metrics divide, so the values are exact. `rows` restricts
     the evaluator to those residents, in that order.
@@ -173,20 +196,6 @@ class Coverage:
     def __init__(self, index: ProximityIndex, config: MetricsConfig,
                  rows: Optional[np.ndarray] = None):
         index.require(config.reach_m)
-        greens = GREEN_USES if config.include_fixed_green \
-            else (LandUse.PARK, LandUse.OPEN_SPACE)
-        # one entry per use code; code -1 (unassigned) reads the trailing 0
-        table = [0] * (len(USE_CODES) + 1)
-        for use, code in USE_CODES.items():
-            for k, (_, uses) in enumerate(DEFAULT_SERVICE_CATEGORIES):
-                if use in uses:
-                    table[code] |= 1 << k
-            if use in ASSIGNABLE_USES:
-                table[code] |= 1 << (_N_CATEGORIES + ASSIGNABLE_USES.index(use))
-            if use in greens:
-                table[code] |= _GREEN_BIT
-        self._table = np.array(table, dtype=np.uint16)
-
         indptr = index.indptr
         if rows is None:
             self.n_rows = len(index.homes)
@@ -215,14 +224,14 @@ class Coverage:
         """Per-row bitmask of what the plan puts in range."""
         out = np.zeros(self.n_rows, dtype=np.uint16)
         if len(self._starts):
-            pair_bits = self._table[plan.use_codes(self.region)][self._columns]
+            pair_bits = USE_CODE_BITS[plan.use_codes(self.region)][self._columns]
             pair_bits &= self._mask
             out[self._filled] = np.bitwise_or.reduceat(pair_bits, self._starts)
         return out
 
     def service(self, bits: np.ndarray) -> np.ndarray:
         """Share of service categories in range per row."""
-        hits = _popcount(bits & np.uint16((1 << _N_CATEGORIES) - 1))
+        hits = _popcount(bits & CATEGORY_MASK)
         return hits.astype(float) / float(_N_CATEGORIES)
 
     def in_esr(self, bits: np.ndarray) -> np.ndarray:
@@ -232,8 +241,8 @@ class Coverage:
     def needs(self, population: Population) -> tuple[np.ndarray, np.ndarray]:
         """(need bits, need counts) of the rows; raises if any resident
         lacks needs."""
-        mask, lens = needs_matrix(population)
-        weights = 1 << (_N_CATEGORIES + np.arange(len(ASSIGNABLE_USES)))
+        mask, lens = population.needs_mask
+        weights = (ASSIGNABLE_USE_BITS & USE_MASK).astype(np.intp)
         need_bits = (mask @ weights).astype(np.uint16)
         if self.rows is not None:
             return need_bits[self.rows], lens[self.rows]
@@ -244,22 +253,6 @@ class Coverage:
         """Share of each row's needs with a facility strictly in range."""
         need_bits, lens = needs
         return _popcount(bits & need_bits) / lens
-
-
-def needs_matrix(population: Population) -> tuple[np.ndarray, np.ndarray]:
-    """(bool[resident, assignable-use], needs-count[resident]) for vectorized
-    satisfaction; raises if any resident lacks needs."""
-    index = {u: k for k, u in enumerate(ASSIGNABLE_USES)}
-    mask = np.zeros((len(population), len(ASSIGNABLE_USES)), dtype=bool)
-    lens = np.empty(len(population), dtype=float)
-    for i, r in enumerate(population.residents):
-        if not r.needs:
-            raise NeedsMissing(f"resident {r.id} has an empty needs list")
-        lens[i] = len(r.needs)
-        for need in r.needs:
-            if need in index:
-                mask[i, index[need]] = True
-    return mask, lens
 
 
 def coverage(region: Region, population: Population, config: MetricsConfig,
@@ -285,7 +278,7 @@ def per_resident_in_esr(region: Region, plan: Plan, population: Population,
     """1.0 for residents inside the ecology service range, else 0.0.
 
     The range is the union of closed esr_radius_m buffers around every
-    green area (parks, open spaces, and optionally the fixed green stock).
+    green area: parks, open spaces and the fixed green stock.
     """
     cov = coverage(region, population, config, cache)
     return cov.in_esr(cov.bits(plan))
@@ -386,9 +379,12 @@ def write_metrics_csv(path: Union[str, Path],
         writer = csv.writer(fh)
         writer.writerow(("run_id", "seed", "method") + METRIC_COLUMNS)
         for row in rows:
-            out = [str(row.get("run_id", "")), str(row.get("seed", "")),
-                   str(row.get("method", ""))]
-            for col in METRIC_COLUMNS:
-                value = row.get(col)
-                out.append("" if value is None else repr(float(value)))
-            writer.writerow(out)
+            writer.writerow([str(row.get("run_id", "")), str(row.get("seed", "")),
+                             str(row.get("method", ""))] + metric_cells(row))
+
+
+def metric_cells(row: Mapping[str, object]) -> list[str]:
+    """The row's METRIC_COLUMNS as CSV cells: the repr of each float, so
+    reruns are byte-identical, and a blank where a value is absent."""
+    return ["" if row.get(col) is None else repr(float(row[col]))
+            for col in METRIC_COLUMNS]

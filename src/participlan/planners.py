@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .errors import Infeasible
 from .geometry import Point
-from .metrics import MetricsConfig, ProximityIndex
+from .metrics import (ASSIGNABLE_USE_BITS, CATEGORY_MASK, USE_MASK,
+                      MetricsConfig, ProximityIndex)
 from .population import Population
-from .region import ASSIGNABLE_USES, LandUse, Plan, Region
-
-_CANON_INDEX = {u: i for i, u in enumerate(ASSIGNABLE_USES)}
+from .region import ASSIGNABLE_USES, LandUse, Plan, Region, quota_order
 
 #: gsca's coverage radius, on centroid distance.
 GSCA_RADIUS_M = 500.0
@@ -60,11 +59,6 @@ def _check_feasible(region: Region) -> None:
             f"requirements sum {total} exceeds {len(region.vacant_ids)} vacant areas")
 
 
-def _quota_order_descending(region: Region) -> list[LandUse]:
-    return sorted(ASSIGNABLE_USES,
-                  key=lambda u: (-region.requirements.get(u, 0), _CANON_INDEX[u]))
-
-
 def random_plan(region: Region, config: PlannerConfig = PlannerConfig()) -> Plan:
     """Quotas filled over a uniform shuffle; slack areas get uniform types."""
     config.validate()
@@ -84,151 +78,116 @@ def random_plan(region: Region, config: PlannerConfig = PlannerConfig()) -> Plan
     return Plan(assignment)
 
 
-def _weighted_pick(rng: np.random.Generator, ids: list[int],
-                   weights: np.ndarray) -> int:
-    total = float(weights.sum())
-    if total <= 0.0:
-        idx = int(rng.integers(len(ids)))
-    else:
-        idx = int(rng.choice(len(ids), p=weights / total))
-    return idx
+def _round_robin(region: Region, config: PlannerConfig,
+                 weights: Callable[[LandUse, list[int], dict], np.ndarray]
+                 ) -> Plan:
+    """Cycle through the uses in canonical order, skipping uses whose quota
+    is met while any quota is open, until every vacant area is assigned.
+    Each turn samples a free area in proportion to weights(use, free ids,
+    areas placed per use), uniformly if the weights sum to zero."""
+    config.validate()
+    _check_feasible(region)
+    rng = np.random.default_rng(config.seed)
+    ids = list(region.vacant_ids)
+    assignment: dict[int, LandUse] = {}
+    placed: dict[LandUse, list[int]] = {u: [] for u in ASSIGNABLE_USES}
+    remaining = {u: region.requirements.get(u, 0) for u in ASSIGNABLE_USES}
+    cycle = 0
+    while ids:
+        use = ASSIGNABLE_USES[cycle % len(ASSIGNABLE_USES)]
+        cycle += 1
+        if remaining[use] <= 0 and any(n > 0 for n in remaining.values()):
+            continue
+        w = weights(use, ids, placed)
+        total = float(w.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(len(ids)))
+        else:
+            idx = int(rng.choice(len(ids), p=w / total))
+        area_id = ids.pop(idx)
+        assignment[area_id] = use
+        placed[use].append(area_id)
+        if remaining[use] > 0:
+            remaining[use] -= 1
+    return Plan(assignment)
 
 
 def centralized_plan(region: Region,
                      config: PlannerConfig = PlannerConfig()) -> Plan:
     """Sample areas with probability inversely proportional to the
     distance between area centroid and the region center."""
-    config.validate()
-    _check_feasible(region)
-    rng = np.random.default_rng(config.seed)
-    if config.center is not None:
-        cx, cy = config.center
-    else:
-        cx = sum(a.centroid[0] for a in region.areas) / len(region.areas)
-        cy = sum(a.centroid[1] for a in region.areas) / len(region.areas)
-
-    ids = list(region.vacant_ids)
-    weight_by_id = {
-        a_id: 1.0 / (config.epsilon_m
-                     + math.hypot(region.areas_by_id[a_id].centroid[0] - cx,
-                                  region.areas_by_id[a_id].centroid[1] - cy))
-        for a_id in ids}
-
-    assignment: dict[int, LandUse] = {}
-    remaining = {u: region.requirements.get(u, 0) for u in ASSIGNABLE_USES}
-    cycle = 0
-    while ids:
-        use = ASSIGNABLE_USES[cycle % len(ASSIGNABLE_USES)]
-        cycle += 1
-        in_quota_phase = any(remaining[u] > 0 for u in ASSIGNABLE_USES)
-        if in_quota_phase and remaining[use] <= 0:
-            continue
-        weights = np.array([weight_by_id[a] for a in ids])
-        idx = _weighted_pick(rng, ids, weights)
-        assignment[ids.pop(idx)] = use
-        if remaining[use] > 0:
-            remaining[use] -= 1
-    return Plan(assignment)
+    cx, cy = config.center if config.center is not None else region.center
+    dist = {a_id: math.hypot(region.areas_by_id[a_id].centroid[0] - cx,
+                             region.areas_by_id[a_id].centroid[1] - cy)
+            for a_id in region.vacant_ids}
+    return _round_robin(region, config, lambda use, ids, placed: 1.0 / (
+        config.epsilon_m + np.array([dist[a] for a in ids])))
 
 
 def decentralized_plan(region: Region,
                        config: PlannerConfig = PlannerConfig()) -> Plan:
     """Per type: first area uniform, then proportional to the minimum
     centroid distance to areas already holding the same type."""
-    config.validate()
-    _check_feasible(region)
-    rng = np.random.default_rng(config.seed)
-    ids = list(region.vacant_ids)
-    centroid = {a_id: region.areas_by_id[a_id].centroid for a_id in ids}
+    centroid = {a.id: a.centroid for a in region.areas}
 
-    assignment: dict[int, LandUse] = {}
-    anchors: dict[LandUse, list[Point]] = {u: [] for u in ASSIGNABLE_USES}
-    remaining = {u: region.requirements.get(u, 0) for u in ASSIGNABLE_USES}
-    cycle = 0
-    while ids:
-        use = ASSIGNABLE_USES[cycle % len(ASSIGNABLE_USES)]
-        cycle += 1
-        in_quota_phase = any(remaining[u] > 0 for u in ASSIGNABLE_USES)
-        if in_quota_phase and remaining[use] <= 0:
-            continue
-        if anchors[use]:
-            weights = np.array([
-                min(math.hypot(centroid[a][0] - p[0], centroid[a][1] - p[1])
-                    for p in anchors[use])
-                for a in ids])
-            idx = _weighted_pick(rng, ids, weights)
-        else:
-            idx = int(rng.integers(len(ids)))
-        picked = ids.pop(idx)
-        assignment[picked] = use
-        anchors[use].append(centroid[picked])
-        if remaining[use] > 0:
-            remaining[use] -= 1
-    return Plan(assignment)
+    def weights(use: LandUse, ids: list[int], placed: dict) -> np.ndarray:
+        # zero until the use holds an area, which makes its first pick uniform
+        return np.array([
+            min((math.hypot(centroid[a][0] - centroid[b][0],
+                            centroid[a][1] - centroid[b][1])
+                 for b in placed[use]), default=0.0)
+            for a in ids])
+
+    return _round_robin(region, config, weights)
 
 
 # ---------------------------------------------------------------------------
 # Greedy coverage
 
 
-def _coverage_masks(region: Region, population: Population,
-                    radius: float) -> tuple[list[int], np.ndarray]:
-    """(vacant ids, bool matrix[resident, vacant]) for centroid coverage."""
-    index = ProximityIndex(region, population.homes, radius, mode="centroid")
-    hit = index.distances < radius
-    near = np.zeros((len(population), len(region.areas)), dtype=bool)
-    near[index.residents[hit], index.columns[hit]] = True
-    return list(region.vacant_ids), near[:, region.vacant_columns]
-
-
-def _gsca_core(region: Region, population: Population):
-    """Quota-phase greedy; returns (assignment, trace, leftovers, near, col_of)."""
-    ids, near = _coverage_masks(region, population, GSCA_RADIUS_M)
-    col_of = {a_id: j for j, a_id in enumerate(ids)}
-    unassigned = list(ids)
+def _gsca(region: Region, population: Population
+          ) -> tuple[dict[int, LandUse], dict[LandUse, list[tuple[int, int]]]]:
+    """(assignment, quota-phase trace) on one coverage bitmask per resident
+    over the centroid pairs strictly within GSCA_RADIUS_M."""
+    free = np.zeros(len(region.areas), dtype=bool)
+    free[region.vacant_columns] = True
+    index = ProximityIndex(region, population.homes, GSCA_RADIUS_M,
+                           mode="centroid")
+    hit = (index.distances < GSCA_RADIUS_M) & free[index.columns]
+    residents, columns = index.residents[hit], index.columns[hit]
+    by_column = np.argsort(columns, kind="stable")
+    reach = np.split(residents[by_column],
+                     np.cumsum(np.bincount(columns, minlength=len(free)))[:-1])
+    bits = np.zeros(len(population), dtype=np.uint16)
+    bits_of = dict(zip(ASSIGNABLE_USES, ASSIGNABLE_USE_BITS))
     assignment: dict[int, LandUse] = {}
     trace: dict[LandUse, list[tuple[int, int]]] = {u: [] for u in ASSIGNABLE_USES}
 
-    for use in _quota_order_descending(region):
-        covered = np.zeros(len(population), dtype=bool)
+    def assign(column: int, use: LandUse) -> None:
+        assignment[region.areas[column].id] = use
+        free[column] = False
+        bits[reach[column]] |= bits_of[use]
+
+    # Quota phase: per use, largest quota first, take the free area that
+    # reaches the most residents still without that use; ties go to the
+    # first free area in region order.
+    for use in quota_order(region.requirements):
+        use_bit = bits_of[use] & USE_MASK
         for _ in range(region.requirements.get(use, 0)):
-            cols = np.array([col_of[a] for a in unassigned])
-            gains = (near[:, cols] & ~covered[:, None]).sum(axis=0)
-            # candidates are in ascending id order, so argmax takes the lowest id
-            best = int(np.argmax(gains))
-            picked = unassigned.pop(best)
-            assignment[picked] = use
-            covered |= near[:, col_of[picked]]
-            trace[use].append((picked, int(gains[best])))
-    return assignment, trace, unassigned, near, col_of
+            lacking = (bits[residents] & use_bit) == 0
+            gains = np.bincount(columns[lacking], minlength=len(free))
+            best = int(np.argmax(np.where(free, gains, -1)))
+            trace[use].append((region.areas[best].id, int(gains[best])))
+            assign(best, use)
 
-
-def _fill_max_marginal_service(assignment: dict[int, LandUse],
-                               unassigned: list[int], near: np.ndarray,
-                               col_of: dict[int, int]) -> None:
-    """Give each leftover area the type with the largest marginal gain in
-    newly served (resident, category) pairs; ties go to canonical order."""
-    categories = metrics_mod.DEFAULT_SERVICE_CATEGORIES
-    cat_of_use = {u: label for label, uses in categories for u in uses}
-    served = {label: np.zeros(len(near), dtype=bool)
-              for label, _ in categories}
-    for a_id, use in assignment.items():
-        label = cat_of_use.get(use)
-        if label is not None:
-            served[label] |= near[:, col_of[a_id]]
-
-    for a_id in sorted(unassigned):
-        reach = near[:, col_of[a_id]]
-        best_use, best_gain = ASSIGNABLE_USES[0], -1
-        for use in ASSIGNABLE_USES:
-            label = cat_of_use.get(use)
-            gain = int((reach & ~served[label]).sum()) if label is not None else 0
-            if gain > best_gain:
-                best_use, best_gain = use, gain
-        assignment[a_id] = best_use
-        label = cat_of_use.get(best_use)
-        if label is not None:
-            served[label] |= reach
+    # Fill phase: in id order, each leftover area takes the use whose
+    # service category is missing for the most residents it reaches; ties
+    # go to canonical order, and uses without a category gain nothing.
+    category_bits = ASSIGNABLE_USE_BITS & CATEGORY_MASK
+    for column in sorted(np.flatnonzero(free), key=lambda j: region.areas[j].id):
+        missing = (~bits[reach[column], None] & category_bits) != 0
+        assign(column, ASSIGNABLE_USES[int(np.argmax(missing.sum(axis=0)))])
+    return assignment, trace
 
 
 def gsca_plan(region: Region, population: Population,
@@ -237,9 +196,7 @@ def gsca_plan(region: Region, population: Population,
     leftover areas are then filled by max marginal service."""
     config.validate()
     _check_feasible(region)
-    assignment, _, unassigned, near, col_of = _gsca_core(region, population)
-    _fill_max_marginal_service(assignment, unassigned, near, col_of)
-    return Plan(assignment)
+    return Plan(_gsca(region, population)[0])
 
 
 def gsca_trace(region: Region, population: Population,
@@ -248,8 +205,7 @@ def gsca_trace(region: Region, population: Population,
     """Per-type greedy picks as (area_id, newly_covered_count) sequences."""
     config.validate()
     _check_feasible(region)
-    _, trace, _, _, _ = _gsca_core(region, population)
-    return trace
+    return _gsca(region, population)[1]
 
 
 # ---------------------------------------------------------------------------

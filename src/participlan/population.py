@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import geometry, rules
-from .errors import GeometryError, ParseError, SpecError
+from .errors import GeometryError, NeedsMissing, ParseError, SpecError
 from .geometry import Point
-from .region import ASSIGNABLE_USES, LandUse, Region
+from .region import ASSIGNABLE_USES, CANON_INDEX, LandUse, Region
 
 _PROFILE_FIELDS = ("gender", "age_band", "education", "family_size")
 
@@ -89,7 +90,7 @@ def load_demographics(path: Union[str, Path]) -> DemographicSpec:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     try:
         quotas = tuple(
@@ -120,7 +121,8 @@ def load_demographics(path: Union[str, Path]) -> DemographicSpec:
             needs_rules=needs_rules,
             ranking=ranking,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ParseError(f"{path}: {exc!r}") from exc
     spec.validate()
     return spec
@@ -178,9 +180,28 @@ class Population:
     def __len__(self) -> int:
         return len(self.residents)
 
-    @property
+    @cached_property
     def homes(self) -> np.ndarray:
-        return np.array([r.home for r in self.residents], dtype=float)
+        """(x, y) of every home, read-only."""
+        homes = np.array([r.home for r in self.residents], dtype=float)
+        homes.flags.writeable = False
+        return homes
+
+    @cached_property
+    def needs_mask(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bool[resident, assignable use], needs count per resident),
+        read-only; raises NeedsMissing if a resident has no needs."""
+        mask = np.zeros((len(self), len(ASSIGNABLE_USES)), dtype=bool)
+        counts = np.empty(len(self), dtype=float)
+        for i, r in enumerate(self.residents):
+            if not r.needs:
+                raise NeedsMissing(f"resident {r.id} has an empty needs list")
+            counts[i] = len(r.needs)
+            for need in r.needs:
+                if need in CANON_INDEX:
+                    mask[i, CANON_INDEX[need]] = True
+        mask.flags.writeable = counts.flags.writeable = False
+        return mask, counts
 
     def marginalized(self) -> tuple[Resident, ...]:
         return tuple(r for r in self.residents if r.is_marginalized)
@@ -294,7 +315,7 @@ def load_population(path: Union[str, Path]) -> Population:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     residents = []
     try:

@@ -67,6 +67,9 @@ ASSIGNABLE_USES = (
     LandUse.OPEN_SPACE,
 )
 
+#: Position of each assignable use in the canonical order, for tie-breaks.
+CANON_INDEX = {u: i for i, u in enumerate(ASSIGNABLE_USES)}
+
 FIXED_USES = (LandUse.RESIDENTIAL, LandUse.GREEN_FIXED)
 
 #: Green uses whose surroundings count toward the ecology service range.
@@ -109,6 +112,12 @@ class Region:
     @cached_property
     def areas_by_id(self) -> dict[int, Area]:
         return {a.id: a for a in self.areas}
+
+    @cached_property
+    def center(self) -> Point:
+        """The mean of the area centroids."""
+        return Point(sum(a.centroid[0] for a in self.areas) / len(self.areas),
+                     sum(a.centroid[1] for a in self.areas) / len(self.areas))
 
     @cached_property
     def vacant_ids(self) -> tuple[int, ...]:
@@ -190,6 +199,12 @@ class Plan:
         return codes
 
 
+def quota_order(requirements: Mapping[LandUse, int]) -> list[LandUse]:
+    """The assignable uses, largest quota first, ties in canonical order."""
+    return sorted(ASSIGNABLE_USES,
+                  key=lambda u: (-requirements.get(u, 0), CANON_INDEX[u]))
+
+
 def plan_to_json_dict(plan: Plan, provenance: Optional[dict] = None) -> dict:
     doc = {"assignments": {str(k): plan.assignment[k].value
                            for k in sorted(plan.assignment)}}
@@ -211,20 +226,16 @@ def save_plan(plan: Plan, path: Union[str, Path], provenance: Optional[dict] = N
 def load_plan(path: Union[str, Path]) -> Plan:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "assignments" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("assignments"), dict):
         raise ParseError(f"{path}: missing 'assignments' object")
     assignment = {}
     for key, value in doc["assignments"].items():
         try:
-            area_id = int(key)
-        except ValueError:
-            raise ParseError(f"{path}: non-integer area id {key!r}") from None
-        try:
-            assignment[area_id] = LandUse.parse(value)
+            assignment[int(key)] = LandUse.parse(value)
         except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+            raise ParseError(f"{path}: area {key!r}: {exc}") from None
     return Plan(assignment)
 
 
@@ -309,7 +320,7 @@ def load_region(path: Union[str, Path]) -> Region:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: expected a FeatureCollection document")
@@ -317,29 +328,52 @@ def load_region(path: Union[str, Path]) -> Region:
     if not isinstance(features, list) or not features:
         raise ParseError(f"{path}: no features")
 
-    areas = []
-    for i, feat in enumerate(features):
-        label = f"feature {i}"
-        props = feat.get("properties") or {}
-        if "id" not in props:
-            raise ParseError(f"{label}: missing id")
-        area_id = int(props["id"])
-        label = f"feature id={area_id}"
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Polygon":
-            raise ParseError(f"{label}: geometry must be a Polygon")
-        ring = _ring_from_coordinates(geom.get("coordinates"), label)
-        fixed_use = None
-        if props.get("fixed_use") is not None:
+    # a value of the wrong type or form anywhere below is a ParseError
+    try:
+        areas = []
+        for i, feat in enumerate(features):
+            label = f"feature {i}"
+            props = feat.get("properties") or {}
+            if "id" not in props:
+                raise ParseError(f"{label}: missing id")
+            area_id = int(props["id"])
+            label = f"feature id={area_id}"
+            geom = feat.get("geometry") or {}
+            if geom.get("type") != "Polygon":
+                raise ParseError(f"{label}: geometry must be a Polygon")
+            ring = _ring_from_coordinates(geom.get("coordinates"), label)
+            fixed_use = None
+            if props.get("fixed_use") is not None:
+                try:
+                    fixed_use = LandUse.parse(props["fixed_use"])
+                except ValueError as exc:
+                    raise ParseError(f"{label}: {exc}") from None
+            if "community_id" not in props:
+                raise ParseError(f"{label}: missing community_id")
+            areas.append(Area(id=area_id, boundary=ring,
+                              community_id=int(props["community_id"]),
+                              fixed_use=fixed_use))
+
+        req_doc = doc.get("requirements")
+        if not isinstance(req_doc, dict):
+            raise ParseError(f"{path}: missing top-level requirements map")
+        requirements = {}
+        for key, value in req_doc.items():
             try:
-                fixed_use = LandUse.parse(props["fixed_use"])
+                requirements[LandUse.parse(key)] = int(value)
             except ValueError as exc:
-                raise ParseError(f"{label}: {exc}") from None
-        if "community_id" not in props:
-            raise ParseError(f"{label}: missing community_id")
-        areas.append(Area(id=area_id, boundary=ring,
-                          community_id=int(props["community_id"]),
-                          fixed_use=fixed_use))
+                raise ParseError(f"requirements: {exc}") from None
+        comm_doc = doc.get("communities")
+        if comm_doc:
+            communities = tuple(
+                (int(c["id"]), str(c.get("name", f"Community {c['id']}")))
+                for c in comm_doc)
+        else:
+            communities = tuple((cid, f"Community {cid}")
+                                for cid in sorted({a.community_id for a in areas}))
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise ParseError(f"{path}: {exc!r}") from exc
 
     ids = [a.id for a in areas]
     if len(set(ids)) != len(ids):
@@ -349,24 +383,6 @@ def load_region(path: Union[str, Path]) -> Region:
         raise InvariantError(
             "all coordinates fit inside the lon/lat degree box; this loader "
             "requires a local projected coordinate system in meters")
-
-    req_doc = doc.get("requirements")
-    if not isinstance(req_doc, dict):
-        raise ParseError(f"{path}: missing top-level requirements map")
-    requirements = {}
-    for key, value in req_doc.items():
-        try:
-            requirements[LandUse.parse(key)] = int(value)
-        except ValueError as exc:
-            raise ParseError(f"requirements: {exc}") from None
-
-    comm_doc = doc.get("communities")
-    if comm_doc:
-        communities = tuple((int(c["id"]), str(c.get("name", f"Community {c['id']}")))
-                            for c in comm_doc)
-    else:
-        communities = tuple((cid, f"Community {cid}")
-                            for cid in sorted({a.community_id for a in areas}))
 
     region = Region(
         name=str(doc.get("name", path.stem)),

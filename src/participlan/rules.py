@@ -7,10 +7,11 @@ and so property tests can reason about them directly.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .region import ASSIGNABLE_USES, LandUse
+from .region import ASSIGNABLE_USES, CANON_INDEX, LandUse, quota_order
 
 #: Fallback preference order used to pad short needs lists.
 DEFAULT_RANKING = (
@@ -26,8 +27,6 @@ DEFAULT_RANKING = (
 
 #: What a resident with no distinguishing traits would ask for.
 GENERIC_NEEDS = DEFAULT_RANKING[:3]
-
-_CANON_INDEX = {u: i for i, u in enumerate(ASSIGNABLE_USES)}
 
 MIN_NEEDS = 3
 MAX_NEEDS = 5
@@ -93,7 +92,7 @@ def needs_from_rules(facts: Mapping[str, Optional[str]],
         if all(facts.get(key) == value for key, value in rule.when.items()):
             for use, w in rule.prefer.items():
                 weights[use] = weights.get(use, 0) + w
-    ordered = sorted(weights, key=lambda u: (-weights[u], _CANON_INDEX[u]))
+    ordered = sorted(weights, key=lambda u: (-weights[u], CANON_INDEX[u]))
     needs = list(ordered[:MAX_NEEDS])
     for use in ranking:
         if len(needs) >= MIN_NEEDS:
@@ -124,8 +123,23 @@ def describe(facts: Mapping[str, Optional[str]]) -> str:
 # protocol expects structure.
 
 
-def _fence(doc: dict) -> str:
+def fence(doc: dict) -> str:
+    """`doc` as a fenced JSON block, the form prompts and replies carry."""
     return "```json\n" + json.dumps(doc, sort_keys=True) + "\n```"
+
+
+_FENCE_RE = re.compile(r"```json\s*(.*?)```", re.DOTALL)
+
+
+def fenced_docs(text: str) -> list:
+    """The JSON value of each fenced block in `text` that parses."""
+    docs = []
+    for block in _FENCE_RE.findall(text):
+        try:
+            docs.append(json.loads(block))
+        except json.JSONDecodeError:
+            pass
+    return docs
 
 
 def opinion_reply(payload: dict) -> str:
@@ -167,31 +181,17 @@ def opinion_reply(payload: dict) -> str:
 
     if not requests:
         text = "My daily needs are already covered nearby; I have no change to request."
-        return text + "\n" + _fence({"requests": []})
+        return text + "\n" + fence({"requests": []})
 
     lines = ["Some facilities I rely on are too far from where I live."]
     for r in requests:
         lines.append(f"Please make area {r['area_id']} a {r['use']}: {r['reason']}.")
-    return "\n".join(lines) + "\n" + _fence({"requests": requests})
+    return "\n".join(lines) + "\n" + fence({"requests": requests})
 
 
 def _extract_requests(text: str) -> list[dict]:
-    out = []
-    pos = 0
-    while True:
-        start = text.find("```json", pos)
-        if start < 0:
-            break
-        end = text.find("```", start + 7)
-        if end < 0:
-            break
-        try:
-            doc = json.loads(text[start + 7:end])
-            out.extend(doc.get("requests", []))
-        except (json.JSONDecodeError, AttributeError):
-            pass
-        pos = end + 3
-    return out
+    return [r for doc in fenced_docs(text) if isinstance(doc, dict)
+            for r in doc.get("requests", [])]
 
 
 def summary_reply(payload: dict) -> str:
@@ -208,7 +208,7 @@ def summary_reply(payload: dict) -> str:
 
     if not tally:
         return ("Residents voiced no concrete change requests this round.\n"
-                + _fence({"requests": []}))
+                + fence({"requests": []}))
 
     ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     lines = [f"{len(opinions)} residents spoke; their requests, by support:"]
@@ -216,7 +216,7 @@ def summary_reply(payload: dict) -> str:
     for (area_id, use), count in ranked:
         lines.append(f"- {count} asked for area {area_id} to become a {use}")
         requests.append({"area_id": area_id, "use": use, "count": count})
-    return "\n".join(lines) + "\n" + _fence({"requests": requests})
+    return "\n".join(lines) + "\n" + fence({"requests": requests})
 
 
 def initial_plan_reply(payload: dict) -> str:
@@ -224,10 +224,9 @@ def initial_plan_reply(payload: dict) -> str:
     vacant = [int(v) for v in payload.get("vacant_ids", [])]
     req = {LandUse.parse(k): int(v)
            for k, v in payload.get("requirements", {}).items()}
-    order = sorted(ASSIGNABLE_USES, key=lambda u: (-req.get(u, 0), _CANON_INDEX[u]))
     assignment: dict[int, str] = {}
     i = 0
-    for use in order:
+    for use in quota_order(req):
         for _ in range(req.get(use, 0)):
             assignment[vacant[i]] = use.value
             i += 1
@@ -237,5 +236,5 @@ def initial_plan_reply(payload: dict) -> str:
         i += 1
         cycle += 1
     doc = {"assignments": {str(k): assignment[k] for k in sorted(assignment)}}
-    return ("Here is a complete assignment meeting every quota.\n" + _fence(doc))
+    return ("Here is a complete assignment meeting every quota.\n" + fence(doc))
 

@@ -17,7 +17,7 @@ SERVICE_CATEGORIES = {
     "entertainment": ("recreation",),
 }
 
-GREEN_ASSIGNED = ("park", "open_space")
+GREENS = ("park", "open_space", "green_fixed")
 
 
 def seg_dist(px, py, ax, ay, bx, by):
@@ -99,16 +99,9 @@ def oracle_service(region, plan, population, radius=500.0):
     return total / len(population.residents)
 
 
-def oracle_ecology(region, plan, population, radius=300.0,
-                   include_fixed_green=True):
+def oracle_ecology(region, plan, population, radius=300.0):
     """Share of residents within the closed radius of any green area."""
-    greens = []
-    for area in region.areas:
-        use = _use_of(area, plan)
-        if use in GREEN_ASSIGNED:
-            greens.append(area)
-        elif include_fixed_green and use == "green_fixed":
-            greens.append(area)
+    greens = [area for area in region.areas if _use_of(area, plan) in GREENS]
     count = 0
     for resident in population.residents:
         px, py = _home_of(resident)
@@ -141,3 +134,69 @@ def oracle_inclusion(region, plan, population, radius=500.0):
         raise ValueError("no marginalized residents")
     total = sum(_one_satisfaction(region, plan, r, radius) for r in marg)
     return total / len(marg)
+
+
+ASSIGNABLE = ("school", "hospital", "clinic", "business", "office",
+              "recreation", "park", "open_space")
+
+
+def centroid(ring):
+    """Area-weighted centroid of a simple ring (shoelace sums)."""
+    twice_area = cx = cy = 0.0
+    for i in range(len(ring)):
+        x1, y1 = ring[i]
+        x2, y2 = ring[(i + 1) % len(ring)]
+        cross = x1 * y2 - x2 * y1
+        twice_area += cross
+        cx += (x1 + x2) * cross
+        cy += (y1 + y2) * cross
+    return cx / (3.0 * twice_area), cy / (3.0 * twice_area)
+
+
+def oracle_gsca(region, population, radius=500.0):
+    """gsca by brute force: ({area id: use}, {use: [(area id, gain)]}).
+
+    A vacant area reaches the residents whose home is strictly within
+    `radius` of its centroid. Per use, largest quota first, each pick is
+    the free area reaching the most residents not yet reached by that
+    use, the first in region order on a tie. Leftover areas, in id order,
+    take the use whose service category the most of their residents
+    still lack, the first in canonical order on a tie.
+    """
+    vacant = [a.id for a in region.areas if a.fixed_use is None]
+    reach = {}
+    for area in region.areas:
+        cx, cy = centroid(_ring_of(area))
+        reach[area.id] = {
+            r.id for r in population.residents
+            if math.hypot(_home_of(r)[0] - cx, _home_of(r)[1] - cy) < radius}
+    quotas = {u.value: n for u, n in region.requirements.items()}
+    order = sorted(ASSIGNABLE,
+                   key=lambda u: (-quotas.get(u, 0), ASSIGNABLE.index(u)))
+    assignment, trace = {}, {u: [] for u in ASSIGNABLE}
+    for use in order:
+        covered = set()
+        for _ in range(quotas.get(use, 0)):
+            best, best_gain = None, -1
+            for area_id in vacant:
+                gain = len(reach[area_id] - covered)
+                if area_id not in assignment and gain > best_gain:
+                    best, best_gain = area_id, gain
+            assignment[best] = use
+            covered |= reach[best]
+            trace[use].append((best, best_gain))
+
+    category_of = {u: c for c, members in SERVICE_CATEGORIES.items()
+                   for u in members}
+    served = {c: set() for c in SERVICE_CATEGORIES}
+    for area_id, use in assignment.items():
+        if use in category_of:
+            served[category_of[use]] |= reach[area_id]
+    for area_id in sorted(set(vacant) - set(assignment)):
+        gains = [len(reach[area_id] - served[category_of[u]])
+                 if u in category_of else 0 for u in ASSIGNABLE]
+        use = ASSIGNABLE[gains.index(max(gains))]
+        assignment[area_id] = use
+        if use in category_of:
+            served[category_of[use]] |= reach[area_id]
+    return assignment, trace

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import participlan
-from participlan import planners
+from participlan import planners, svgmap
 from participlan.cli import main
+from participlan.errors import ParseError
 from participlan.fixtures import data_path
 from participlan.llm import ChatMessage, RuleBackend
-from participlan.region import load_plan, plan_digest
+from participlan.population import load_demographics
+from participlan.region import load_plan, load_region, plan_digest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -211,6 +213,66 @@ def test_sweep_rounds_writes_summary(tmp_path):
     assert (out / "rounds2" / "metrics.csv").exists()
 
 
+def _edited(path, keys, value):
+    """The JSON text of `path` with the member at `keys` set to `value`,
+    or removed if `value` is None."""
+    doc = json.loads(Path(path).read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    if value is None:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return json.dumps(doc)
+
+
+_FIRST = ["features", 0]
+MALFORMED = {
+    "region-id-text": ("region", _edited(REGION, _FIRST + ["properties", "id"], "x")),
+    "region-id-infinite": ("region", _edited(REGION, _FIRST + ["properties", "id"],
+                                             float("inf"))),
+    "region-coordinate-text": ("region", _edited(
+        REGION, _FIRST + ["geometry", "coordinates", 0, 0, 0], "a")),
+    "region-community-id-text": ("region", _edited(
+        REGION, _FIRST + ["properties", "community_id"], "q")),
+    "region-feature-list": ("region", _edited(REGION, _FIRST, [1])),
+    "region-community-without-id": ("region", _edited(
+        REGION, ["communities", 0, "id"], None)),
+    "region-not-utf8": ("region", b"\xff\xfe{}"),
+    "demographics-list": ("demographics", "[1]"),
+    "demographics-gender-list": ("demographics", _edited(
+        DEMOGRAPHICS, ["gender"], ["female"])),
+    "plan-assignments-list": ("plan", '{"assignments": [1]}'),
+    "aggregate-without-means": ("aggregate", '{"metrics": {}}'),
+    "aggregate-list": ("aggregate", "[1]"),
+}
+LOADERS = {"region": load_region, "demographics": load_demographics,
+           "plan": load_plan}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_parse_error(tmp_path, case, capsys):
+    kind, text = MALFORMED[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if kind in LOADERS:
+        with pytest.raises(ParseError):
+            LOADERS[kind](path)
+    argv = {
+        "region": ["plan", "--region", str(path), "--demographics",
+                   DEMOGRAPHICS, "--method", "random"],
+        "demographics": ["plan", "--region", REGION, "--demographics",
+                         str(path), "--method", "random"],
+        "plan": ["export-svg", "--region", REGION, "--plan", str(path)],
+        "aggregate": ["compare", str(tmp_path)],
+    }[kind]
+    if kind == "aggregate":
+        path.rename(tmp_path / "aggregate.json")
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error while")
+
+
 def test_zero_rounds_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-rounds", "--region", REGION,
@@ -334,6 +396,32 @@ def test_remote_run_records_a_transcript_that_replays(tmp_path, fake_remote):
             == plan_digest(load_plan(replay / final))
 
 
+def test_sweep_records_one_tape_that_replays(tmp_path, fake_remote):
+    tape = tmp_path / "recorded.json"
+    run = ["sweep-rounds", "--region", REGION, "--demographics", DEMOGRAPHICS,
+           "--method", "llm", "--rounds-list", "1,2", "--speakers", "3",
+           "--seeds", "101"]
+    live, replay = tmp_path / "live", tmp_path / "replay"
+    assert main(run + REMOTE + ["--transcript", str(tape),
+                                "--out", str(live)]) == 0
+    # one backend serves every round count, so the replay reads the tape
+    # through
+    assert main(run + ["--backend", "scripted", "--model", "gpt-4o-mini",
+                       "--transcript", str(tape), "--out", str(replay)]) == 0
+    # the run ids hash the backend flags, which differ; nothing else does
+    live_rows, replay_rows = (_read_csv(d / "sweep.csv") for d in (live, replay))
+    for row in live_rows + replay_rows:
+        del row["run_id"]
+    assert live_rows == replay_rows
+    assert [r["rounds"] for r in live_rows] == ["1", "2"]
+    for rounds in ("rounds1", "rounds2"):
+        names = sorted(p.name for p in (live / rounds / "transcripts").iterdir())
+        assert names
+        for name in names:
+            assert (live / rounds / "transcripts" / name).read_bytes() \
+                == (replay / rounds / "transcripts" / name).read_bytes(), name
+
+
 def test_unwritable_transcript_is_runtime_error(tmp_path, fake_remote,
                                                 capsys):
     code = main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
@@ -353,6 +441,16 @@ def test_bug_in_a_planner_is_not_a_failed_seed(tmp_path, monkeypatch):
         main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
               "--method", "random", "--seeds", "101",
               "--out", str(tmp_path / "x")])
+
+
+def test_bug_in_the_svg_writer_is_not_an_input_error(tmp_path, monkeypatch):
+    def broken(region, plan, path):
+        raise TypeError("a bug, not a bad input")
+
+    monkeypatch.setattr(svgmap, "write_svg", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["export-svg", "--region", REGION,
+              "--out", str(tmp_path / "map.svg")])
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,9 +1,10 @@
-"""Golden run directories: every byte-stable file of three CLI runs.
+"""Golden run directories: every byte-stable file of five CLI runs.
 
 The SHA-256 of each file a run writes, except the timing-bearing
 report.txt, was recorded before the dense distance matrix was replaced by
-the sparse proximity index, so a refactor of the metric or proximity code
-that changes any plan, transcript or metric byte fails here. The runs
+the sparse proximity index (the centralized and decentralized runs before
+those two planners shared their round-robin loop), so a refactor that
+changes any plan, transcript or metric byte fails here. The runs
 happen in a temporary working directory with relative input paths, so
 config.snapshot.json and the run id do not depend on where the suite runs.
 
@@ -30,11 +31,39 @@ RUNS = {
     "local-search": ["plan", *INPUTS, "--method", "local-search",
                      "--seeds", "101,202"],
     "gsca": ["plan", *INPUTS, "--method", "gsca", "--seeds", "101,202"],
+    "centralized": ["plan", *INPUTS, "--method", "centralized",
+                    "--seeds", "101,202"],
+    "decentralized": ["plan", *INPUTS, "--method", "decentralized",
+                      "--seeds", "101,202"],
 }
 
 GOLDEN_NUMPY = "2.4.6"
 
 GOLDEN = {
+    "centralized": {
+        "aggregate.json":
+            "1fa454f83d1ecdc6607f882946fbef81c547a33f77206dca6187b530d7f86ca2",
+        "config.snapshot.json":
+            "3a26ea6cad3d693f4bd33486cbd3618a49a6755f1ddb6069bffe59d7b8c537a2",
+        "metrics.csv":
+            "8ff9e7a631aba2311d1489960de616b423fc253896a1eba128d679dfa4d22747",
+        "plans/seed101.json":
+            "87841c52cdaf1374648ac2ecdc2f1e795d794e436a5d0159cf0a1eeebed87f55",
+        "plans/seed202.json":
+            "9f456f40abeec9e5c1758806b86944e8cba0fbad7d0bbbd8029423e97b5d53ea",
+    },
+    "decentralized": {
+        "aggregate.json":
+            "7b50bc3ac6ac4ac2041343d373f45b56053d85db6d3e2c38d1217ce64a214335",
+        "config.snapshot.json":
+            "6d73342219cb40103c02c21144d740c77cdf4db87f1b0c3bb3ec78355f257e54",
+        "metrics.csv":
+            "495b3c3b462f1e81ef972090ddedd6cc6238d9f8fdb139c67db6f3c63966a658",
+        "plans/seed101.json":
+            "fd6e21717ae00bee463e2fdd39ff27a9a5dc1048fdb564a6e3d2e70c41141df4",
+        "plans/seed202.json":
+            "acf876f0bfacf839cb29641db62ead30950e8882a865c7d68ce6da62f9163b0e",
+    },
     "gsca": {
         "aggregate.json":
             "befbb212ec44d7e3b1947249f63b0164ad0f398f69ac710311da1d252c1f12df",

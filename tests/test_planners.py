@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from participlan import fixtures
 from participlan.errors import Infeasible
 from participlan.metrics import MetricsConfig
 from participlan.planners import (
@@ -18,7 +19,10 @@ from participlan.planners import (
     plan_objective,
     random_plan,
 )
+from participlan.population import synthesize
 from participlan.region import ASSIGNABLE_USES, LandUse, Plan, validate_plan
+
+import oracles
 
 
 def _counts(plan):
@@ -113,6 +117,25 @@ def test_gsca_trace_and_coverage(grid16, pop_grid16):
         assert all(gains[i] >= gains[i + 1] for i in range(len(gains) - 1))
     plan = gsca_plan(grid16, pop_grid16, config)
     assert validate_plan(grid16, plan).ok
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["hlg", "dhm", "grid16", "grid16-reversed"])
+def test_gsca_matches_the_oracle(name, seed):
+    region = {"hlg": fixtures.hlg_like_region,
+              "dhm": fixtures.dhm_like_region,
+              "grid16": fixtures.grid16_region,
+              "grid16-reversed": fixtures.grid16_region}[name]()
+    if name == "grid16-reversed":
+        # areas out of id order: quota ties go to region order, the fill
+        # goes in id order
+        region = dataclasses.replace(region, areas=region.areas[::-1])
+    pop = synthesize(fixtures.hlg_like_demographics(1000), region, seed)
+    want_plan, want_trace = oracles.oracle_gsca(region, pop)
+    plan = gsca_plan(region, pop)
+    trace = gsca_trace(region, pop)
+    assert {a: u.value for a, u in plan.assignment.items()} == want_plan
+    assert {u.value: picks for u, picks in trace.items()} == want_trace
 
 
 def test_local_search_zero_iterations_returns_start(grid16, pop_grid16):

@@ -156,3 +156,10 @@ def test_population_load_rejects_bad_needs(tmp_path, pop_grid16):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="residential"):
         load_population(path)
+
+
+def test_population_load_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "pop.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError):
+        load_population(path)
