@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from participlan.discussion import (
     _sample_speakers,
 )
 from participlan.errors import EmptyCommunity, NotPresent
-from participlan.llm import PlanEdit
+from participlan.llm import PlanEdit, render_revision_prompt
 from participlan.metrics import ProximityIndex, satisfaction
 from participlan.planners import PlannerConfig, random_plan
 from participlan.region import LandUse, Plan, validate_plan
@@ -241,3 +242,77 @@ def test_ablation_no_roleplay_uses_generic_voice(hlg, pop_hlg, rule_backend):
                      rule_backend, config)
     assert set(ABLATION_MODES) == {"no-roleplay", "no-discussion",
                                    "single-planner"}
+
+
+class _RecordingBackend:
+    """Returns `replies` in order and keeps the messages of each request."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.seen = []
+
+    def complete(self, messages):
+        self.seen.append(list(messages))
+        return self.replies.pop(0)
+
+
+def _edits_reply(*edits):
+    return ("Revised.\n```json\n" + json.dumps(
+        {"edits": [{"area_id": a, "use": u.value} for a, u in edits]})
+        + "\n```")
+
+
+def _swap_in_community(region, plan, community_id):
+    """Two edits that swap the uses of two changeable areas of the
+    community, so every count stays as it is."""
+    areas = [a.id for a in region.community_areas(community_id) if a.is_vacant]
+    a = areas[0]
+    b = next(x for x in areas if plan.assignment[x] is not plan.assignment[a])
+    return (a, plan.assignment[b]), (b, plan.assignment[a])
+
+
+def test_llm_revision_takes_the_repaired_edits(hlg, pop_hlg, rule_backend):
+    config = DiscussionConfig(rounds=1, speakers_per_round=3, seed=4)
+    plan = random_plan(hlg, PlannerConfig(seed=4))
+    outside = next(a.id for a in hlg.community_areas(1) if a.is_vacant)
+    swap = _swap_in_community(hlg, plan, 2)
+    planner = _RecordingBackend([_edits_reply((outside, LandUse.PARK)),
+                                 _edits_reply(*swap)])
+    revised, transcript = run_community_revision(
+        plan, 2, hlg, pop_hlg, rule_backend, planner, config)
+    assert revised.assignment == apply_edits(
+        plan, PlanEdit(swap)).assignment
+    assert transcript.final_edits.edits == swap
+    assert transcript.notes == (
+        f"revision attempt rejected: edit touches area {outside} outside "
+        "community 2",)
+    first, second = planner.seen
+    summaries = [r.summary for r in transcript.rounds]
+    assert first == render_revision_prompt(hlg, 2, plan, summaries)
+    assert second[:len(first)] == first
+    assert second[-2].role == "assistant"
+    assert second[-1].content == (
+        f"Those edits were not usable: edit touches area {outside} outside "
+        "community 2. Reply again with a JSON object "
+        '{"edits": [{"area_id": int, "use": str}]} touching only changeable '
+        "areas of community 2 and keeping every minimum count met.")
+
+
+def test_llm_revision_keeps_the_plan_after_two_bad_replies(hlg, pop_hlg,
+                                                           rule_backend):
+    config = DiscussionConfig(rounds=1, speakers_per_round=3, seed=4)
+    plan = random_plan(hlg, PlannerConfig(seed=4))
+    outside = next(a.id for a in hlg.community_areas(1) if a.is_vacant)
+    planner = _RecordingBackend(["no edits here",
+                                 _edits_reply((outside, LandUse.PARK))])
+    revised, transcript = run_community_revision(
+        plan, 2, hlg, pop_hlg, rule_backend, planner, config)
+    assert revised.assignment == plan.assignment
+    assert transcript.final_edits == PlanEdit((),
+                                              "revision rejected after repair")
+    assert transcript.plan_after == transcript.plan_before
+    assert transcript.notes == (
+        "revision attempt rejected: no JSON object found in reply",
+        f"repair rejected: edit touches area {outside} outside community 2; "
+        "keeping previous plan")
+    assert len(planner.seen) == 2

@@ -10,6 +10,7 @@ from participlan.errors import (
     BackendError,
     ParseError,
     RateLimited,
+    RepairFailed,
     TransportError,
 )
 from participlan.llm import (
@@ -19,6 +20,7 @@ from participlan.llm import (
     RepairNeeded,
     RuleBackend,
     ScriptedBackend,
+    assistant,
     extract_first_json,
     load_transcript_file,
     make_backend,
@@ -185,6 +187,63 @@ class TestRuleBackend:
         a = request_initial_plan(grid16, rule_backend)
         b = request_initial_plan(grid16, make_backend(BackendConfig()))
         assert a.assignment == b.assignment
+
+
+class _RecordingBackend:
+    """Returns `replies` in order and keeps the messages of each request."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.seen = []
+
+    def complete(self, messages):
+        self.seen.append(list(messages))
+        return self.replies.pop(0)
+
+
+class TestInitialPlanRepair:
+    def _reply_without(self, region, area_id):
+        plan = request_initial_plan(region, RuleBackend())
+        doc = {"assignments": {str(a): u.value
+                               for a, u in sorted(plan.assignment.items())
+                               if a != area_id}}
+        return "Here you go.\n```json\n" + json.dumps(doc) + "\n```"
+
+    def test_one_repair_prompt_then_the_second_plan(self, grid16):
+        dropped = grid16.vacant_ids[-1]
+        good = request_initial_plan(grid16, RuleBackend())
+        backend = _RecordingBackend([
+            self._reply_without(grid16, dropped),
+            RuleBackend().complete(render_initial_plan_prompt(grid16)),
+        ])
+        plan = request_initial_plan(grid16, backend)
+        assert plan.assignment == good.assignment
+        first, second = backend.seen
+        assert first == render_initial_plan_prompt(grid16)
+        assert second[:len(first)] == first
+        assert second[len(first)] == assistant(
+            self._reply_without(grid16, dropped))
+        repair = second[len(first) + 1]
+        assert len(second) == len(first) + 2 and repair.role == "user"
+        assert repair.content.startswith(
+            "Your reply was not usable: these vacant areas are unassigned: "
+            f"[{dropped}]")
+        assert repair.content.endswith(
+            '. Answer again with one strict JSON object {"assignments": '
+            '{"<area_id>": "<land_use>"}} assigning every vacant area id '
+            "exactly once and meeting every minimum count.")
+
+    def test_two_bad_replies_raise(self, grid16):
+        dropped = grid16.vacant_ids[0]
+        backend = _RecordingBackend(["no plan here",
+                                     self._reply_without(grid16, dropped)])
+        with pytest.raises(RepairFailed, match="still invalid after repair"):
+            request_initial_plan(grid16, backend)
+        assert backend.seen[1][-1].content.startswith(
+            "Your reply was not usable: no JSON object found in reply. ")
+        backend = _RecordingBackend(["no plan here", "still none"])
+        with pytest.raises(RepairFailed, match="unusable after repair"):
+            request_initial_plan(grid16, backend)
 
 
 class TestPrompts:
