@@ -31,7 +31,7 @@ from .discussion import DiscussionConfig
 from .errors import ParseError, PlanningError
 from .llm import (BackendConfig, make_backend, request_initial_plan,
                   save_transcript_file)
-from .metrics import METRIC_COLUMNS, MetricsConfig
+from .metrics import METRIC_COLUMNS
 from .planners import PlannerConfig
 from .population import load_demographics, synthesize
 from .region import load_plan, load_region, save_plan, validate_plan
@@ -55,10 +55,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _backend_config(args) -> BackendConfig:
-    kind = {"rule": "rule-based", "scripted": "scripted",
-            "remote": "remote"}[args.backend]
     return BackendConfig(
-        kind=kind,
+        kind=args.backend,
         endpoint=getattr(args, "endpoint", "") or "",
         model=getattr(args, "model", "") or "",
         temperature=getattr(args, "temperature", 0.0),
@@ -181,7 +179,7 @@ def _make_planner(method: str, population, seed: int, args, backend):
                                                      planner_config)
     if method == "local-search":
         return lambda region: planners_mod.local_search_plan(
-            region, population, planner_config, MetricsConfig())
+            region, population, planner_config)
     if method in ("llm", "participatory"):
         return lambda region: request_initial_plan(region, backend)
     raise ValueError(f"unknown method {method!r}")

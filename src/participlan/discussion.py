@@ -21,12 +21,12 @@ import numpy as np
 from . import llm as llm_mod
 from . import metrics as metrics_mod
 from . import rules
-from .errors import EmptyCommunity, InvariantError, NotPresent, ParseError
+from .errors import EmptyCommunity, InvariantError, NotPresent
 from .geometry import compass_label
-from .llm import (Backend, PlanEdit, RuleBackend, assistant,
+from .llm import (Backend, PlanEdit, RuleBackend, ask_with_repair,
                   parse_opinion_response, parse_plan_edits,
-                  render_opinion_prompt, render_revision_prompt, user)
-from .metrics import MetricsConfig, MetricsReport, ProximityIndex
+                  render_opinion_prompt, render_revision_prompt)
+from .metrics import REACH_M, SERVICE_RADIUS_M, MetricsReport, ProximityIndex
 from .population import Population, Resident
 from .region import (ASSIGNABLE_USES, CANON_INDEX, LandUse, Plan, Region,
                      plan_digest, validate_plan)
@@ -260,8 +260,8 @@ def apply_edits(plan: Plan, edits: PlanEdit) -> Plan:
 
 def _greedy_repair(plan: Plan, community_id: int, region: Region,
                    population: Population, invited: Sequence[int],
-                   rounds: Sequence[Round], metrics_config: MetricsConfig,
-                   cache: ProximityIndex) -> tuple[Plan, PlanEdit]:
+                   rounds: Sequence[Round], cache: ProximityIndex
+                   ) -> tuple[Plan, PlanEdit]:
     """Apply the most-requested edits that keep quotas feasible and never
     lower the invited residents' mean satisfaction."""
     tally: dict[tuple[int, LandUse], int] = {}
@@ -279,7 +279,7 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
     pos_by_id = {r.id: i for i, r in enumerate(population.residents)}
     invited_idx = np.array([pos_by_id[r] for r in invited], dtype=int)
     # the coverage evaluator on the invited residents' rows only
-    evaluator = metrics_mod.Coverage(cache, metrics_config, rows=invited_idx)
+    evaluator = metrics_mod.Coverage(cache, rows=invited_idx)
     needs = evaluator.needs(population)
 
     def invited_satisfaction(p: Plan) -> float:
@@ -319,47 +319,32 @@ def _llm_revision(plan: Plan, community_id: int, region: Region,
                   planner_backend: Backend, summaries: Sequence[str]
                   ) -> tuple[Plan, PlanEdit, list[str]]:
     """Parse-apply-validate with one repair prompt, else keep plan_before."""
-    notes: list[str] = []
-    messages = render_revision_prompt(region, community_id, plan, summaries)
-    reply = planner_backend.complete(messages)
-    problem: str
-    try:
+    def check(reply: str) -> Union[PlanEdit, str]:
         edits = parse_plan_edits(reply, region, community_id)
-        cand = apply_edits(plan, edits)
-        report = validate_plan(region, cand)
-        if report.ok:
-            return cand, edits, notes
-        problem = report.summary()
-    except ParseError as exc:
-        problem = str(exc)
-    notes.append(f"revision attempt rejected: {problem}")
-    repair = list(messages) + [
-        assistant(reply),
-        user(f"Those edits were not usable: {problem}. Reply again with a "
-             'JSON object {"edits": [{"area_id": int, "use": str}]} touching '
-             f"only changeable areas of community {community_id} and keeping "
-             "every minimum count met."),
-    ]
-    reply2 = planner_backend.complete(repair)
-    try:
-        edits2 = parse_plan_edits(reply2, region, community_id)
-        cand2 = apply_edits(plan, edits2)
-        report2 = validate_plan(region, cand2)
-        if report2.ok:
-            return cand2, edits2, notes
-        notes.append(f"repair rejected: {report2.summary()}; keeping previous plan")
-    except ParseError as exc:
-        notes.append(f"repair rejected: {exc}; keeping previous plan")
+        report = validate_plan(region, apply_edits(plan, edits))
+        return edits if report.ok else report.summary()
+
+    *rejected, last = ask_with_repair(
+        planner_backend,
+        render_revision_prompt(region, community_id, plan, summaries), check,
+        lambda problem: (
+            f"Those edits were not usable: {problem}. Reply again with a "
+            'JSON object {"edits": [{"area_id": int, "use": str}]} touching '
+            f"only changeable areas of community {community_id} and keeping "
+            "every minimum count met."))
+    notes = [f"revision attempt rejected: {problem}" for problem in rejected]
+    if isinstance(last, PlanEdit):
+        return apply_edits(plan, last), last, notes
+    notes.append(f"repair rejected: {last}; keeping previous plan")
     return plan, PlanEdit((), "revision rejected after repair"), notes
 
 
 def _proximity_index(region: Region, population: Population,
-                     config: DiscussionConfig,
-                     metrics_config: MetricsConfig) -> ProximityIndex:
+                     config: DiscussionConfig) -> ProximityIndex:
     """One index out to every radius a revision asks about: the metrics',
     the neighbourhood view's (the service radius) and the invite buffer."""
     return ProximityIndex(region, population.homes,
-                          max(metrics_config.reach_m, config.invite_buffer_m))
+                          max(REACH_M, config.invite_buffer_m))
 
 
 def run_community_revision(plan: Plan, community_id: int, region: Region,
@@ -368,13 +353,12 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
                            config: DiscussionConfig = DiscussionConfig(),
                            *,
                            cache: Optional[ProximityIndex] = None,
-                           metrics_config: MetricsConfig = MetricsConfig(),
                            roleplay: bool = True) -> tuple[Plan, Transcript]:
     """One community through the fishbowl protocol; the plan stays frozen
     until the planner's revision at the end."""
     config.validate()
     if cache is None:
-        cache = _proximity_index(region, population, config, metrics_config)
+        cache = _proximity_index(region, population, config)
     invited = invite(community_id, region, population,
                      config.invite_buffer_m, cache)
     rng = np.random.default_rng([config.seed, community_id])
@@ -391,16 +375,14 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
         opinions = []
         for rid in speakers:
             resident = by_id[rid]
-            view = view_payload(resident, region, plan,
-                                metrics_config.service_radius_m, cache,
-                                pos_by_id[rid])
+            view = view_payload(resident, region, plan, SERVICE_RADIUS_M,
+                                cache, pos_by_id[rid])
             if roleplay:
                 desc, needs = resident.description, resident.needs
             else:
                 desc, needs = llm_mod.GENERIC_PERSONA, rules.GENERIC_NEEDS
             text = backend.complete(render_opinion_prompt(
-                desc, needs, view, history,
-                metrics_config.service_radius_m, roleplay=roleplay))
+                desc, needs, view, history, roleplay=roleplay))
             view_ids = {e["area_id"] for e in view}
             structured = tuple(
                 OpinionItem(item["area_id"], item["use"], item["reason"])
@@ -415,8 +397,7 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
     notes: list[str] = []
     if isinstance(planner_backend, RuleBackend):
         new_plan, edits = _greedy_repair(plan, community_id, region,
-                                         population, invited, rounds,
-                                         metrics_config, cache)
+                                         population, invited, rounds, cache)
     else:
         new_plan, edits, notes = _llm_revision(plan, community_id, region,
                                                planner_backend, history)
@@ -439,7 +420,6 @@ def run_full_pipeline(region: Region, population: Population,
                       config: DiscussionConfig = DiscussionConfig(),
                       *,
                       planner_backend: Optional[Backend] = None,
-                      metrics_config: MetricsConfig = MetricsConfig(),
                       roleplay: bool = True
                       ) -> tuple[Plan, list[Transcript], list[MetricsReport]]:
     """Initial plan, then sequential community revisions with a metrics
@@ -450,20 +430,18 @@ def run_full_pipeline(region: Region, population: Population,
     check = validate_plan(region, plan)
     if not check.ok:
         raise InvariantError(f"initial plan invalid: {check.summary()}")
-    cache = _proximity_index(region, population, config, metrics_config)
-    reports = [metrics_mod.report(region, plan, population, metrics_config, cache)]
+    cache = _proximity_index(region, population, config)
+    reports = [metrics_mod.report(region, plan, population, cache)]
     transcripts: list[Transcript] = []
     for cid in sorted(region.community_ids):
         try:
             plan, transcript = run_community_revision(
                 plan, cid, region, population, backend, planner_backend,
-                config, cache=cache, metrics_config=metrics_config,
-                roleplay=roleplay)
+                config, cache=cache, roleplay=roleplay)
             transcripts.append(transcript)
         except EmptyCommunity as exc:
             log.warning("skipping community %s: %s", cid, exc)
-        reports.append(
-            metrics_mod.report(region, plan, population, metrics_config, cache))
+        reports.append(metrics_mod.report(region, plan, population, cache))
     return plan, transcripts, reports
 
 
@@ -484,9 +462,7 @@ def run_ablation(mode: str, region: Region, population: Population,
         check = validate_plan(region, plan)
         if not check.ok:
             raise InvariantError(f"initial plan invalid: {check.summary()}")
-        metrics_config = kwargs.get("metrics_config", MetricsConfig())
-        report = metrics_mod.report(region, plan, population, metrics_config)
-        return plan, [], [report]
+        return plan, [], [metrics_mod.report(region, plan, population)]
     if mode == "no-discussion":
         return run_full_pipeline(region, population, initial_planner, backend,
                                  replace(config, rounds=1), **kwargs)

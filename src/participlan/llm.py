@@ -26,6 +26,7 @@ from . import rules
 from .errors import (BackendError, BadReply, ParseError, RateLimited,
                      RepairFailed, TransportError)
 from .geometry import compass_label
+from .metrics import SERVICE_RADIUS_M
 from .region import (ASSIGNABLE_USES, LandUse, Plan, Region, validate_plan)
 
 log = logging.getLogger(__name__)
@@ -62,7 +63,7 @@ def assistant(content: str) -> ChatMessage:
 
 @dataclass(frozen=True)
 class BackendConfig:
-    kind: str = "rule-based"
+    kind: str = "rule"
     endpoint: str = ""
     model: str = ""
     temperature: float = 0.0
@@ -73,7 +74,7 @@ class BackendConfig:
     transcript_path: Optional[str] = None
 
     def validate(self) -> None:
-        if self.kind not in ("remote", "rule-based", "scripted"):
+        if self.kind not in ("remote", "rule", "scripted"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
@@ -110,8 +111,6 @@ class RemoteBackend:
     `transport` has the signature of requests.post and is injectable so
     tests can capture the exact wire payload without a network.
     """
-
-    kind = "remote"
 
     def __init__(self, config: BackendConfig,
                  transport: Optional[Callable] = None,
@@ -163,48 +162,41 @@ class RemoteBackend:
                    "Content-Type": "application/json"}
         attempt = 0
         while True:
+            # a network error, a 429 and a 5xx are retried alike; a 429
+            # waits as Retry-After says, capped at the timeout
+            wait, cause = 0.5 * 2 ** attempt, None
+            tries = f"after {attempt + 1} attempts"
             try:
                 resp = self._transport(cfg.endpoint, json=body,
                                        headers=headers, timeout=cfg.timeout_s)
             except requests.RequestException as exc:
-                self._bump("requests")
-                if attempt >= cfg.max_retries:
-                    raise TransportError(
-                        f"network failure after {attempt + 1} attempts: {exc}"
-                    ) from exc
-                self._sleep(0.5 * 2 ** attempt)
-                attempt += 1
-                self._bump("retries")
-                continue
+                cause = exc
             self._bump("requests")
-            status = resp.status_code
-            if status == 429:
+            if cause is not None:
+                error = TransportError(f"network failure {tries}: {cause}")
+            elif resp.status_code == 429:
                 self._bump("rate_limited")
-                if attempt >= cfg.max_retries:
-                    raise RateLimited(f"rate limited after {attempt + 1} attempts")
-                self._sleep(min(_retry_after(resp, 0.5 * 2 ** attempt),
-                                cfg.timeout_s))
-                attempt += 1
-                self._bump("retries")
-                continue
-            if 500 <= status < 600:
-                if attempt >= cfg.max_retries:
-                    raise TransportError(
-                        f"server error {status} after {attempt + 1} attempts")
-                self._sleep(0.5 * 2 ** attempt)
-                attempt += 1
-                self._bump("retries")
-                continue
-            if status != 200:
-                raise TransportError(f"unexpected status {status}")
-            try:
-                data = resp.json()
-                content = data["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise BadReply(f"malformed completion body: {exc!r}") from exc
-            if not content:
-                raise BadReply("empty completion content")
-            return content
+                error = RateLimited(f"rate limited {tries}")
+                wait = min(_retry_after(resp, wait), cfg.timeout_s)
+            elif 500 <= resp.status_code < 600:
+                error = TransportError(f"server error {resp.status_code} {tries}")
+            else:
+                break
+            if attempt >= cfg.max_retries:
+                raise error from cause
+            self._sleep(wait)
+            attempt += 1
+            self._bump("retries")
+        if resp.status_code != 200:
+            raise TransportError(f"unexpected status {resp.status_code}")
+        try:
+            data = resp.json()
+            content = data["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise BadReply(f"malformed completion body: {exc!r}") from exc
+        if not content:
+            raise BadReply("empty completion content")
+        return content
 
 
 def _retry_after(resp, fallback: float) -> float:
@@ -224,8 +216,6 @@ class ScriptedBackend:
     request so drifted prompts fail loudly; entries with digest null
     replay unconditionally (hand-written scripts).
     """
-
-    kind = "scripted"
 
     def __init__(self, config: BackendConfig):
         config.validate()
@@ -281,8 +271,6 @@ _ROLE_TAG_RE = re.compile(r"\[role:([a-z_]+)\]")
 
 class RuleBackend:
     """Deterministic offline stand-in dispatching on the prompt's role tag."""
-
-    kind = "rule-based"
 
     def __init__(self):
         self.telemetry = Telemetry()
@@ -342,10 +330,9 @@ GENERIC_PERSONA = "You are a resident living in a region in the city."
 def render_opinion_prompt(description: str, needs: Sequence[LandUse],
                           view_entries: Sequence[dict],
                           summaries: Sequence[str],
-                          service_radius_m: float = 500.0,
                           roleplay: bool = True) -> list[ChatMessage]:
     lines = [f"Your needs: {', '.join(u.value for u in needs)}.",
-             f"Your neighborhood (within {service_radius_m:.0f} m of home):"]
+             f"Your neighborhood (within {SERVICE_RADIUS_M:.0f} m of home):"]
     if view_entries:
         for e in view_entries:
             use = e.get("land_use") or "unassigned"
@@ -366,7 +353,7 @@ def render_opinion_prompt(description: str, needs: Sequence[LandUse],
     lines.append(rules.fence({
         "needs": [u.value for u in needs],
         "view": list(view_entries),
-        "service_radius_m": service_radius_m,
+        "service_radius_m": SERVICE_RADIUS_M,
     }))
     if roleplay:
         sys_text = ("[role:resident_opinion] You are role-playing a specific "
@@ -644,30 +631,47 @@ def summarize(opinions: Sequence[str], backend: Backend) -> str:
     return backend.complete(render_summary_prompt(opinions))
 
 
+def ask_with_repair(backend: Backend, messages: Sequence[ChatMessage],
+                    check: Callable[[str], object],
+                    repair_request: Callable[[str], str]) -> list:
+    """Ask `backend`, and once more with one repair prompt if the reply is
+    unusable.
+
+    `check(reply)` returns the usable result, or a str naming the rule the
+    reply breaks, and raises ParseError if the reply does not parse. After
+    an unusable reply the backend gets `messages`, that reply and
+    `repair_request(problem)`. Returns the outcome of each reply checked,
+    in order: the result, the str, or the ParseError.
+    """
+    def outcome(msgs: Sequence[ChatMessage]) -> tuple[str, object]:
+        reply = backend.complete(msgs)
+        try:
+            return reply, check(reply)
+        except ParseError as exc:
+            return reply, exc
+
+    reply, first = outcome(messages)
+    if not isinstance(first, (str, ParseError)):
+        return [first]
+    repair = list(messages) + [assistant(reply), user(repair_request(str(first)))]
+    return [first, outcome(repair)[1]]
+
+
 def request_initial_plan(region: Region, backend: Backend) -> Plan:
     """Prompt the backend for a full plan, with one repair attempt."""
-    messages = render_initial_plan_prompt(region)
-    reply = backend.complete(messages)
-    problem: str
-    try:
+    def check(reply: str) -> Union[Plan, str]:
         result = parse_plan_response(reply, region)
-        if isinstance(result, Plan):
-            return result
-        problem = result.describe()
-    except ParseError as exc:
-        problem = str(exc)
-    repair = list(messages) + [
-        assistant(reply),
-        user(f"Your reply was not usable: {problem}. Answer again with one "
-             'strict JSON object {"assignments": {"<area_id>": "<land_use>"}} '
-             "assigning every vacant area id exactly once and meeting every "
-             "minimum count."),
-    ]
-    reply2 = backend.complete(repair)
-    try:
-        result2 = parse_plan_response(reply2, region)
-    except ParseError as exc:
-        raise RepairFailed(f"plan reply unusable after repair: {exc}") from exc
-    if isinstance(result2, Plan):
-        return result2
-    raise RepairFailed(f"plan reply still invalid after repair: {result2.describe()}")
+        return result if isinstance(result, Plan) else result.describe()
+
+    last = ask_with_repair(
+        backend, render_initial_plan_prompt(region), check,
+        lambda problem: (
+            f"Your reply was not usable: {problem}. Answer again with one "
+            'strict JSON object {"assignments": {"<area_id>": "<land_use>"}} '
+            "assigning every vacant area id exactly once and meeting every "
+            "minimum count."))[-1]
+    if isinstance(last, Plan):
+        return last
+    if isinstance(last, ParseError):
+        raise RepairFailed(f"plan reply unusable after repair: {last}") from last
+    raise RepairFailed(f"plan reply still invalid after repair: {last}")

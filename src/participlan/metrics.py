@@ -3,27 +3,28 @@
 Four population-level scores on a (region, plan, population) triple:
 
 - service: mean over residents of the share of service categories with
-  at least one facility strictly within the service radius of home.
-- ecology: share of residents whose home lies within the ecology radius
-  of some green area (closed threshold).
+  at least one facility strictly within SERVICE_RADIUS_M of home.
+- ecology: share of residents whose home lies within ESR_RADIUS_M of
+  some green area (closed threshold).
 - satisfaction: mean over residents of the share of their personal needs
-  met strictly within the service radius.
+  met strictly within SERVICE_RADIUS_M.
 - inclusion: satisfaction restricted to marginalized residents.
 
-Strict-vs-closed thresholds are deliberate and pinned by tests: a
-facility exactly at the service radius does not count, a home exactly at
-the ecology radius does.
+Both radii are fixed by the paper. Strict-vs-closed thresholds are
+deliberate and pinned by tests: a facility exactly at the service radius
+does not count, a home exactly at the ecology radius does.
 
 Every metric asks only whether some area lies within a radius, so
-home-to-area distances are kept only up to the largest radius in use
-(ProximityIndex); a query beyond that radius raises InvariantError
-instead of answering from a truncated index. One bitmask pass over the
-kept pairs (Coverage) gives all four metrics of a plan.
+home-to-area distances are kept only up to REACH_M (ProximityIndex); a
+query beyond an index's radius raises InvariantError instead of
+answering from a truncated index. One bitmask pass over the kept pairs
+(Coverage) gives all four metrics of a plan.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -34,8 +35,15 @@ from .population import Population
 from .region import (ASSIGNABLE_USES, GREEN_USES, USE_CODES, LandUse, Plan,
                      Region, min_distance_many)
 
+#: Services count strictly within this distance of home.
+SERVICE_RADIUS_M = 500.0
+#: Green counts within this distance of home, inclusive.
+ESR_RADIUS_M = 300.0
+#: The largest radius the metrics ask about.
+REACH_M = max(SERVICE_RADIUS_M, ESR_RADIUS_M)
+
 #: Service categories and the uses that satisfy each.
-DEFAULT_SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
+SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
     ("education", (LandUse.SCHOOL,)),
     ("medical", (LandUse.HOSPITAL, LandUse.CLINIC)),
     ("working", (LandUse.OFFICE,)),
@@ -48,7 +56,7 @@ DISTANCE_MODES = ("boundary", "centroid")
 # The coverage bit layout, low to high: one bit per service category, one
 # per assignable use (in ASSIGNABLE_USES order), then one for green.
 # Fourteen bits, so a uint16 holds them.
-_N_CATEGORIES = len(DEFAULT_SERVICE_CATEGORIES)
+_N_CATEGORIES = len(SERVICE_CATEGORIES)
 _GREEN_BIT = 1 << (_N_CATEGORIES + len(ASSIGNABLE_USES))
 #: The service category bits.
 CATEGORY_MASK = np.uint16((1 << _N_CATEGORIES) - 1)
@@ -58,7 +66,7 @@ USE_MASK = np.uint16(_GREEN_BIT - 1 - CATEGORY_MASK)
 
 def _use_code_bits() -> np.ndarray:
     table = np.zeros(len(USE_CODES) + 1, dtype=np.uint16)
-    for k, (_, uses) in enumerate(DEFAULT_SERVICE_CATEGORIES):
+    for k, (_, uses) in enumerate(SERVICE_CATEGORIES):
         for use in uses:
             table[USE_CODES[use]] |= 1 << k
     for k, use in enumerate(ASSIGNABLE_USES):
@@ -74,22 +82,6 @@ def _use_code_bits() -> np.ndarray:
 USE_CODE_BITS = _use_code_bits()
 #: USE_CODE_BITS of each assignable use, in ASSIGNABLE_USES order.
 ASSIGNABLE_USE_BITS = USE_CODE_BITS[[USE_CODES[u] for u in ASSIGNABLE_USES]]
-
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    service_radius_m: float = 500.0
-    esr_radius_m: float = 300.0
-
-    def __post_init__(self):
-        for name in ("service_radius_m", "esr_radius_m"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-
-    @property
-    def reach_m(self) -> float:
-        """The largest radius the metrics ask about."""
-        return max(self.service_radius_m, self.esr_radius_m)
 
 
 class ProximityIndex:
@@ -111,7 +103,6 @@ class ProximityIndex:
         self.region = region
         self.homes = np.asarray(homes, dtype=float).reshape(-1, 2)
         self.radius = float(radius)
-        self._coverage: dict[MetricsConfig, Coverage] = {}
 
         # Candidates come from a box around each area, padded by the radius
         # plus a metre so that rounding in the box test never drops a pair
@@ -164,12 +155,10 @@ class ProximityIndex:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.columns[lo:hi], self.distances[lo:hi]
 
-    def coverage(self, config: MetricsConfig) -> "Coverage":
-        """The coverage evaluator of every resident under `config`, kept
-        for reuse."""
-        if config not in self._coverage:
-            self._coverage[config] = Coverage(self, config)
-        return self._coverage[config]
+    @cached_property
+    def coverage(self) -> "Coverage":
+        """The coverage evaluator of every resident, kept for reuse."""
+        return Coverage(self)
 
 
 _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
@@ -186,16 +175,16 @@ class Coverage:
     """What each resident has in range under a plan, as one bitmask.
 
     Each area's use gives its bits through USE_CODE_BITS; each stored pair
-    keeps the category and use bits only strictly within service_radius_m,
-    and the green bit only within esr_radius_m inclusive. OR-ing the pairs of a
+    keeps the category and use bits only strictly within SERVICE_RADIUS_M,
+    and the green bit only within ESR_RADIUS_M inclusive. OR-ing the pairs of a
     row gives the resident's bits, and popcounts give the same integer
     counts the metrics divide, so the values are exact. `rows` restricts
     the evaluator to those residents, in that order.
     """
 
-    def __init__(self, index: ProximityIndex, config: MetricsConfig,
+    def __init__(self, index: ProximityIndex,
                  rows: Optional[np.ndarray] = None):
-        index.require(config.reach_m)
+        index.require(REACH_M)
         indptr = index.indptr
         if rows is None:
             self.n_rows = len(index.homes)
@@ -213,9 +202,9 @@ class Coverage:
         self._filled = np.flatnonzero(lengths)
         self._starts = (np.cumsum(lengths) - lengths)[self._filled]
         self._columns = columns
-        self._mask = (np.where(dist < config.service_radius_m,
+        self._mask = (np.where(dist < SERVICE_RADIUS_M,
                                np.uint16(_GREEN_BIT - 1), np.uint16(0))
-                      | np.where(dist <= config.esr_radius_m,
+                      | np.where(dist <= ESR_RADIUS_M,
                                  np.uint16(_GREEN_BIT), np.uint16(0)))
         self.region = index.region
         self.rows = rows
@@ -255,69 +244,61 @@ class Coverage:
         return _popcount(bits & need_bits) / lens
 
 
-def coverage(region: Region, population: Population, config: MetricsConfig,
+def coverage(region: Region, population: Population,
              cache: Optional[ProximityIndex] = None) -> Coverage:
-    """The evaluator for `config`, from `cache` or from an index built
-    out to the metrics' own radius."""
+    """The evaluator from `cache`, or from an index built out to REACH_M."""
     if cache is None:
-        cache = ProximityIndex(region, population.homes, config.reach_m)
-    return cache.coverage(config)
+        cache = ProximityIndex(region, population.homes, REACH_M)
+    return cache.coverage
 
 
 def per_resident_service(region: Region, plan: Plan, population: Population,
-                         config: MetricsConfig = MetricsConfig(),
                          cache: Optional[ProximityIndex] = None) -> np.ndarray:
     """Share of service categories reachable per resident, in [0, 1]."""
-    cov = coverage(region, population, config, cache)
+    cov = coverage(region, population, cache)
     return cov.service(cov.bits(plan))
 
 
 def per_resident_in_esr(region: Region, plan: Plan, population: Population,
-                        config: MetricsConfig = MetricsConfig(),
                         cache: Optional[ProximityIndex] = None) -> np.ndarray:
     """1.0 for residents inside the ecology service range, else 0.0.
 
-    The range is the union of closed esr_radius_m buffers around every
+    The range is the union of closed ESR_RADIUS_M buffers around every
     green area: parks, open spaces and the fixed green stock.
     """
-    cov = coverage(region, population, config, cache)
+    cov = coverage(region, population, cache)
     return cov.in_esr(cov.bits(plan))
 
 
 def per_resident_satisfaction(region: Region, plan: Plan, population: Population,
-                              config: MetricsConfig = MetricsConfig(),
                               cache: Optional[ProximityIndex] = None) -> np.ndarray:
     """Share of each resident's needs with a facility strictly in range."""
-    cov = coverage(region, population, config, cache)
+    cov = coverage(region, population, cache)
     needs = cov.needs(population)
     return cov.satisfaction(cov.bits(plan), needs)
 
 
 def service(region: Region, plan: Plan, population: Population,
-            config: MetricsConfig = MetricsConfig(),
             cache: Optional[ProximityIndex] = None) -> float:
-    return float(np.mean(per_resident_service(region, plan, population, config, cache)))
+    return float(np.mean(per_resident_service(region, plan, population, cache)))
 
 
 def ecology(region: Region, plan: Plan, population: Population,
-            config: MetricsConfig = MetricsConfig(),
             cache: Optional[ProximityIndex] = None) -> float:
-    return float(np.mean(per_resident_in_esr(region, plan, population, config, cache)))
+    return float(np.mean(per_resident_in_esr(region, plan, population, cache)))
 
 
 def satisfaction(region: Region, plan: Plan, population: Population,
-                 config: MetricsConfig = MetricsConfig(),
                  cache: Optional[ProximityIndex] = None) -> float:
-    return float(np.mean(per_resident_satisfaction(region, plan, population, config, cache)))
+    return float(np.mean(per_resident_satisfaction(region, plan, population, cache)))
 
 
 def inclusion(region: Region, plan: Plan, population: Population,
-              config: MetricsConfig = MetricsConfig(),
               cache: Optional[ProximityIndex] = None) -> float:
     mask = np.array([r.is_marginalized for r in population.residents], dtype=bool)
     if not mask.any():
         raise NoMarginalized("population has no marginalized residents")
-    per = per_resident_satisfaction(region, plan, population, config, cache)
+    per = per_resident_satisfaction(region, plan, population, cache)
     return float(np.mean(per[mask]))
 
 
@@ -327,8 +308,6 @@ class MetricsReport:
     ecology: float
     satisfaction: float
     inclusion: Optional[float]
-    service_radius_m: float
-    esr_radius_m: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -336,20 +315,17 @@ class MetricsReport:
             "ecology": self.ecology,
             "satisfaction": self.satisfaction,
             "inclusion": self.inclusion,
-            "service_radius_m": self.service_radius_m,
-            "esr_radius_m": self.esr_radius_m,
         }
 
 
 def report(region: Region, plan: Plan, population: Population,
-           config: MetricsConfig = MetricsConfig(),
            cache: Optional[ProximityIndex] = None) -> MetricsReport:
     """All four metrics from one coverage pass.
 
     Aggregates are means of the per-resident arrays, so report() and the
     scalar functions agree exactly.
     """
-    cov = coverage(region, population, config, cache)
+    cov = coverage(region, population, cache)
     bits = cov.bits(plan)
     srv = cov.service(bits)
     esr = cov.in_esr(bits)
@@ -361,8 +337,6 @@ def report(region: Region, plan: Plan, population: Population,
         ecology=float(np.mean(esr)),
         satisfaction=float(np.mean(sat)),
         inclusion=incl,
-        service_radius_m=config.service_radius_m,
-        esr_radius_m=config.esr_radius_m,
     )
 
 

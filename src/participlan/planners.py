@@ -18,13 +18,18 @@ import numpy as np
 from . import metrics as metrics_mod
 from .errors import Infeasible
 from .geometry import Point
-from .metrics import (ASSIGNABLE_USE_BITS, CATEGORY_MASK, USE_MASK,
-                      MetricsConfig, ProximityIndex)
+from .metrics import (ASSIGNABLE_USE_BITS, CATEGORY_MASK, REACH_M, USE_MASK,
+                      ProximityIndex)
 from .population import Population
 from .region import ASSIGNABLE_USES, LandUse, Plan, Region, quota_order
 
 #: gsca's coverage radius, on centroid distance.
 GSCA_RADIUS_M = 500.0
+#: Added to centroid distances in the centralized planner's inverse
+#: weights, so an area at the center gets a finite weight.
+EPSILON_M = 1.0
+#: (service, ecology) weights of the local search objective.
+OBJECTIVE_WEIGHTS = (0.5, 0.5)
 #: Local search's annealing temperature at the first and the last iteration.
 TEMPERATURE_FIRST = 0.2
 TEMPERATURE_LAST = 0.002
@@ -33,18 +38,11 @@ TEMPERATURE_LAST = 0.002
 @dataclass(frozen=True)
 class PlannerConfig:
     seed: int = 0
-    epsilon_m: float = 1.0
-    objective_weights: tuple[float, float] = (0.5, 0.5)
     max_iters: int = 800
     restarts: int = 3
     center: Optional[Point] = None
 
     def validate(self) -> None:
-        if self.epsilon_m <= 0:
-            raise ValueError("epsilon_m must be positive")
-        w_s, w_e = self.objective_weights
-        if w_s < 0 or w_e < 0 or (w_s == 0 and w_e == 0):
-            raise ValueError("objective weights must be >= 0 and not both 0")
         # 0 is allowed so a zero-iteration search returns its start plan
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
@@ -121,7 +119,7 @@ def centralized_plan(region: Region,
                              region.areas_by_id[a_id].centroid[1] - cy)
             for a_id in region.vacant_ids}
     return _round_robin(region, config, lambda use, ids, placed: 1.0 / (
-        config.epsilon_m + np.array([dist[a] for a in ids])))
+        EPSILON_M + np.array([dist[a] for a in ids])))
 
 
 def decentralized_plan(region: Region,
@@ -213,21 +211,18 @@ def gsca_trace(region: Region, population: Population,
 
 
 def plan_objective(region: Region, population: Population, plan: Plan,
-                   weights: tuple[float, float] = (0.5, 0.5),
-                   metrics_config: MetricsConfig = MetricsConfig(),
                    cache: Optional[ProximityIndex] = None) -> float:
-    """w_service * Service + w_ecology * Ecology from one coverage pass;
-    equal to the weighted metric functions."""
-    cov = metrics_mod.coverage(region, population, metrics_config, cache)
+    """The OBJECTIVE_WEIGHTS sum of Service and Ecology from one coverage
+    pass; equal to the weighted metric functions."""
+    cov = metrics_mod.coverage(region, population, cache)
     bits = cov.bits(plan)
     s = float(np.mean(cov.service(bits)))
     e = float(np.mean(cov.in_esr(bits)))
-    return weights[0] * s + weights[1] * e
+    return OBJECTIVE_WEIGHTS[0] * s + OBJECTIVE_WEIGHTS[1] * e
 
 
 def _anneal(region: Region, population: Population, config: PlannerConfig,
-            metrics_config: MetricsConfig, cache: ProximityIndex,
-            restart: int) -> tuple[float, dict[int, LandUse]]:
+            cache: ProximityIndex, restart: int) -> tuple[float, dict[int, LandUse]]:
     seed = config.seed + restart
     rng = np.random.default_rng(seed)
     start = random_plan(region, replace(config, seed=seed))
@@ -238,8 +233,7 @@ def _anneal(region: Region, population: Population, config: PlannerConfig,
         counts[u] += 1
 
     def objective(a: dict[int, LandUse]) -> float:
-        return plan_objective(region, population, Plan(a),
-                              config.objective_weights, metrics_config, cache)
+        return plan_objective(region, population, Plan(a), cache)
 
     cur_obj = objective(current)
     best, best_obj = dict(current), cur_obj
@@ -281,18 +275,16 @@ def _anneal(region: Region, population: Population, config: PlannerConfig,
 
 
 def local_search_plan(region: Region, population: Population,
-                      config: PlannerConfig = PlannerConfig(),
-                      metrics_config: MetricsConfig = MetricsConfig()) -> Plan:
+                      config: PlannerConfig = PlannerConfig()) -> Plan:
     """Simulated annealing over reassignments and swaps, best plan kept
     across restarts (ties to the lowest restart index)."""
     config.validate()
     _check_feasible(region)
-    cache = ProximityIndex(region, population.homes, metrics_config.reach_m)
+    cache = ProximityIndex(region, population.homes, REACH_M)
     best_obj = -math.inf
     best: dict[int, LandUse] = {}
     for restart in range(config.restarts):
-        obj, assignment = _anneal(region, population, config,
-                                  metrics_config, cache, restart)
+        obj, assignment = _anneal(region, population, config, cache, restart)
         if obj > best_obj:
             best_obj, best = obj, assignment
     return Plan(best)

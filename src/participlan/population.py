@@ -52,8 +52,6 @@ class DemographicSpec:
     education: Mapping[str, float]
     family_size: Mapping[str, float]
     quotas: tuple[MarginalizedQuota, ...] = ()
-    needs_rules: tuple[rules.NeedsRule, ...] = rules.DEFAULT_NEEDS_RULES
-    ranking: tuple[LandUse, ...] = rules.DEFAULT_RANKING
 
     def distribution(self, field_name: str) -> Mapping[str, float]:
         return getattr(self, field_name)
@@ -100,17 +98,6 @@ def load_demographics(path: Union[str, Path]) -> DemographicSpec:
                 force={k: tuple(v) for k, v in (q.get("force") or {}).items()},
             )
             for q in doc.get("quotas", []))
-        needs_rules = rules.DEFAULT_NEEDS_RULES
-        if "needs_rules" in doc:
-            needs_rules = tuple(
-                rules.NeedsRule(
-                    when=dict(r["when"]),
-                    prefer={LandUse.parse(k): int(v) for k, v in r["prefer"].items()},
-                )
-                for r in doc["needs_rules"])
-        ranking = rules.DEFAULT_RANKING
-        if "ranking" in doc:
-            ranking = tuple(LandUse.parse(u) for u in doc["ranking"])
         spec = DemographicSpec(
             n_agents=int(doc["n_agents"]),
             gender={str(k): float(v) for k, v in doc["gender"].items()},
@@ -118,8 +105,6 @@ def load_demographics(path: Union[str, Path]) -> DemographicSpec:
             education={str(k): float(v) for k, v in doc["education"].items()},
             family_size={str(k): float(v) for k, v in doc["family_size"].items()},
             quotas=quotas,
-            needs_rules=needs_rules,
-            ranking=ranking,
         )
     except (AttributeError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
@@ -129,7 +114,7 @@ def load_demographics(path: Union[str, Path]) -> DemographicSpec:
 
 
 def demographics_to_json_dict(spec: DemographicSpec) -> dict:
-    doc = {
+    return {
         "n_agents": spec.n_agents,
         "gender": dict(spec.gender),
         "age_band": dict(spec.age_band),
@@ -141,15 +126,6 @@ def demographics_to_json_dict(spec: DemographicSpec) -> dict:
             for q in spec.quotas
         ],
     }
-    if spec.needs_rules is not rules.DEFAULT_NEEDS_RULES:
-        doc["needs_rules"] = [
-            {"when": dict(r.when),
-             "prefer": {u.value: w for u, w in r.prefer.items()}}
-            for r in spec.needs_rules
-        ]
-    if spec.ranking is not rules.DEFAULT_RANKING:
-        doc["ranking"] = [u.value for u in spec.ranking]
-    return doc
 
 
 def save_demographics(spec: DemographicSpec, path: Union[str, Path]) -> None:
@@ -280,7 +256,7 @@ def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
             description=rules.describe(facts),
             home=home,
             home_area_id=area.id,
-            needs=rules.needs_from_rules(facts, spec.needs_rules, spec.ranking),
+            needs=rules.needs_from_rules(facts),
         ))
     return Population(residents=tuple(residents), seed=seed)
 

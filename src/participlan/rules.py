@@ -79,13 +79,12 @@ DEFAULT_NEEDS_RULES: tuple[NeedsRule, ...] = (
 
 def needs_from_rules(facts: Mapping[str, Optional[str]],
                      rules: Sequence[NeedsRule] = DEFAULT_NEEDS_RULES,
-                     ranking: Sequence[LandUse] = DEFAULT_RANKING,
                      ) -> tuple[LandUse, ...]:
     """Derive a 3..5 item needs list from resident facts.
 
     Weights from every matching rule accumulate per land use; the top
-    five by (weight desc, canonical order) survive, padded from the
-    ranking if fewer than three rules fired.
+    five by (weight desc, canonical order) survive, padded from
+    DEFAULT_RANKING if fewer than three rules fired.
     """
     weights: dict[LandUse, int] = {}
     for rule in rules:
@@ -94,7 +93,7 @@ def needs_from_rules(facts: Mapping[str, Optional[str]],
                 weights[use] = weights.get(use, 0) + w
     ordered = sorted(weights, key=lambda u: (-weights[u], CANON_INDEX[u]))
     needs = list(ordered[:MAX_NEEDS])
-    for use in ranking:
+    for use in DEFAULT_RANKING:
         if len(needs) >= MIN_NEEDS:
             break
         if use not in needs:

@@ -19,7 +19,7 @@ from participlan.discussion import DiscussionConfig, run_ablation, run_full_pipe
 from participlan.geometry import Point
 from participlan.llm import BackendConfig, make_backend
 from participlan.metrics import (
-    MetricsConfig,
+    REACH_M,
     ProximityIndex,
     ecology,
     inclusion,
@@ -169,7 +169,7 @@ def test_03_constraint_satisfaction(hlg, dhm, pop_hlg, demo_spec):
                 centralized_plan(region, config),
                 decentralized_plan(region, config),
                 gsca_plan(region, pop, config),
-                local_search_plan(region, pop, config, MetricsConfig()),
+                local_search_plan(region, pop, config),
             ]
             for plan in plans:
                 checked += 1
@@ -280,7 +280,7 @@ def test_05_stochastic_planner_weights():
     want = weights / weights.sum()
     counts = np.zeros(3)
     for seed in range(n):
-        config = PlannerConfig(seed=seed, epsilon_m=1.0, center=center)
+        config = PlannerConfig(seed=seed, center=center)
         plan = centralized_plan(region, config)
         school = next(aid for aid, u in plan.assignment.items()
                       if u is LandUse.SCHOOL)
@@ -336,8 +336,6 @@ def test_06_local_search_toy_optimality():
     enumeration covers every plan the search could reach."""
     rng = np.random.default_rng(4242)
     hits = 0
-    weights = (0.5, 0.5)
-    metrics_config = MetricsConfig()
     for trial in range(20):
         region = _random_region(rng, 3, 3, cell_m=180.0)
         vacant = list(region.vacant_ids)
@@ -350,22 +348,19 @@ def test_06_local_search_toy_optimality():
         quotas[LandUse.PARK] = len(vacant) - n_school
         region = _with_requirements(region, quotas)
         pop = scatter_population(region, 25, rng)
-        cache = ProximityIndex(region, pop.homes, metrics_config.reach_m)
+        cache = ProximityIndex(region, pop.homes, REACH_M)
 
         best = -1.0
         for schools in itertools.combinations(vacant, n_school):
             assignment = {aid: (LandUse.SCHOOL if aid in schools
                                 else LandUse.PARK)
                           for aid in vacant}
-            obj = plan_objective(region, pop, Plan(assignment), weights,
-                                 metrics_config, cache)
+            obj = plan_objective(region, pop, Plan(assignment), cache)
             best = max(best, obj)
 
-        config = PlannerConfig(seed=trial, max_iters=400, restarts=20,
-                               objective_weights=weights)
-        found_plan = local_search_plan(region, pop, config, metrics_config)
-        found = plan_objective(region, pop, found_plan, weights,
-                               metrics_config, cache)
+        config = PlannerConfig(seed=trial, max_iters=400, restarts=20)
+        found_plan = local_search_plan(region, pop, config)
+        found = plan_objective(region, pop, found_plan, cache)
         if found >= best - 1e-12:
             hits += 1
     _verdict("6 local search toy optimality", hits >= 18, f"{hits}/20 optimal")

@@ -188,6 +188,11 @@ class TestRuleBackend:
         b = request_initial_plan(grid16, make_backend(BackendConfig()))
         assert a.assignment == b.assignment
 
+    def test_kind_takes_the_cli_name(self):
+        assert isinstance(make_backend(BackendConfig(kind="rule")), RuleBackend)
+        with pytest.raises(ValueError, match="rule-based"):
+            make_backend(BackendConfig(kind="rule-based"))
+
 
 class _RecordingBackend:
     """Returns `replies` in order and keeps the messages of each request."""
@@ -358,6 +363,33 @@ class TestRemoteBackend:
         backend = _remote(transport, max_retries=1)
         with pytest.raises(TransportError):
             backend.complete([user("hi")])
+
+    def test_server_error_then_success_retries_once(self):
+        replies = [_FakeResponse(503), _FakeResponse(200, _chat_body("ok"))]
+        sleeps = []
+        config = BackendConfig(kind="remote", endpoint="https://x.test/v1/chat",
+                               model="test-model",
+                               api_key_env="PARTICIPLAN_TEST_KEY")
+        backend = RemoteBackend(config, transport=lambda url, **kw: replies.pop(0),
+                                sleeper=sleeps.append)
+        assert backend.complete([user("hi")]) == "ok"
+        assert backend.telemetry.retries == 1
+        assert backend.telemetry.requests == 2
+        assert sleeps == [0.5]
+
+    def test_network_failure_names_every_attempt(self):
+        import requests
+
+        def transport(url, **kwargs):
+            raise requests.ConnectionError("nope")
+
+        backend = _remote(transport, max_retries=1)
+        with pytest.raises(TransportError,
+                           match="network failure after 2 attempts: nope") as info:
+            backend.complete([user("hi")])
+        assert isinstance(info.value.__cause__, requests.ConnectionError)
+        assert backend.telemetry.requests == 2
+        assert backend.telemetry.retries == 1
 
     def test_malformed_reply(self):
         def transport(url, **kwargs):

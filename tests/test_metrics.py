@@ -6,7 +6,6 @@ import pytest
 from participlan.errors import NeedsMissing, NoMarginalized
 from participlan.metrics import (
     METRIC_COLUMNS,
-    MetricsConfig,
     ProximityIndex,
     ecology,
     inclusion,
@@ -74,14 +73,13 @@ def test_per_resident_vectors(grid16, hand_plan, hand_population):
 
 
 def test_synthesized_population_matches_oracle(grid16, hand_plan, pop_grid16):
-    config = MetricsConfig()
-    assert service(grid16, hand_plan, pop_grid16, config) == pytest.approx(
+    assert service(grid16, hand_plan, pop_grid16) == pytest.approx(
         oracles.oracle_service(grid16, hand_plan, pop_grid16), abs=1e-12)
-    assert ecology(grid16, hand_plan, pop_grid16, config) == pytest.approx(
+    assert ecology(grid16, hand_plan, pop_grid16) == pytest.approx(
         oracles.oracle_ecology(grid16, hand_plan, pop_grid16), abs=1e-12)
-    assert satisfaction(grid16, hand_plan, pop_grid16, config) == pytest.approx(
+    assert satisfaction(grid16, hand_plan, pop_grid16) == pytest.approx(
         oracles.oracle_satisfaction(grid16, hand_plan, pop_grid16), abs=1e-12)
-    assert inclusion(grid16, hand_plan, pop_grid16, config) == pytest.approx(
+    assert inclusion(grid16, hand_plan, pop_grid16) == pytest.approx(
         oracles.oracle_inclusion(grid16, hand_plan, pop_grid16), abs=1e-12)
 
 
@@ -130,13 +128,6 @@ def test_fixed_green_counts_with_flag(hlg, pop_hlg):
     # can put anyone in the ecology range
     plan = Plan({aid: LandUse.OFFICE for aid in hlg.vacant_ids})
     assert ecology(hlg, plan, pop_hlg) > 0.0
-
-
-@pytest.mark.parametrize("field", ["service_radius_m", "esr_radius_m"])
-@pytest.mark.parametrize("radius", [-1.0, np.inf, np.nan])
-def test_radius_must_be_finite_and_non_negative(field, radius):
-    with pytest.raises(ValueError, match=field):
-        MetricsConfig(**{field: radius})
 
 
 def test_distance_cache_reuse(grid16, hand_plan, pop_grid16):

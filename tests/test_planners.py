@@ -7,7 +7,6 @@ import pytest
 
 from participlan import fixtures
 from participlan.errors import Infeasible
-from participlan.metrics import MetricsConfig
 from participlan.planners import (
     PLANNER_NAMES,
     PlannerConfig,
@@ -36,8 +35,7 @@ def test_all_planners_meet_quotas(grid16, pop_grid16):
         "centralized": centralized_plan(grid16, config),
         "decentralized": decentralized_plan(grid16, config),
         "gsca": gsca_plan(grid16, pop_grid16, config),
-        "local-search": local_search_plan(grid16, pop_grid16, config,
-                                          MetricsConfig()),
+        "local-search": local_search_plan(grid16, pop_grid16, config),
     }
     assert set(plans) <= set(PLANNER_NAMES)
     for name, plan in plans.items():
@@ -140,7 +138,7 @@ def test_gsca_matches_the_oracle(name, seed):
 
 def test_local_search_zero_iterations_returns_start(grid16, pop_grid16):
     config = PlannerConfig(seed=7, max_iters=0, restarts=1)
-    got = local_search_plan(grid16, pop_grid16, config, MetricsConfig())
+    got = local_search_plan(grid16, pop_grid16, config)
     want = random_plan(grid16, PlannerConfig(seed=7, max_iters=0, restarts=1))
     # restart 0 draws its start from the same stream the random planner uses
     assert got.assignment == want.assignment
@@ -148,24 +146,20 @@ def test_local_search_zero_iterations_returns_start(grid16, pop_grid16):
 
 def test_local_search_beats_its_start(grid16, pop_grid16):
     config = PlannerConfig(seed=8, max_iters=300, restarts=2)
-    metrics_config = MetricsConfig()
-    improved = local_search_plan(grid16, pop_grid16, config, metrics_config)
+    improved = local_search_plan(grid16, pop_grid16, config)
     start = random_plan(grid16, PlannerConfig(seed=8))
-    weights = config.objective_weights
-    assert plan_objective(grid16, pop_grid16, improved, weights, metrics_config) \
-        >= plan_objective(grid16, pop_grid16, start, weights, metrics_config)
+    assert plan_objective(grid16, pop_grid16, improved) \
+        >= plan_objective(grid16, pop_grid16, start)
 
 
 def test_local_search_deterministic(grid16, pop_grid16):
     config = PlannerConfig(seed=9, max_iters=120, restarts=2)
-    a = local_search_plan(grid16, pop_grid16, config, MetricsConfig())
-    b = local_search_plan(grid16, pop_grid16, config, MetricsConfig())
+    a = local_search_plan(grid16, pop_grid16, config)
+    b = local_search_plan(grid16, pop_grid16, config)
     assert a.assignment == b.assignment
 
 
 def test_planner_config_validation():
-    with pytest.raises(ValueError):
-        PlannerConfig(objective_weights=(0.0, 0.0)).validate()
     with pytest.raises(ValueError):
         PlannerConfig(max_iters=-1).validate()
     PlannerConfig(max_iters=0).validate()  # zero is a legal no-op search

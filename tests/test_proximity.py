@@ -12,7 +12,6 @@ from participlan.discussion import invite, view_payload
 from participlan.errors import InvariantError
 from participlan.metrics import (
     Coverage,
-    MetricsConfig,
     ProximityIndex,
     report,
     satisfaction,
@@ -101,13 +100,9 @@ def test_query_beyond_the_radius_raises(grid16, hand_plan, pop_grid16):
         index.require(400.0 + 1e-9)
     with pytest.raises(InvariantError):
         index.require(float("nan"))
-    # the default metrics need 500 m
+    # the metrics need 500 m
     with pytest.raises(InvariantError):
         satisfaction(grid16, hand_plan, pop_grid16, cache=index)
-    assert satisfaction(grid16, hand_plan, pop_grid16,
-                        MetricsConfig(service_radius_m=400.0), cache=index) \
-        == satisfaction(grid16, hand_plan, pop_grid16,
-                        MetricsConfig(service_radius_m=400.0))
     with pytest.raises(InvariantError):
         invite(1, grid16, pop_grid16, invite_buffer_m=450.0, cache=index)
     with pytest.raises(InvariantError):
@@ -129,11 +124,10 @@ def test_restricted_rows_match_the_full_evaluator():
     region = _random_region(rng, 5, 5)
     pop = scatter_population(region, 60, rng)
     plan = random_plan_for(region, rng)
-    config = MetricsConfig()
     index = ProximityIndex(region, pop.homes, 600.0)
-    full = index.coverage(config)
+    full = index.coverage
     rows = np.array(sorted(rng.choice(len(pop), size=25, replace=False)))
-    part = Coverage(index, config, rows=rows)
+    part = Coverage(index, rows=rows)
     assert np.array_equal(part.bits(plan), full.bits(plan)[rows])
     want = full.satisfaction(full.bits(plan), full.needs(pop))[rows]
     got = part.satisfaction(part.bits(plan), part.needs(pop))
