@@ -32,16 +32,13 @@ from .errors import ParseError, PlanningError
 from .llm import (BackendConfig, make_backend, request_initial_plan,
                   save_transcript_file)
 from .metrics import METRIC_COLUMNS
-from .planners import PlannerConfig
+from .planners import PLANNER_NAMES, PlannerConfig
 from .population import load_demographics, synthesize
 from .region import load_plan, load_region, save_plan, validate_plan
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SEEDS = (101, 202, 303, 404, 505)
-
-METHODS = ("random", "centralized", "decentralized", "gsca", "local-search",
-           "llm", "participatory")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -99,14 +96,6 @@ def _aggregate(rows: Sequence[dict]) -> dict:
     return out
 
 
-def _mean_row(run_id: str, method: str, rows: Sequence[dict]) -> dict:
-    agg = _aggregate(rows)
-    row = {"run_id": run_id, "seed": "mean", "method": method}
-    for col in METRIC_COLUMNS:
-        row[col] = agg[col]["mean"]
-    return row
-
-
 def _report_row(run_id: str, seed: int, method: str,
                 report: metrics_mod.MetricsReport) -> dict:
     return {"run_id": run_id, "seed": seed, "method": method,
@@ -132,8 +121,10 @@ def _write_run_files(out: Path, snapshot: dict, run_id: str, method: str,
         json.dumps({"run_id": run_id, "config": snapshot},
                    indent=2, sort_keys=True) + "\n")
     all_rows = sorted(rows, key=lambda r: r["seed"])
-    metrics_mod.write_metrics_csv(out / "metrics.csv",
-                                  all_rows + [_mean_row(run_id, method, all_rows)])
+    means = _aggregate(all_rows)
+    mean_row = {"run_id": run_id, "seed": "mean", "method": method,
+                **{col: stats["mean"] for col, stats in means.items()}}
+    metrics_mod.write_metrics_csv(out / "metrics.csv", all_rows + [mean_row])
     if trajectory is not None:
         _write_trajectory_csv(out / "trajectory.csv",
                               sorted(trajectory,
@@ -142,7 +133,7 @@ def _write_run_files(out: Path, snapshot: dict, run_id: str, method: str,
            "region": snapshot.get("region_name", ""),
            "seeds": [r["seed"] for r in all_rows],
            "failures": {str(k): v for k, v in sorted(failures.items())},
-           "metrics": _aggregate(all_rows)}
+           "metrics": means}
     (out / "aggregate.json").write_text(
         json.dumps(agg, indent=2, sort_keys=True) + "\n")
     lines = [f"run {run_id}: method={method} region={snapshot.get('region_name', '?')}"]
@@ -151,7 +142,7 @@ def _write_run_files(out: Path, snapshot: dict, run_id: str, method: str,
             f"{c}={row[c]:.4f}" if row.get(c) is not None else f"{c}=n/a"
             for c in METRIC_COLUMNS)
         lines.append(f"seed {row['seed']}: {vals}")
-    for col, stats in _aggregate(all_rows).items():
+    for col, stats in means.items():
         if stats["mean"] is not None:
             lines.append(f"mean {col} = {stats['mean']:.4f} "
                          f"(std {stats['std']:.4f})")
@@ -180,7 +171,7 @@ def _make_planner(method: str, population, seed: int, args, backend):
     if method == "local-search":
         return lambda region: planners_mod.local_search_plan(
             region, population, planner_config)
-    if method in ("llm", "participatory"):
+    if method == "llm":
         return lambda region: request_initial_plan(region, backend)
     raise ValueError(f"unknown method {method!r}")
 
@@ -497,7 +488,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_discussion_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, default="llm",
+    p.add_argument("--method", choices=PLANNER_NAMES, default="llm",
                    help="initial planner")
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--speakers", type=int, default=50)
@@ -515,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="run a baseline planner over seeds")
     _add_common_args(p)
-    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--method", choices=PLANNER_NAMES, required=True)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="full discussion pipeline")

@@ -28,8 +28,8 @@ from .llm import (Backend, PlanEdit, RuleBackend, ask_with_repair,
                   render_opinion_prompt, render_revision_prompt)
 from .metrics import REACH_M, SERVICE_RADIUS_M, MetricsReport, ProximityIndex
 from .population import Population, Resident
-from .region import (ASSIGNABLE_USES, CANON_INDEX, LandUse, Plan, Region,
-                     plan_digest, validate_plan)
+from .region import (CANON_INDEX, LandUse, Plan, Region, plan_digest,
+                     validate_plan)
 
 log = logging.getLogger(__name__)
 
@@ -115,45 +115,9 @@ def transcript_to_json_dict(t: Transcript) -> dict:
     }
 
 
-def transcript_from_json_dict(doc: dict) -> Transcript:
-    rounds = tuple(
-        Round(
-            speaker_ids=tuple(int(s) for s in r["speakers"]),
-            opinions=tuple(
-                Opinion(
-                    resident_id=int(o["resident_id"]),
-                    text=o["text"],
-                    structured=tuple(
-                        OpinionItem(int(q["area_id"]), LandUse.parse(q["use"]),
-                                    q.get("reason", ""))
-                        for q in o.get("requests", [])),
-                )
-                for o in r["opinions"]),
-            summary=r["summary"],
-        )
-        for r in doc["rounds"])
-    fe = doc.get("final_edits", {})
-    edits = PlanEdit(
-        edits=tuple((int(e["area_id"]), LandUse.parse(e["use"]))
-                    for e in fe.get("edits", [])),
-        rationale=fe.get("rationale", ""))
-    return Transcript(
-        community_id=int(doc["community_id"]),
-        rounds=rounds,
-        final_edits=edits,
-        plan_before=doc["plan_before"],
-        plan_after=doc["plan_after"],
-        notes=tuple(doc.get("notes", [])),
-    )
-
-
 def save_transcript(t: Transcript, path: Union[str, Path]) -> None:
     Path(path).write_text(
         json.dumps(transcript_to_json_dict(t), indent=2, sort_keys=True) + "\n")
-
-
-def load_transcript(path: Union[str, Path]) -> Transcript:
-    return transcript_from_json_dict(json.loads(Path(path).read_text()))
 
 
 def render_transcript_text(t: Transcript) -> str:
@@ -287,9 +251,7 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
 
     req = region.requirements
     current = dict(plan.assignment)
-    counts = {u: 0 for u in ASSIGNABLE_USES}
-    for u in current.values():
-        counts[u] += 1
+    counts = validate_plan(region, plan).counts
     base = invited_satisfaction(plan)
     accepted: list[tuple[int, LandUse]] = []
     for area_id, use in order:
@@ -419,13 +381,11 @@ def run_full_pipeline(region: Region, population: Population,
                       initial_planner: InitialPlanner, backend: Backend,
                       config: DiscussionConfig = DiscussionConfig(),
                       *,
-                      planner_backend: Optional[Backend] = None,
                       roleplay: bool = True
                       ) -> tuple[Plan, list[Transcript], list[MetricsReport]]:
     """Initial plan, then sequential community revisions with a metrics
-    report after every stage (index 0 = initial plan)."""
-    if planner_backend is None:
-        planner_backend = backend
+    report after every stage (index 0 = initial plan); the discussion
+    backend also plans the revisions."""
     plan = initial_planner(region)
     check = validate_plan(region, plan)
     if not check.ok:
@@ -436,7 +396,7 @@ def run_full_pipeline(region: Region, population: Population,
     for cid in sorted(region.community_ids):
         try:
             plan, transcript = run_community_revision(
-                plan, cid, region, population, backend, planner_backend,
+                plan, cid, region, population, backend, backend,
                 config, cache=cache, roleplay=roleplay)
             transcripts.append(transcript)
         except EmptyCommunity as exc:
@@ -450,8 +410,8 @@ ABLATION_MODES = ("no-roleplay", "no-discussion", "single-planner")
 
 def run_ablation(mode: str, region: Region, population: Population,
                  initial_planner: InitialPlanner, backend: Backend,
-                 config: DiscussionConfig = DiscussionConfig(),
-                 **kwargs) -> tuple[Plan, list[Transcript], list[MetricsReport]]:
+                 config: DiscussionConfig = DiscussionConfig()
+                 ) -> tuple[Plan, list[Transcript], list[MetricsReport]]:
     """Pipeline variants that drop one ingredient at a time.
 
     Metrics always use the residents' original needs; no-roleplay only
@@ -465,9 +425,8 @@ def run_ablation(mode: str, region: Region, population: Population,
         return plan, [], [metrics_mod.report(region, plan, population)]
     if mode == "no-discussion":
         return run_full_pipeline(region, population, initial_planner, backend,
-                                 replace(config, rounds=1), **kwargs)
+                                 replace(config, rounds=1))
     if mode == "no-roleplay":
-        kwargs.pop("roleplay", None)
         return run_full_pipeline(region, population, initial_planner, backend,
-                                 config, roleplay=False, **kwargs)
+                                 config, roleplay=False)
     raise ValueError(f"unknown ablation mode {mode!r}")

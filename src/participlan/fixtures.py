@@ -145,7 +145,7 @@ def hlg_like_demographics(n_agents: int = 1000) -> DemographicSpec:
 
 
 def data_path(filename: str) -> Path:
-    """Path of a bundled data file (for CLI defaults and docs)."""
+    """Path of a bundled data file inside the installed package."""
     return Path(resources.files("participlan").joinpath("data", filename))
 
 

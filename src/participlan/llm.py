@@ -456,11 +456,7 @@ def render_revision_prompt(region: Region, community_id: int, plan: Plan,
         use = plan.use_of(a)
         tag = "changeable" if a.is_vacant else "fixed"
         lines.append(f"- area {a.id}: {use.value if use else 'unassigned'} ({tag})")
-    counts = {u: 0 for u in ASSIGNABLE_USES}
-    for a in region.areas:
-        u = plan.use_of(a)
-        if u in counts:
-            counts[u] += 1
+    counts = validate_plan(region, plan).counts
     lines.append("Region-wide counts (minimum required in parentheses):")
     for use in ASSIGNABLE_USES:
         lines.append(f"- {use.value}: {counts[use]} ({region.requirements.get(use, 0)})")

@@ -161,16 +161,6 @@ class ProximityIndex:
         return Coverage(self)
 
 
-_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
-                          dtype=np.intp)
-
-
-def _popcount(bits: np.ndarray) -> np.ndarray:
-    """Set bits per element of a contiguous unsigned array."""
-    per_byte = _BYTE_POPCOUNT[bits.view(np.uint8)]
-    return per_byte.reshape(len(bits), bits.itemsize).sum(axis=1)
-
-
 class Coverage:
     """What each resident has in range under a plan, as one bitmask.
 
@@ -220,7 +210,7 @@ class Coverage:
 
     def service(self, bits: np.ndarray) -> np.ndarray:
         """Share of service categories in range per row."""
-        hits = _popcount(bits & CATEGORY_MASK)
+        hits = np.bitwise_count(bits & CATEGORY_MASK)
         return hits.astype(float) / float(_N_CATEGORIES)
 
     def in_esr(self, bits: np.ndarray) -> np.ndarray:
@@ -241,7 +231,7 @@ class Coverage:
                      needs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Share of each row's needs with a facility strictly in range."""
         need_bits, lens = needs
-        return _popcount(bits & need_bits) / lens
+        return np.bitwise_count(bits & need_bits) / lens
 
 
 def coverage(region: Region, population: Population,

@@ -21,7 +21,8 @@ from .geometry import Point
 from .metrics import (ASSIGNABLE_USE_BITS, CATEGORY_MASK, REACH_M, USE_MASK,
                       ProximityIndex)
 from .population import Population
-from .region import ASSIGNABLE_USES, LandUse, Plan, Region, quota_order
+from .region import (ASSIGNABLE_USES, LandUse, Plan, Region, quota_order,
+                     validate_plan)
 
 #: gsca's coverage radius, on centroid distance.
 GSCA_RADIUS_M = 500.0
@@ -228,9 +229,7 @@ def _anneal(region: Region, population: Population, config: PlannerConfig,
     start = random_plan(region, replace(config, seed=seed))
     current = dict(start.assignment)
     req = region.requirements
-    counts = {u: 0 for u in ASSIGNABLE_USES}
-    for u in current.values():
-        counts[u] += 1
+    counts = validate_plan(region, start).counts
 
     def objective(a: dict[int, LandUse]) -> float:
         return plan_objective(region, population, Plan(a), cache)

@@ -259,58 +259,3 @@ def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
             needs=rules.needs_from_rules(facts),
         ))
     return Population(residents=tuple(residents), seed=seed)
-
-
-def population_to_json_dict(pop: Population) -> dict:
-    return {
-        "seed": pop.seed,
-        "residents": [
-            {
-                "id": r.id,
-                "gender": r.profile.gender,
-                "age_band": r.profile.age_band,
-                "education": r.profile.education,
-                "family_size": r.profile.family_size,
-                "background": r.background,
-                "description": r.description,
-                "home": [r.home[0], r.home[1]],
-                "home_area_id": r.home_area_id,
-                "needs": [u.value for u in r.needs],
-            }
-            for r in pop.residents
-        ],
-    }
-
-
-def save_population(pop: Population, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(population_to_json_dict(pop), indent=2, sort_keys=True) + "\n")
-
-
-def load_population(path: Union[str, Path]) -> Population:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    residents = []
-    try:
-        for r in doc["residents"]:
-            needs = tuple(LandUse.parse(u) for u in r["needs"])
-            bad = [u.value for u in needs if u not in ASSIGNABLE_USES]
-            if bad:
-                raise ValueError(f"resident {r['id']}: non-assignable needs {bad}")
-            residents.append(Resident(
-                id=int(r["id"]),
-                profile=Profile(gender=r["gender"], age_band=r["age_band"],
-                                education=r["education"],
-                                family_size=r["family_size"]),
-                background=r.get("background"),
-                description=r["description"],
-                home=Point(float(r["home"][0]), float(r["home"][1])),
-                home_area_id=int(r["home_area_id"]),
-                needs=needs,
-            ))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc!r}") from exc
-    return Population(residents=tuple(residents), seed=int(doc.get("seed", 0)))

@@ -77,17 +77,15 @@ DEFAULT_NEEDS_RULES: tuple[NeedsRule, ...] = (
 )
 
 
-def needs_from_rules(facts: Mapping[str, Optional[str]],
-                     rules: Sequence[NeedsRule] = DEFAULT_NEEDS_RULES,
-                     ) -> tuple[LandUse, ...]:
+def needs_from_rules(facts: Mapping[str, Optional[str]]) -> tuple[LandUse, ...]:
     """Derive a 3..5 item needs list from resident facts.
 
-    Weights from every matching rule accumulate per land use; the top
-    five by (weight desc, canonical order) survive, padded from
-    DEFAULT_RANKING if fewer than three rules fired.
+    Weights from every matching rule of DEFAULT_NEEDS_RULES accumulate
+    per land use; the top five by (weight desc, canonical order) survive,
+    padded from DEFAULT_RANKING if fewer than three rules fired.
     """
     weights: dict[LandUse, int] = {}
-    for rule in rules:
+    for rule in DEFAULT_NEEDS_RULES:
         if all(facts.get(key) == value for key, value in rule.when.items()):
             for use, w in rule.prefer.items():
                 weights[use] = weights.get(use, 0) + w

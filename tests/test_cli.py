@@ -298,10 +298,14 @@ def test_bad_buffer_is_usage_error(tmp_path, buffer):
 
 
 def test_unknown_method_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
-              "--method", "frobnicate", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    for command in ("plan", "simulate"):
+        for method in ("frobnicate", "participatory"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--region", REGION,
+                      "--demographics", DEMOGRAPHICS, "--method", method,
+                      "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_bad_region_path_is_config_error(tmp_path, capsys):

@@ -9,7 +9,6 @@ from participlan.discussion import (
     DiscussionConfig,
     apply_edits,
     invite,
-    load_transcript,
     render_transcript_text,
     run_ablation,
     run_community_revision,
@@ -159,8 +158,26 @@ def test_transcript_round_trip(tmp_path, hlg, pop_hlg, rule_backend):
                                            rule_backend, rule_backend, config)
     path = tmp_path / "t.json"
     save_transcript(transcript, path)
-    again = load_transcript(path)
-    assert again == transcript
+    doc = json.loads(path.read_text())
+    assert doc["community_id"] == transcript.community_id
+    assert len(doc["rounds"]) == len(transcript.rounds)
+    for saved, rnd in zip(doc["rounds"], transcript.rounds):
+        assert saved["speakers"] == list(rnd.speaker_ids)
+        assert saved["summary"] == rnd.summary
+        assert len(saved["opinions"]) == len(rnd.opinions)
+        for op_doc, op in zip(saved["opinions"], rnd.opinions):
+            assert op_doc["resident_id"] == op.resident_id
+            assert op_doc["text"] == op.text
+            assert op_doc["requests"] == [
+                {"area_id": it.area_id, "use": it.use.value,
+                 "reason": it.reason} for it in op.structured]
+    assert doc["final_edits"] == {
+        "edits": [{"area_id": a, "use": u.value}
+                  for a, u in transcript.final_edits.edits],
+        "rationale": transcript.final_edits.rationale}
+    assert doc["notes"] == list(transcript.notes)
+    assert (doc["plan_before"], doc["plan_after"]) == (
+        transcript.plan_before, transcript.plan_after)
     text = render_transcript_text(transcript)
     assert f"Community {transcript.community_id}" in text
     assert "Round 1" in text

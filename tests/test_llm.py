@@ -283,6 +283,74 @@ class TestPrompts:
         assert "round summary" in text
 
 
+_REVISION_HEAD = "You are revising community 1 (Central) of region grid16."
+_REVISION_TAIL = (
+    "Discussion history:\n"
+    "[summary 1] s1\n"
+    "[summary 2] s2\n"
+    "Revise only changeable areas of this community, keeping every "
+    "region-wide count at or above its minimum. Reply with a JSON object "
+    '{"edits": [{"area_id": int, "use": str}]}; an empty list means no '
+    "change.\n"
+    "```json\n"
+    '{"community_id": 1}\n'
+    "```")
+
+
+def _revision_text(uses, counts):
+    areas = [f"- area {aid}: {use}" for aid, use in enumerate(uses, start=1)]
+    needed = [f"- {use}: {n} (1)" for use, n in counts]
+    return "\n".join([_REVISION_HEAD, "Current assignment in this community:",
+                      *areas,
+                      "Region-wide counts (minimum required in parentheses):",
+                      *needed, _REVISION_TAIL])
+
+
+_FIXED = "residential (fixed)"
+_FREE = "unassigned (changeable)"
+
+
+def _changeable(use):
+    return f"{use} (changeable)"
+
+
+@pytest.mark.parametrize("case", ["valid", "broken", "empty"])
+def test_revision_prompt_text_is_pinned(grid16, hand_plan, case):
+    """The planner's revision prompt, area lines and quota counts, for a
+    valid plan, one with a dropped area plus a fixed and a foreign id
+    (neither counts), and an empty one."""
+    uses = ["school", "hospital", "clinic", "business", "office",
+            "recreation", "park", "open_space"]
+    if case == "valid":
+        plan = hand_plan
+        areas = [_FIXED, *map(_changeable, ["school", "hospital", "clinic",
+                                            "business", "office"]),
+                 _FIXED, *map(_changeable, ["recreation", "park", "open_space",
+                                            "school", "business", "park"]),
+                 _FIXED, _changeable("office"), _FIXED]
+        counts = [2, 1, 1, 2, 2, 1, 2, 1]
+    elif case == "broken":
+        assignment = dict(hand_plan.assignment)
+        del assignment[3]
+        assignment[1] = LandUse.SCHOOL
+        assignment[99] = LandUse.PARK
+        plan = Plan(assignment)
+        areas = [_FIXED, _changeable("school"), _FREE,
+                 *map(_changeable, ["clinic", "business", "office"]),
+                 _FIXED, *map(_changeable, ["recreation", "park", "open_space",
+                                            "school", "business", "park"]),
+                 _FIXED, _changeable("office"), _FIXED]
+        counts = [2, 0, 1, 2, 2, 1, 2, 1]
+    else:
+        plan = Plan({})
+        areas = [_FIXED, *[_FREE] * 5, _FIXED, *[_FREE] * 6, _FIXED, _FREE,
+                 _FIXED]
+        counts = [0] * 8
+    messages = render_revision_prompt(grid16, 1, plan, ("s1", "s2"))
+    assert messages[0].content.startswith("[role:plan_revision]")
+    assert messages[1].content == _revision_text(areas, zip(uses, counts))
+
+
 class _FakeResponse:
     def __init__(self, status_code, body=None, headers=None):
         self.status_code = status_code

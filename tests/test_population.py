@@ -1,22 +1,18 @@
 import collections
-import json
 
 import pytest
 
-from participlan.errors import ParseError, SpecError
+from participlan.errors import SpecError
 from participlan.geometry import Point
 from participlan.population import (
     DemographicSpec,
     MarginalizedQuota,
     load_demographics,
-    load_population,
     save_demographics,
-    save_population,
     synthesize,
 )
 from participlan.region import LandUse
 from participlan.rules import (
-    DEFAULT_NEEDS_RULES,
     GENERIC_NEEDS,
     needs_from_rules,
 )
@@ -85,7 +81,7 @@ def test_needs_rules_exact_profiles():
     # elderly living alone: hospital 5+4(age)=9, park 4+3=7, clinic 3+2=5
     facts = {"age_band": "65+", "family_size": 1, "education": "secondary",
              "gender": "female", "background": "elderly living alone"}
-    needs = needs_from_rules(facts, DEFAULT_NEEDS_RULES)
+    needs = needs_from_rules(facts)
     assert needs[0] is LandUse.HOSPITAL
     assert needs[1] is LandUse.PARK
     assert LandUse.CLINIC in needs
@@ -93,14 +89,14 @@ def test_needs_rules_exact_profiles():
     # no matching rules at all falls back to the generic top-3
     bland = {"age_band": "unknown", "family_size": 2,
              "education": "none", "gender": "male", "background": None}
-    assert needs_from_rules(bland, DEFAULT_NEEDS_RULES) == GENERIC_NEEDS
+    assert needs_from_rules(bland) == GENERIC_NEEDS
 
 
 def test_needs_rules_cap_at_five():
     facts = {"age_band": "30-44", "family_size": "5+",
              "education": "postgraduate", "gender": "female",
              "background": "parenting family"}
-    needs = needs_from_rules(facts, DEFAULT_NEEDS_RULES)
+    needs = needs_from_rules(facts)
     assert len(needs) == 5
     assert len(set(needs)) == 5
 
@@ -135,31 +131,3 @@ def test_demographics_round_trip(tmp_path, demo_spec):
     assert [q.label for q in again.quotas] == [q.label for q in demo_spec.quotas]
     assert [q.force for q in again.quotas] == [q.force for q in demo_spec.quotas]
 
-
-def test_population_round_trip(tmp_path, pop_grid16):
-    path = tmp_path / "pop.json"
-    save_population(pop_grid16, path)
-    again = load_population(path)
-    assert len(again.residents) == len(pop_grid16.residents)
-    for a, b in zip(again.residents, pop_grid16.residents):
-        assert a.id == b.id
-        assert a.needs == b.needs
-        assert a.background == b.background
-        assert a.home.x == pytest.approx(b.home.x, abs=0)
-
-
-def test_population_load_rejects_bad_needs(tmp_path, pop_grid16):
-    path = tmp_path / "pop.json"
-    save_population(pop_grid16, path)
-    doc = json.loads(path.read_text())
-    doc["residents"][0]["needs"] = ["residential", "park", "school"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match="residential"):
-        load_population(path)
-
-
-def test_population_load_rejects_undecodable_bytes(tmp_path):
-    path = tmp_path / "pop.json"
-    path.write_bytes(b"\xff\xfe{}")
-    with pytest.raises(ParseError):
-        load_population(path)
