@@ -54,13 +54,13 @@ def _parse_int_list(text: str) -> list[int]:
 def _backend_config(args) -> BackendConfig:
     return BackendConfig(
         kind=args.backend,
-        endpoint=getattr(args, "endpoint", "") or "",
-        model=getattr(args, "model", "") or "",
-        temperature=getattr(args, "temperature", 0.0),
-        max_tokens=getattr(args, "max_tokens", None),
-        timeout_s=getattr(args, "timeout", 60.0),
-        api_key_env=getattr(args, "api_key_env", "OPENAI_API_KEY"),
-        transcript_path=getattr(args, "transcript", None),
+        endpoint=args.endpoint,
+        model=args.model,
+        temperature=args.temperature,
+        max_tokens=args.max_tokens,
+        timeout_s=args.timeout,
+        api_key_env=args.api_key_env,
+        transcript_path=args.transcript,
     )
 
 
@@ -96,83 +96,23 @@ def _aggregate(rows: Sequence[dict]) -> dict:
     return out
 
 
-def _report_row(run_id: str, seed: int, method: str,
-                report: metrics_mod.MetricsReport) -> dict:
-    return {"run_id": run_id, "seed": seed, "method": method,
-            "service": report.service, "ecology": report.ecology,
-            "satisfaction": report.satisfaction, "inclusion": report.inclusion}
-
-
-def _write_trajectory_csv(path: Path, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("run_id", "seed", "stage") + METRIC_COLUMNS)
-        for row in rows:
-            writer.writerow([row["run_id"], str(row["seed"]), str(row["stage"])]
-                            + metrics_mod.metric_cells(row))
-
-
-def _write_run_files(out: Path, snapshot: dict, run_id: str, method: str,
-                     rows: list[dict], failures: dict[int, str],
-                     timings: dict[str, float],
-                     trajectory: Optional[list[dict]] = None) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.snapshot.json").write_text(
-        json.dumps({"run_id": run_id, "config": snapshot},
-                   indent=2, sort_keys=True) + "\n")
-    all_rows = sorted(rows, key=lambda r: r["seed"])
-    means = _aggregate(all_rows)
-    mean_row = {"run_id": run_id, "seed": "mean", "method": method,
-                **{col: stats["mean"] for col, stats in means.items()}}
-    metrics_mod.write_metrics_csv(out / "metrics.csv", all_rows + [mean_row])
-    if trajectory is not None:
-        _write_trajectory_csv(out / "trajectory.csv",
-                              sorted(trajectory,
-                                     key=lambda r: (r["seed"], r["stage"])))
-    agg = {"run_id": run_id, "method": method,
-           "region": snapshot.get("region_name", ""),
-           "seeds": [r["seed"] for r in all_rows],
-           "failures": {str(k): v for k, v in sorted(failures.items())},
-           "metrics": means}
-    (out / "aggregate.json").write_text(
-        json.dumps(agg, indent=2, sort_keys=True) + "\n")
-    lines = [f"run {run_id}: method={method} region={snapshot.get('region_name', '?')}"]
-    for row in all_rows:
-        vals = "  ".join(
-            f"{c}={row[c]:.4f}" if row.get(c) is not None else f"{c}=n/a"
-            for c in METRIC_COLUMNS)
-        lines.append(f"seed {row['seed']}: {vals}")
-    for col, stats in means.items():
-        if stats["mean"] is not None:
-            lines.append(f"mean {col} = {stats['mean']:.4f} "
-                         f"(std {stats['std']:.4f})")
-    for seed, msg in sorted(failures.items()):
-        lines.append(f"seed {seed} FAILED: {msg}")
-    for name, dt in timings.items():
-        lines.append(f"timing {name}: {dt:.2f} s")
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
-
-
-def _make_planner(method: str, population, seed: int, args, backend):
-    planner_config = PlannerConfig(
-        seed=seed,
-        max_iters=getattr(args, "search_iters", 800),
-        restarts=getattr(args, "restarts", 3),
-    )
+def _initial_plan(args, region, population, seed: int, backend):
+    """The plan of the --method planner for one seed."""
+    method = args.method
+    config = PlannerConfig(
+        seed=seed, max_iters=args.search_iters, restarts=args.restarts)
     if method == "random":
-        return lambda region: planners_mod.random_plan(region, planner_config)
+        return planners_mod.random_plan(region, config)
     if method == "centralized":
-        return lambda region: planners_mod.centralized_plan(region, planner_config)
+        return planners_mod.centralized_plan(region, config)
     if method == "decentralized":
-        return lambda region: planners_mod.decentralized_plan(region, planner_config)
+        return planners_mod.decentralized_plan(region, config)
     if method == "gsca":
-        return lambda region: planners_mod.gsca_plan(region, population,
-                                                     planner_config)
+        return planners_mod.gsca_plan(region, population, config)
     if method == "local-search":
-        return lambda region: planners_mod.local_search_plan(
-            region, population, planner_config)
+        return planners_mod.local_search_plan(region, population, config)
     if method == "llm":
-        return lambda region: request_initial_plan(region, backend)
+        return request_initial_plan(region, backend)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -218,15 +158,50 @@ def _read_aggregate(run_dir) -> dict:
 
 def _finish(args, out: Path, snapshot: dict, run_id: str, rows: list[dict],
             failures: dict[int, str], t0: float, tape: Optional[list],
-            trajectory: Optional[list[dict]] = None) -> int:
+            trajectory: Optional[list[dict]]) -> int:
     """Write the run directory and tape, print each seed's metrics or
     failure; the exit status is 1 if every seed failed."""
-    timings = {"total": time.perf_counter() - t0}
+    total_s = time.perf_counter() - t0
     if tape is not None:
         save_transcript_file(tape, args.transcript)
-    _write_run_files(out, snapshot, run_id, args.method, rows, failures,
-                     timings, trajectory)
-    for row in sorted(rows, key=lambda r: r["seed"]):
+    method = args.method
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.snapshot.json").write_text(
+        json.dumps({"run_id": run_id, "config": snapshot},
+                   indent=2, sort_keys=True) + "\n")
+    all_rows = sorted(rows, key=lambda r: r["seed"])
+    means = _aggregate(all_rows)
+    mean_row = {"run_id": run_id, "seed": "mean", "method": method,
+                **{col: stats["mean"] for col, stats in means.items()}}
+    metrics_mod.write_metrics_csv(out / "metrics.csv", all_rows + [mean_row])
+    if trajectory is not None:
+        metrics_mod.write_metrics_csv(
+            out / "trajectory.csv",
+            sorted(trajectory, key=lambda r: (r["seed"], r["stage"])),
+            keys=("run_id", "seed", "stage"))
+    agg = {"run_id": run_id, "method": method,
+           "region": snapshot.get("region_name", ""),
+           "seeds": [r["seed"] for r in all_rows],
+           "failures": {str(k): v for k, v in sorted(failures.items())},
+           "metrics": means}
+    (out / "aggregate.json").write_text(
+        json.dumps(agg, indent=2, sort_keys=True) + "\n")
+    lines = [f"run {run_id}: method={method} region={snapshot.get('region_name', '?')}"]
+    for row in all_rows:
+        vals = "  ".join(
+            f"{c}={row[c]:.4f}" if row.get(c) is not None else f"{c}=n/a"
+            for c in METRIC_COLUMNS)
+        lines.append(f"seed {row['seed']}: {vals}")
+    for col, stats in means.items():
+        if stats["mean"] is not None:
+            lines.append(f"mean {col} = {stats['mean']:.4f} "
+                         f"(std {stats['std']:.4f})")
+    for seed, msg in sorted(failures.items()):
+        lines.append(f"seed {seed} FAILED: {msg}")
+    lines.append(f"timing total: {total_s:.2f} s")
+    (out / "report.txt").write_text("\n".join(lines) + "\n")
+
+    for row in all_rows:
         incl = f"{row['inclusion']:.4f}" if row["inclusion"] is not None else "n/a"
         print(f"seed {row['seed']}: service={row['service']:.4f} "
               f"ecology={row['ecology']:.4f} "
@@ -243,44 +218,66 @@ def _finish(args, out: Path, snapshot: dict, run_id: str, rows: list[dict],
 # Subcommands
 
 
+def _run_seeds(args, setup, command: str, run_seed) -> int:
+    """Every seed of one run on the `_setup` result. `run_seed(args, region,
+    spec, backend, seed, out, provenance)` returns the seed's metrics
+    report after each stage; a seed it fails with PlanningError or OSError
+    is a failure. The final report is the seed's metrics row; every stage
+    is a trajectory row, except for `plan`, which writes no trajectory."""
+    region, spec, backend, tape = setup
+    snapshot = _snapshot(args, {"command": command, "region_name": region.name})
+    run_id = _run_id(snapshot)
+    out = Path(args.out)
+    rows, trajectory, failures, t0 = [], [], {}, time.perf_counter()
+    for seed in args.seeds:
+        try:
+            reports = run_seed(args, region, spec, backend, seed, out,
+                               {"run_id": run_id, "seed": seed,
+                                "method": args.method})
+        except (PlanningError, OSError) as exc:
+            failures[seed] = str(exc)
+            log.debug("seed %s failed", seed, exc_info=True)
+            continue
+        rows.append({"run_id": run_id, "seed": seed, "method": args.method,
+                     **reports[-1].to_json_dict()})
+        trajectory += [{"run_id": run_id, "seed": seed, "stage": stage,
+                        **report.to_json_dict()}
+                       for stage, report in enumerate(reports)]
+    return _finish(args, out, snapshot, run_id, rows, failures, t0, tape,
+                   None if command == "plan" else trajectory)
+
+
+def _plan_seed(args, region, spec, backend, seed, out, provenance):
+    """Plan, validate, evaluate and save one seed; a failure names the
+    stage it happened in."""
+    stage = "synthesizing population"
+    try:
+        population = synthesize(spec, region, seed)
+        stage = "planning"
+        plan = _initial_plan(args, region, population, seed, backend)
+        check = validate_plan(region, plan)
+        if not check.ok:
+            raise PlanningError(check.summary())
+        stage = "evaluating"
+        report = metrics_mod.report(region, plan, population)
+        save_plan(plan, out / "plans" / f"seed{seed}.json",
+                  provenance=provenance)
+    except (PlanningError, OSError) as exc:
+        raise PlanningError(f"{stage}: {exc}") from exc
+    return [report]
+
+
 def cmd_plan(args) -> int:
     setup = _setup(args)
     if setup is None:
         return 2
-    region, spec, backend, tape = setup
-    snapshot = _snapshot(args, {"command": "plan", "region_name": region.name})
-    run_id = _run_id(snapshot)
-    out = Path(args.out)
-    (out / "plans").mkdir(parents=True, exist_ok=True)
-
-    rows, failures, t0 = [], {}, time.perf_counter()
-    for seed in args.seeds:
-        stage = "synthesizing population"
-        try:
-            population = synthesize(spec, region, seed)
-            stage = "planning"
-            planner = _make_planner(args.method, population, seed, args, backend)
-            plan = planner(region)
-            check = validate_plan(region, plan)
-            if not check.ok:
-                raise PlanningError(check.summary())
-            stage = "evaluating"
-            report = metrics_mod.report(region, plan, population)
-            save_plan(plan, out / "plans" / f"seed{seed}.json",
-                      provenance={"run_id": run_id, "seed": seed,
-                                  "method": args.method})
-            rows.append(_report_row(run_id, seed, args.method, report))
-        except (PlanningError, OSError) as exc:
-            failures[seed] = f"{stage}: {exc}"
-            log.debug("seed %s failed", seed, exc_info=True)
-    return _finish(args, out, snapshot, run_id, rows, failures, t0, tape)
+    (Path(args.out) / "plans").mkdir(parents=True, exist_ok=True)
+    return _run_seeds(args, setup, "plan", _plan_seed)
 
 
-def _simulate_one_seed(args, region, spec, seed, run_id, out, backend,
-                       mode=None):
-    """One pipeline run; returns (final metrics row, trajectory rows)."""
+def _simulate_seed(args, region, spec, backend, seed, out, provenance):
+    """One pipeline or ablation run, saving its plans and transcripts."""
     population = synthesize(spec, region, seed)
-    planner = _make_planner(args.method, population, seed, args, backend)
     config = DiscussionConfig(
         rounds=args.rounds,
         speakers_per_round=args.speakers,
@@ -289,21 +286,21 @@ def _simulate_one_seed(args, region, spec, seed, run_id, out, backend,
         seed=seed,
     )
     # run the initial planner once so the saved plan is the one simulated
-    initial_plan = planner(region)
-    if mode is None:
+    initial_plan = _initial_plan(args, region, population, seed, backend)
+    if args.command == "ablate":
+        final_plan, transcripts, reports = discussion_mod.run_ablation(
+            args.mode, region, population, lambda _r: initial_plan, backend,
+            config)
+    else:
         final_plan, transcripts, reports = discussion_mod.run_full_pipeline(
             region, population, lambda _r: initial_plan, backend, config)
-    else:
-        final_plan, transcripts, reports = discussion_mod.run_ablation(
-            mode, region, population, lambda _r: initial_plan, backend, config)
 
     plans_dir = out / "plans"
     plans_dir.mkdir(parents=True, exist_ok=True)
-    prov = {"run_id": run_id, "seed": seed, "method": args.method}
     save_plan(initial_plan, plans_dir / f"seed{seed}.initial.json",
-              provenance={**prov, "stage": "initial"})
+              provenance={**provenance, "stage": "initial"})
     save_plan(final_plan, plans_dir / f"seed{seed}.final.json",
-              provenance={**prov, "stage": "final"})
+              provenance={**provenance, "stage": "final"})
     tdir = out / "transcripts"
     tdir.mkdir(parents=True, exist_ok=True)
     for t in transcripts:
@@ -311,49 +308,16 @@ def _simulate_one_seed(args, region, spec, seed, run_id, out, backend,
         discussion_mod.save_transcript(t, tdir / f"{stem}.json")
         (tdir / f"{stem}.txt").write_text(
             discussion_mod.render_transcript_text(t))
-
-    trajectory = [
-        {"run_id": run_id, "seed": seed, "stage": stage_idx,
-         "service": rep.service, "ecology": rep.ecology,
-         "satisfaction": rep.satisfaction, "inclusion": rep.inclusion}
-        for stage_idx, rep in enumerate(reports)
-    ]
-    final_row = _report_row(run_id, seed, args.method, reports[-1])
-    return final_row, trajectory
-
-
-def _simulate_seeds(args, setup, mode) -> int:
-    """Every seed of one simulate or ablate run on the `_setup` result."""
-    region, spec, backend, tape = setup
-    extra = {"command": "simulate" if mode is None else f"ablate:{mode}",
-             "region_name": region.name}
-    snapshot = _snapshot(args, extra)
-    run_id = _run_id(snapshot)
-    out = Path(args.out)
-
-    rows, trajectory, failures = [], [], {}
-    t0 = time.perf_counter()
-    for seed in args.seeds:
-        try:
-            row, traj = _simulate_one_seed(args, region, spec, seed,
-                                           run_id, out, backend, mode)
-            rows.append(row)
-            trajectory.extend(traj)
-        except (PlanningError, OSError) as exc:
-            failures[seed] = str(exc)
-            log.debug("seed %s failed", seed, exc_info=True)
-    return _finish(args, out, snapshot, run_id, rows, failures, t0, tape,
-                   trajectory)
+    return reports
 
 
 def cmd_simulate(args) -> int:
+    """simulate, or ablate with --mode."""
     setup = _setup(args)
-    return 2 if setup is None else _simulate_seeds(args, setup, None)
-
-
-def cmd_ablate(args) -> int:
-    setup = _setup(args)
-    return 2 if setup is None else _simulate_seeds(args, setup, args.mode)
+    if setup is None:
+        return 2
+    command = f"ablate:{args.mode}" if args.command == "ablate" else "simulate"
+    return _run_seeds(args, setup, command, _simulate_seed)
 
 
 def cmd_compare(args) -> int:
@@ -440,17 +404,13 @@ def cmd_sweep_rounds(args) -> int:
         sub = argparse.Namespace(**vars(args))
         sub.rounds = n
         sub.out = str(out / f"rounds{n}")
-        code = _simulate_seeds(sub, setup, None)
+        code = _run_seeds(sub, setup, "simulate", _simulate_seed)
         if code != 0:
             return code
         sweep_rows.append({"rounds": n, **_read_aggregate(sub.out)})
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("rounds", "run_id") + METRIC_COLUMNS)
-        for row in sweep_rows:
-            writer.writerow([str(row["rounds"]), row["run_id"]]
-                            + metrics_mod.metric_cells(row))
+    metrics_mod.write_metrics_csv(out / "sweep.csv", sweep_rows,
+                                  keys=("rounds", "run_id"))
     print(f"wrote {out / 'sweep.csv'} with {len(sweep_rows)} rows")
     return 0
 
@@ -519,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_discussion_args(p)
     p.add_argument("--mode", choices=discussion_mod.ABLATION_MODES,
                    required=True)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="table across run directories")
     p.add_argument("runs", nargs="+", help="run directories")

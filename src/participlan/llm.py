@@ -394,7 +394,10 @@ def _position_text(region: Region, area) -> str:
     return f"{d:.0f} m {compass_label(ax - cx, ay - cy)} of the region center"
 
 
-def _neighbor_text(region: Region, area, k: int = 3) -> str:
+_NEIGHBORS_SHOWN = 3
+
+
+def _neighbor_text(region: Region, area) -> str:
     ax, ay = area.centroid
     others = []
     for b in region.areas:
@@ -404,7 +407,7 @@ def _neighbor_text(region: Region, area, k: int = 3) -> str:
         others.append((math.hypot(bx - ax, by - ay), b.id, bx - ax, by - ay))
     others.sort(key=lambda t: (t[0], t[1]))
     parts = [f"{bid} ({compass_label(dx, dy)}, {d:.0f} m)"
-             for d, bid, dx, dy in others[:k]]
+             for d, bid, dx, dy in others[:_NEIGHBORS_SHOWN]]
     return "nearest: " + ", ".join(parts)
 
 

@@ -334,17 +334,19 @@ METRIC_COLUMNS = ("service", "ecology", "satisfaction", "inclusion")
 
 
 def write_metrics_csv(path: Union[str, Path],
-                      rows: Sequence[Mapping[str, object]]) -> None:
-    """One row per evaluation: run_id, seed, method, then the four metrics.
+                      rows: Sequence[Mapping[str, object]],
+                      keys: Sequence[str] = ("run_id", "seed", "method")
+                      ) -> None:
+    """One row per evaluation: the `keys` columns, then the four metrics.
 
     Floats are serialized with repr so reruns are byte-identical.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("run_id", "seed", "method") + METRIC_COLUMNS)
+        writer.writerow(tuple(keys) + METRIC_COLUMNS)
         for row in rows:
-            writer.writerow([str(row.get("run_id", "")), str(row.get("seed", "")),
-                             str(row.get("method", ""))] + metric_cells(row))
+            writer.writerow([str(row.get(key, "")) for key in keys]
+                            + metric_cells(row))
 
 
 def metric_cells(row: Mapping[str, object]) -> list[str]:

@@ -64,7 +64,7 @@ class DemographicSpec:
             if not dist:
                 raise SpecError(f"{name}: empty distribution")
             total = sum(dist.values())
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # NaN fails this too
                 raise SpecError(f"{name}: probabilities sum to {total}, expected 1")
             if any(p < 0 for p in dist.values()):
                 raise SpecError(f"{name}: negative probability")
@@ -192,19 +192,22 @@ def _draw_categorical(rng: np.random.Generator, dist: Mapping[str, float],
     return [labels[i] for i in idx]
 
 
+_MAX_SAMPLE_TRIES = 10_000
+
+
 def _sample_point_in_polygon(rng: np.random.Generator,
-                             boundary: Sequence[Point],
-                             max_tries: int = 10_000) -> Point:
+                             boundary: Sequence[Point]) -> Point:
     xs = [p[0] for p in boundary]
     ys = [p[1] for p in boundary]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
-    for _ in range(max_tries):
+    for _ in range(_MAX_SAMPLE_TRIES):
         p = Point(float(rng.uniform(lo_x, hi_x)), float(rng.uniform(lo_y, hi_y)))
         if geometry.point_in_polygon(p, tuple(boundary)):
             return p
     raise GeometryError(
-        f"rejection sampling failed after {max_tries} tries; polygon too thin?")
+        f"rejection sampling failed after {_MAX_SAMPLE_TRIES} tries; "
+        "polygon too thin?")
 
 
 def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -296,7 +297,10 @@ def _ring_from_coordinates(coords, feature_label: str) -> tuple[Point, ...]:
     for pair in ring:
         if not isinstance(pair, (list, tuple)) or len(pair) < 2:
             raise ParseError(f"{feature_label}: malformed coordinate {pair!r}")
-        pts.append(Point(float(pair[0]), float(pair[1])))
+        x, y = float(pair[0]), float(pair[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"{feature_label}: non-finite coordinate {pair!r}")
+        pts.append(Point(x, y))
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     return tuple(pts)

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .region import ASSIGNABLE_USES, CANON_INDEX, LandUse, quota_order
 
@@ -32,63 +31,48 @@ MIN_NEEDS = 3
 MAX_NEEDS = 5
 
 
-@dataclass(frozen=True)
-class NeedsRule:
-    """If every key in `when` matches the resident facts, add `prefer` weights."""
-    when: Mapping[str, str]
-    prefer: Mapping[LandUse, int]
-
-
-def _rule(when: Mapping[str, str], prefer: Sequence[tuple[LandUse, int]]) -> NeedsRule:
-    return NeedsRule(when=dict(when), prefer=dict(prefer))
-
-
-DEFAULT_NEEDS_RULES: tuple[NeedsRule, ...] = (
-    _rule({"background": "parenting family"},
-          [(LandUse.SCHOOL, 5), (LandUse.CLINIC, 4), (LandUse.PARK, 3)]),
-    _rule({"background": "family with school children"},
-          [(LandUse.SCHOOL, 5), (LandUse.RECREATION, 3), (LandUse.BUSINESS, 2)]),
-    _rule({"background": "elderly living alone"},
-          [(LandUse.HOSPITAL, 5), (LandUse.PARK, 4), (LandUse.CLINIC, 3)]),
-    _rule({"background": "family with a sick member"},
-          [(LandUse.HOSPITAL, 5), (LandUse.CLINIC, 4), (LandUse.PARK, 2)]),
-    _rule({"background": "drifter"},
-          [(LandUse.BUSINESS, 4), (LandUse.OFFICE, 4), (LandUse.RECREATION, 3)]),
-    _rule({"background": "office worker"},
-          [(LandUse.OFFICE, 5), (LandUse.BUSINESS, 3), (LandUse.RECREATION, 3)]),
-    _rule({"age_band": "65+"},
-          [(LandUse.HOSPITAL, 4), (LandUse.PARK, 3), (LandUse.CLINIC, 2)]),
-    _rule({"age_band": "18-29"},
-          [(LandUse.RECREATION, 4), (LandUse.BUSINESS, 3), (LandUse.OFFICE, 2)]),
-    _rule({"age_band": "30-44"},
-          [(LandUse.OFFICE, 4), (LandUse.SCHOOL, 2), (LandUse.BUSINESS, 2)]),
-    _rule({"age_band": "45-64"},
-          [(LandUse.OFFICE, 3), (LandUse.PARK, 2), (LandUse.BUSINESS, 2)]),
-    _rule({"family_size": "4"},
-          [(LandUse.SCHOOL, 3), (LandUse.PARK, 2)]),
-    _rule({"family_size": "5+"},
-          [(LandUse.SCHOOL, 3), (LandUse.PARK, 2)]),
-    _rule({"family_size": "1"},
-          [(LandUse.RECREATION, 2), (LandUse.BUSINESS, 2)]),
-    _rule({"education": "bachelor"},
-          [(LandUse.OFFICE, 2), (LandUse.RECREATION, 1)]),
-    _rule({"education": "postgraduate"},
-          [(LandUse.OFFICE, 2), (LandUse.RECREATION, 1)]),
-)
+#: The weights each (fact, value) adds to a resident's needs.
+DEFAULT_NEEDS_RULES: dict[tuple[str, str], tuple[tuple[LandUse, int], ...]] = {
+    ("background", "parenting family"):
+        ((LandUse.SCHOOL, 5), (LandUse.CLINIC, 4), (LandUse.PARK, 3)),
+    ("background", "family with school children"):
+        ((LandUse.SCHOOL, 5), (LandUse.RECREATION, 3), (LandUse.BUSINESS, 2)),
+    ("background", "elderly living alone"):
+        ((LandUse.HOSPITAL, 5), (LandUse.PARK, 4), (LandUse.CLINIC, 3)),
+    ("background", "family with a sick member"):
+        ((LandUse.HOSPITAL, 5), (LandUse.CLINIC, 4), (LandUse.PARK, 2)),
+    ("background", "drifter"):
+        ((LandUse.BUSINESS, 4), (LandUse.OFFICE, 4), (LandUse.RECREATION, 3)),
+    ("background", "office worker"):
+        ((LandUse.OFFICE, 5), (LandUse.BUSINESS, 3), (LandUse.RECREATION, 3)),
+    ("age_band", "65+"):
+        ((LandUse.HOSPITAL, 4), (LandUse.PARK, 3), (LandUse.CLINIC, 2)),
+    ("age_band", "18-29"):
+        ((LandUse.RECREATION, 4), (LandUse.BUSINESS, 3), (LandUse.OFFICE, 2)),
+    ("age_band", "30-44"):
+        ((LandUse.OFFICE, 4), (LandUse.SCHOOL, 2), (LandUse.BUSINESS, 2)),
+    ("age_band", "45-64"):
+        ((LandUse.OFFICE, 3), (LandUse.PARK, 2), (LandUse.BUSINESS, 2)),
+    ("family_size", "4"): ((LandUse.SCHOOL, 3), (LandUse.PARK, 2)),
+    ("family_size", "5+"): ((LandUse.SCHOOL, 3), (LandUse.PARK, 2)),
+    ("family_size", "1"): ((LandUse.RECREATION, 2), (LandUse.BUSINESS, 2)),
+    ("education", "bachelor"): ((LandUse.OFFICE, 2), (LandUse.RECREATION, 1)),
+    ("education", "postgraduate"): ((LandUse.OFFICE, 2), (LandUse.RECREATION, 1)),
+}
 
 
 def needs_from_rules(facts: Mapping[str, Optional[str]]) -> tuple[LandUse, ...]:
     """Derive a 3..5 item needs list from resident facts.
 
-    Weights from every matching rule of DEFAULT_NEEDS_RULES accumulate
-    per land use; the top five by (weight desc, canonical order) survive,
-    padded from DEFAULT_RANKING if fewer than three rules fired.
+    The DEFAULT_NEEDS_RULES weights of each (fact, value) given
+    accumulate per land use; the top five by (weight desc, canonical
+    order) survive, padded from DEFAULT_RANKING if fewer than three
+    uses got a weight.
     """
     weights: dict[LandUse, int] = {}
-    for rule in DEFAULT_NEEDS_RULES:
-        if all(facts.get(key) == value for key, value in rule.when.items()):
-            for use, w in rule.prefer.items():
-                weights[use] = weights.get(use, 0) + w
+    for fact in facts.items():
+        for use, w in DEFAULT_NEEDS_RULES.get(fact, ()):
+            weights[use] = weights.get(use, 0) + w
     ordered = sorted(weights, key=lambda u: (-weights[u], CANON_INDEX[u]))
     needs = list(ordered[:MAX_NEEDS])
     for use in DEFAULT_RANKING:

@@ -57,8 +57,7 @@ def _community_boundary_edges(region: Region) -> list[tuple]:
     return edges
 
 
-def render_svg(region: Region, plan: Optional[Plan] = None,
-               title: Optional[str] = None) -> str:
+def render_svg(region: Region, plan: Optional[Plan] = None) -> str:
     plan = plan if plan is not None else Plan({})
     xs = [x for a in region.areas for x, _ in a.boundary]
     ys = [y for a in region.areas for _, y in a.boundary]
@@ -83,8 +82,7 @@ def render_svg(region: Region, plan: Optional[Plan] = None,
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
                f'width="{_fmt(width)}" height="{_fmt(height)}" '
                f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
-    shown = title if title is not None else region.name
-    out.append(f'<title>{shown}</title>')
+    out.append(f'<title>{region.name}</title>')
     out.append(f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
                'fill="#ffffff"/>')
 
@@ -108,7 +106,7 @@ def render_svg(region: Region, plan: Optional[Plan] = None,
     ly = _MARGIN
     out.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly + 4.0)}" '
                'font-family="sans-serif" font-size="13" '
-               f'fill="#000000">{shown}</text>')
+               f'fill="#000000">{region.name}</text>')
     for i, use in enumerate(LandUse):
         y = ly + 24.0 + i * 20.0
         out.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y)}" width="14" height="14" '
@@ -120,6 +118,6 @@ def render_svg(region: Region, plan: Optional[Plan] = None,
     return "\n".join(out) + "\n"
 
 
-def write_svg(region: Region, plan: Optional[Plan], path: Union[str, Path],
-              title: Optional[str] = None) -> None:
-    Path(path).write_text(render_svg(region, plan, title))
+def write_svg(region: Region, plan: Optional[Plan],
+              path: Union[str, Path]) -> None:
+    Path(path).write_text(render_svg(region, plan))

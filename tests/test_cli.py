@@ -234,6 +234,10 @@ MALFORMED = {
                                              float("inf"))),
     "region-coordinate-text": ("region", _edited(
         REGION, _FIRST + ["geometry", "coordinates", 0, 0, 0], "a")),
+    "region-coordinate-nan": ("region", _edited(
+        REGION, _FIRST + ["geometry", "coordinates", 0, 0, 0], float("nan"))),
+    "region-coordinate-infinite": ("region", _edited(
+        REGION, _FIRST + ["geometry", "coordinates", 0, 0, 1], float("inf"))),
     "region-community-id-text": ("region", _edited(
         REGION, _FIRST + ["properties", "community_id"], "q")),
     "region-feature-list": ("region", _edited(REGION, _FIRST, [1])),

@@ -1,10 +1,15 @@
-"""Golden run directories: every byte-stable file of five CLI runs.
+"""Golden run directories: every byte-stable file of nine CLI runs.
 
 The SHA-256 of each file a run writes, except the timing-bearing
-report.txt, was recorded before the dense distance matrix was replaced by
-the sparse proximity index (the centralized and decentralized runs before
-those two planners shared their round-robin loop), so a refactor that
-changes any plan, transcript or metric byte fails here. The runs
+report.txt files, was recorded before the dense distance matrix was
+replaced by the sparse proximity index (the centralized and decentralized
+runs before those two planners shared their round-robin loop; the ablate,
+sweep-rounds and failed-seed runs before the CLI's commands shared one
+seed runner), so a refactor that changes any plan, transcript or metric
+byte fails here.
+The failed-seed runs replay a scripted tape: in "plan-failed-seed" the
+second seed's plan reply is unusable and its repair finds the tape
+exhausted; in "simulate-every-seed-failed" the tape is empty. The runs
 happen in a temporary working directory with relative input paths, so
 config.snapshot.json and the run id do not depend on where the suite runs.
 
@@ -13,6 +18,7 @@ they pin floating-point output with repr, and a different numpy build may
 round a last bit differently, so a mismatch names both numpy versions.
 """
 import hashlib
+import json
 import os
 import shutil
 
@@ -21,6 +27,8 @@ import pytest
 
 from participlan.cli import main
 from participlan.fixtures import data_path
+from participlan.llm import RuleBackend, render_initial_plan_prompt
+from participlan.region import load_region
 
 INPUTS = ("--region", "hlg_like.region.json",
           "--demographics", "hlg_like.demographics.json")
@@ -35,11 +43,123 @@ RUNS = {
                     "--seeds", "101,202"],
     "decentralized": ["plan", *INPUTS, "--method", "decentralized",
                       "--seeds", "101,202"],
+    "ablate": ["ablate", *INPUTS, "--mode", "single-planner",
+               "--method", "gsca", "--seeds", "101,202"],
+    "sweep-rounds": ["sweep-rounds", *INPUTS, "--rounds-list", "1,2",
+                     "--speakers", "5", "--seeds", "101", "--method", "random"],
+    "plan-failed-seed": ["plan", *INPUTS, "--method", "llm",
+                         "--backend", "scripted", "--transcript", "tape.json",
+                         "--seeds", "101,202"],
+    "simulate-every-seed-failed": ["simulate", *INPUTS, "--method", "random",
+                                   "--backend", "scripted",
+                                   "--transcript", "tape.json",
+                                   "--seeds", "101,202"],
 }
+
+#: Exit status of the runs that do not return 0.
+EXIT = {"simulate-every-seed-failed": 1}
 
 GOLDEN_NUMPY = "2.4.6"
 
 GOLDEN = {
+    "ablate": {
+        "aggregate.json":
+            "12dcfa48ebc7a0853e5700fdd6914b6ed6fda399d8a378c10f5ac02d824661a8",
+        "config.snapshot.json":
+            "49d06285d9bc46664c7a0bdc6c93a6ecea4e028d38592e1767526d6376933a37",
+        "metrics.csv":
+            "1a08e60d78d824d0729429fc146e2e5c34630ed1c0a2265ae7f6a38df1090a18",
+        "plans/seed101.final.json":
+            "5097d0f52f1ec7d0c8fde4468c3df2b97dba471d5752e057ec37e0d66c33a2bf",
+        "plans/seed101.initial.json":
+            "7b6c2786112c84104a2327818b282cd602c8570ecf93df6f5aafddf206fd83a7",
+        "plans/seed202.final.json":
+            "1e8bfdcbfe2e876f21c1e4de643bda27074f76eb22ffe711f7a553918e9eeffd",
+        "plans/seed202.initial.json":
+            "1fc93fba688ced8982f80af4af128f1519f1bc2b5c89548291dab0863350e014",
+        "trajectory.csv":
+            "0043edeb8d045975457d5ca2df5a6203dc34c380d34db0c177716ee196bcd259",
+    },
+    "plan-failed-seed": {
+        "aggregate.json":
+            "086864f40a86bc811f00e628513cb5ac307c5b8c660c1a05da3c89ae9cbc11fd",
+        "config.snapshot.json":
+            "625a462277c0bb9a0c50e97b06e3776735801718757a3391b5e8f00d6900c92b",
+        "metrics.csv":
+            "e50fb43c9e05962bcf25d9c42dc213538957ec3353d3dbc6fffbc8a8f5e43c79",
+        "plans/seed101.json":
+            "0c6f135366edcd6af568f3dedd41db333849d1820b57ab6daaea80739910cde8",
+    },
+    "simulate-every-seed-failed": {
+        "aggregate.json":
+            "8a7dd1d30402fa8b9723e9c44557201260d6b04d3c3f0f19105a91a7eb299a08",
+        "config.snapshot.json":
+            "d0199361ffbc10d5ab2089038007b90e9ad2b7c2c43545807aedd3922a00ce62",
+        "metrics.csv":
+            "e7938e790be63bde2e856972da9088b42f2d1b7d7eef4ceb1f6e20584973224b",
+        "trajectory.csv":
+            "2feb0ebdaf24298d0e141a42e95364941fd5834d774a5b0302c5db0b4f5da262",
+    },
+    "sweep-rounds": {
+        "rounds1/aggregate.json":
+            "9b562cc72b86be8bf1f98a8704a8c98906385d825b7dd9622d675d4038d32f67",
+        "rounds1/config.snapshot.json":
+            "7144dc759b8911e363c0aeb64ad3a742e1c54497bd32dc9a6a0832c75c27e0e5",
+        "rounds1/metrics.csv":
+            "0b42f3520b951772f73bd633c4bd568b001e9a2e6a53ff94884d3c96270edb3b",
+        "rounds1/plans/seed101.final.json":
+            "4ef25e56cd1d83297f37e2fe860bb78b99c36f997ec003c6046ca0dafeee4f02",
+        "rounds1/plans/seed101.initial.json":
+            "0a2b4a8d5c5d1aca6648303731e857e126044ea95edb0ec66c591f52d18253bc",
+        "rounds1/trajectory.csv":
+            "8fdc6c04e8d230bd904edcd3e88dcf2234b340c1dad3b170927a3d199d77b79c",
+        "rounds1/transcripts/seed101.community1.json":
+            "5901af43503dbfb867c3a3a7de900c823789dfc27b31679cb4161c5546fe02e4",
+        "rounds1/transcripts/seed101.community1.txt":
+            "4cba7229c33d228339a579b8e6ff2523303898efa51112e65643d36a39721392",
+        "rounds1/transcripts/seed101.community2.json":
+            "0e5e66c25ad9fbe35ca854f3550d1e62a0100b122b3ffbd0d8e2305aa47354b4",
+        "rounds1/transcripts/seed101.community2.txt":
+            "6019c61e37e523660c4506d41691a78a55db5a710e654759f960ba0ec456ea8b",
+        "rounds1/transcripts/seed101.community3.json":
+            "b8a71bb97911a76f128488a80529303f45ca2157d68328545a8a532750aaa0f7",
+        "rounds1/transcripts/seed101.community3.txt":
+            "257fabc3c48ac535ddc131fd532ca835cef63bdce026427720827ce4101d63cc",
+        "rounds1/transcripts/seed101.community4.json":
+            "9982ca1b37df9aec209e639be165d30add962ac2f2e16aedc0a52895375fe668",
+        "rounds1/transcripts/seed101.community4.txt":
+            "a45173e01cd1787d8629564aa58e6458f05d6c7c902b6dbfacdef0e5ae8f1360",
+        "rounds2/aggregate.json":
+            "23a6a9e03836a5363725e8e8a864c3c320776e462b7b7a8339b824b28b26365b",
+        "rounds2/config.snapshot.json":
+            "3b4f0be529a4159987df88c718b12937dcba773d7b225cf75a5aaf2dc110f6c4",
+        "rounds2/metrics.csv":
+            "ef4b249b732b1a302b89af7192279f1903684d8a6ef36df228f8b185e41a54be",
+        "rounds2/plans/seed101.final.json":
+            "99f1ab841da7e35b546233d4dc0e5063ffbbdb9434e7986f905c8a9a224fefa5",
+        "rounds2/plans/seed101.initial.json":
+            "4778dea9ab498edb58b037876478b4d4e5841f2110253f7f4b78eb3c225a67da",
+        "rounds2/trajectory.csv":
+            "f0379e554989240f3a6afc7c3d4ea81e51189ce2cf513ecca140195d441abdea",
+        "rounds2/transcripts/seed101.community1.json":
+            "911ac1081a37d5b4aefe2a8f20cb1efa9e36fcea639a0ff2829b1a56301d111d",
+        "rounds2/transcripts/seed101.community1.txt":
+            "8705a9a47f59fe93b802ac4242a5e9b1e2e3738d5c3770f0df66adfa33bf99f2",
+        "rounds2/transcripts/seed101.community2.json":
+            "b9fbeacd8bfed4b6cbfdd6a6702d64485331fd81aeacf956f5c80b171402f049",
+        "rounds2/transcripts/seed101.community2.txt":
+            "eae5f12df663ae7862b1a3c1b9570656fb1d674c5799cef1024f30b6f97604d1",
+        "rounds2/transcripts/seed101.community3.json":
+            "3da5b76d1d55e07993ed1338ff515c9375d31ce87a9755efcc86cada6c601c8d",
+        "rounds2/transcripts/seed101.community3.txt":
+            "851066e5f99e934681d2e54de48395ba359e4712014d0abe491a656bc1a29676",
+        "rounds2/transcripts/seed101.community4.json":
+            "71151fd0fe56db0c5cc3da5daf7e4649e0e63809c4462fcadf9f535e7972c4f3",
+        "rounds2/transcripts/seed101.community4.txt":
+            "58b5e17d24f2db1e6835c71b9650bb07cc6f909ad8dd498249803cb3db352fa7",
+        "sweep.csv":
+            "6e6f947661e9ce595bf6a28116461ba895d824f2224994ff02892f5b3046415b",
+    },
     "centralized": {
         "aggregate.json":
             "1fa454f83d1ecdc6607f882946fbef81c547a33f77206dca6187b530d7f86ca2",
@@ -141,13 +261,24 @@ GOLDEN = {
 }
 
 
+def _tape(name):
+    """The scripted replies of a failed-seed run: one usable plan, then
+    one unusable reply, for "plan-failed-seed"; none otherwise."""
+    if name != "plan-failed-seed":
+        return []
+    region = load_region("hlg_like.region.json")
+    plan_reply = RuleBackend().complete(render_initial_plan_prompt(region))
+    return [{"reply_text": plan_reply, "request_digest": None},
+            {"reply_text": "no plan today", "request_digest": None}]
+
+
 def _digests(root):
     out = {}
     for dirpath, _, files in os.walk(root):
         for name in files:
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root).replace(os.sep, "/")
-            if rel == "report.txt":
+            if name == "report.txt":
                 continue
             with open(path, "rb") as fh:
                 out[rel] = hashlib.sha256(fh.read()).hexdigest()
@@ -159,7 +290,8 @@ def test_golden_run_directory(name, tmp_path, monkeypatch):
     for rel in ("hlg_like.region.json", "hlg_like.demographics.json"):
         shutil.copy(data_path(rel), tmp_path / rel)
     monkeypatch.chdir(tmp_path)
-    assert main(RUNS[name] + ["--out", "run"]) == 0
+    (tmp_path / "tape.json").write_text(json.dumps(_tape(name)))
+    assert main(RUNS[name] + ["--out", "run"]) == EXIT.get(name, 0)
     got = _digests("run")
     assert got == GOLDEN[name], (
         f"run files differ from the golden digests, recorded with numpy "

@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import itertools
 
 import pytest
 
@@ -92,6 +94,39 @@ def test_needs_rules_exact_profiles():
     assert needs_from_rules(bland) == GENERIC_NEEDS
 
 
+#: Every label of the bundled demographics and quotas, one label no rule
+#: names, None, and _ABSENT (the key left out of the facts).
+_ABSENT = object()
+_FACT_VALUES = {
+    "gender": ("female", "male", "other"),
+    "age_band": ("18-29", "30-44", "45-64", "65+", "other"),
+    "education": ("bachelor", "postgraduate", "secondary", "vocational",
+                  "other"),
+    "family_size": ("1", "2", "3", "4", "5+", "other"),
+    "background": ("elderly living alone", "family with a sick member",
+                   "parenting family", "family with school children",
+                   "drifter", "office worker", "other"),
+}
+
+#: SHA-256 of the needs of all 17,640 fact combinations, recorded before
+#: the rules became a (fact, value) table.
+NEEDS_DIGEST = (
+    "a814f04571bf3801e080f6b4e9ac1a76bad5f2a373cc32f6a52c2e9ebae22569")
+
+
+def test_needs_rules_digest_over_every_fact_combination():
+    lines = []
+    for combo in itertools.product(*(values + (None, _ABSENT)
+                                      for values in _FACT_VALUES.values())):
+        facts = {key: value for key, value in zip(_FACT_VALUES, combo)
+                 if value is not _ABSENT}
+        needs = needs_from_rules(facts)
+        lines.append(f"{sorted(facts.items())!r} {[u.value for u in needs]}")
+    assert len(lines) == 17_640
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == NEEDS_DIGEST
+
+
 def test_needs_rules_cap_at_five():
     facts = {"age_band": "30-44", "family_size": "5+",
              "education": "postgraduate", "gender": "female",
@@ -119,6 +154,16 @@ def test_spec_validation_rejects_bad_distributions():
             education={"secondary": 1.0},
             family_size={1: 1.0},
             quotas=(MarginalizedQuota("drifter", 9, {}),),
+        ).validate()
+    # NaN compares false with everything, so no bound check may pass it
+    with pytest.raises(SpecError, match="age_band"):
+        DemographicSpec(
+            n_agents=10,
+            gender={"female": 1.0},
+            age_band={"18-29": float("nan")},
+            education={"secondary": 1.0},
+            family_size={1: 1.0},
+            quotas=(),
         ).validate()
 
 
