@@ -16,11 +16,13 @@ from participlan.discussion import (
     save_transcript,
     _sample_speakers,
 )
+from participlan import fixtures
 from participlan.errors import EmptyCommunity, NotPresent
 from participlan.llm import PlanEdit, render_revision_prompt
 from participlan.metrics import ProximityIndex, satisfaction
 from participlan.planners import PlannerConfig, random_plan
-from participlan.region import LandUse, Plan, validate_plan
+from participlan.population import synthesize
+from participlan.region import LandUse, Plan, plan_digest, validate_plan
 
 import oracles
 
@@ -128,6 +130,22 @@ def test_community_revision_confined_and_monotone(hlg, pop_hlg, rule_backend):
     before = satisfaction(hlg, plan, pop_hlg, cache=cache)
     after = satisfaction(hlg, revised, pop_hlg, cache=cache)
     assert after >= before - 1e-12
+
+
+def test_greedy_repair_edits_on_dhm_are_pinned(dhm, rule_backend):
+    # recorded from the from-scratch invited satisfaction; community 3
+    # re-edits areas 1 and 12 and rejects some of its requests
+    pop = synthesize(fixtures.hlg_like_demographics(1000), dhm, 1)
+    plan = random_plan(dhm, PlannerConfig(seed=1))
+    revised, transcript = run_community_revision(
+        plan, 3, dhm, pop, rule_backend, rule_backend,
+        DiscussionConfig(seed=1))
+    assert [(a, u.value) for a, u in transcript.final_edits.edits] == [
+        (3, "office"), (12, "park"), (1, "office"), (1, "park"),
+        (12, "school"), (15, "office"), (33, "office"), (5, "hospital"),
+        (31, "park")]
+    assert transcript.plan_after == plan_digest(revised)
+    assert plan_digest(revised) == "3cdcdbe4a6a3"
 
 
 def test_community_revision_deterministic(hlg, pop_hlg, rule_backend):

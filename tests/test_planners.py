@@ -19,7 +19,8 @@ from participlan.planners import (
     random_plan,
 )
 from participlan.population import synthesize
-from participlan.region import ASSIGNABLE_USES, LandUse, Plan, validate_plan
+from participlan.region import (ASSIGNABLE_USES, LandUse, Plan, plan_digest,
+                                validate_plan)
 
 import oracles
 
@@ -157,6 +158,19 @@ def test_local_search_deterministic(grid16, pop_grid16):
     a = local_search_plan(grid16, pop_grid16, config)
     b = local_search_plan(grid16, pop_grid16, config)
     assert a.assignment == b.assignment
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "a05731c2fc57"),
+    (2, "20c27a066f83"),
+    (3, "a580b0eb0ad9"),
+])
+def test_local_search_plans_on_dhm_are_pinned(dhm, seed, digest):
+    # recorded from the from-scratch objective, so a faster search must
+    # accept and reject exactly the same moves
+    pop = synthesize(fixtures.hlg_like_demographics(1000), dhm, seed)
+    plan = local_search_plan(dhm, pop, PlannerConfig(seed=seed))
+    assert plan_digest(plan) == digest
 
 
 def test_planner_config_validation():
