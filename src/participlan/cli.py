@@ -512,6 +512,8 @@ _FLAG_CHECKS = (
      "--exchange-fraction must be in [0, 1]"),
     ("restarts", lambda v: v >= 1, "--restarts must be >= 1"),
     ("search_iters", lambda v: v >= 0, "--search-iters must be >= 0"),
+    ("temperature", lambda v: v >= 0, "--temperature must be >= 0"),
+    ("timeout", lambda v: 0 < v < np.inf, "--timeout must be positive and finite"),
 )
 
 

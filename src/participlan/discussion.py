@@ -28,8 +28,8 @@ from .llm import (Backend, PlanEdit, RuleBackend, ask_with_repair,
                   render_opinion_prompt, render_revision_prompt)
 from .metrics import REACH_M, SERVICE_RADIUS_M, MetricsReport, ProximityIndex
 from .population import Population, Resident
-from .region import (CANON_INDEX, LandUse, Plan, Region, plan_digest,
-                     validate_plan)
+from .region import (CANON_INDEX, USE_CODES, LandUse, Plan, Region,
+                     plan_digest, validate_plan)
 
 log = logging.getLogger(__name__)
 
@@ -242,17 +242,17 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
 
     pos_by_id = {r.id: i for i, r in enumerate(population.residents)}
     invited_idx = np.array([pos_by_id[r] for r in invited], dtype=int)
-    # the coverage evaluator on the invited residents' rows only
-    evaluator = metrics_mod.Coverage(cache, rows=invited_idx)
-    needs = evaluator.needs(population)
+    evaluator = metrics_mod.CoverageCounts(
+        cache, plan.use_codes(region), metrics_mod.Coverage.needs(population))
 
-    def invited_satisfaction(p: Plan) -> float:
-        return float(np.mean(evaluator.satisfaction(evaluator.bits(p), needs)))
+    def invited_satisfaction() -> float:
+        return float(np.mean(evaluator.satisfaction[invited_idx]))
 
+    column_of = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
     req = region.requirements
     current = dict(plan.assignment)
     counts = validate_plan(region, plan).counts
-    base = invited_satisfaction(plan)
+    base = invited_satisfaction()
     accepted: list[tuple[int, LandUse]] = []
     for area_id, use in order:
         old = current[area_id]
@@ -260,14 +260,15 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
             continue
         if counts[old] - 1 < req.get(old, 0):
             continue
-        cand = dict(current)
-        cand[area_id] = use
-        cand_sat = invited_satisfaction(Plan(cand))
-        if cand_sat >= base:
-            current, base = cand, cand_sat
+        evaluator.set_use(column_of[area_id], USE_CODES[use])
+        cand_sat = invited_satisfaction()
+        if cand_sat - base >= 0:  # the edit's change of invited satisfaction
+            current[area_id], base = use, cand_sat
             counts[old] -= 1
             counts[use] += 1
             accepted.append((area_id, use))
+        else:
+            evaluator.set_use(column_of[area_id], USE_CODES[old])
     if accepted:
         rationale = "greedy repair accepted: " + "; ".join(
             f"area {a} -> {u.value} ({tally[(a, u)]} requests)"

@@ -76,12 +76,12 @@ class BackendConfig:
     def validate(self) -> None:
         if self.kind not in ("remote", "rule", "scripted"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be positive and finite")
         if self.kind == "remote" and not (self.endpoint and self.model):
             raise ValueError("remote backend needs endpoint and model")
         if self.kind == "scripted" and not self.transcript_path:

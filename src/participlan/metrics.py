@@ -19,6 +19,12 @@ home-to-area distances are kept only up to REACH_M (ProximityIndex); a
 query beyond an index's radius raises InvariantError instead of
 answering from a truncated index. One bitmask pass over the kept pairs
 (Coverage) gives all four metrics of a plan.
+
+Local search and greedy repair change one area's use at a time.
+CoverageCounts keeps per-resident counts of the areas in range per use
+and of green areas, so a change touches only the residents in that
+area's column of ProximityIndex.by_area; scored by Coverage's own
+functions, its values equal a from-scratch pass bit for bit.
 """
 from __future__ import annotations
 
@@ -82,6 +88,31 @@ def _use_code_bits() -> np.ndarray:
 USE_CODE_BITS = _use_code_bits()
 #: USE_CODE_BITS of each assignable use, in ASSIGNABLE_USES order.
 ASSIGNABLE_USE_BITS = USE_CODE_BITS[[USE_CODES[u] for u in ASSIGNABLE_USES]]
+
+# CoverageCounts counts one slot per use bit and one for the green bit.
+_N_SLOTS = len(ASSIGNABLE_USES) + 1
+
+
+def _slot_tables() -> tuple[np.ndarray, np.ndarray]:
+    # plain ints: the first numpy ops on these dtypes cost the process
+    # about 0.3 MB of peak memory at import
+    slots = [[bits >> k & 1 for k in range(_N_CATEGORIES, _GREEN_BIT.bit_length())]
+             for bits in USE_CODE_BITS.tolist()]
+    categories = [bits & int(CATEGORY_MASK) for bits in ASSIGNABLE_USE_BITS.tolist()]
+    hit_bits = []
+    for hits in range(1 << _N_SLOTS):
+        bits = hits << _N_CATEGORIES
+        for k, category in enumerate(categories):
+            if hits >> k & 1:
+                bits |= category
+        hit_bits.append(bits)
+    return np.array(slots, dtype=np.int32), np.array(hit_bits, dtype=np.uint16)
+
+
+#: The 0/1 slots an area gives, indexed by its use code like USE_CODE_BITS,
+#: and the coverage bits of each set of hit slots, indexed by its bitmask
+#: (a category is hit when one of its uses is).
+_SLOTS, _HIT_BITS = _slot_tables()
 
 
 class ProximityIndex:
@@ -160,6 +191,31 @@ class ProximityIndex:
         """The coverage evaluator of every resident, kept for reuse."""
         return Coverage(self)
 
+    @cached_property
+    def by_area(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSC transpose: (indptr, rows) per area position, with area
+        j's residents in rows[indptr[j]:indptr[j + 1]] as int32, nearest
+        first, so the residents within any radius are a prefix of them
+        (see prefix_ends)."""
+        counts = np.bincount(self.columns, minlength=len(self.region.areas))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        order = np.argsort(self.columns)
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            span = order[lo:hi]
+            span[:] = span[np.argsort(self.distances[span])]
+        rows = np.repeat(np.arange(len(self.homes), dtype=np.int32),
+                         np.diff(self.indptr))[order]
+        return indptr, rows
+
+    def prefix_ends(self, radius: float, inclusive: bool) -> np.ndarray:
+        """Per area position, where its prefix of by_area rows closer than
+        `radius` (or at it, if inclusive) ends."""
+        self.require(radius)
+        near = (self.distances <= radius if inclusive
+                else self.distances < radius)
+        return self.by_area[0][:-1] + np.bincount(
+            self.columns[near], minlength=len(self.region.areas))
+
 
 class Coverage:
     """What each resident has in range under a plan, as one bitmask.
@@ -168,36 +224,23 @@ class Coverage:
     keeps the category and use bits only strictly within SERVICE_RADIUS_M,
     and the green bit only within ESR_RADIUS_M inclusive. OR-ing the pairs of a
     row gives the resident's bits, and popcounts give the same integer
-    counts the metrics divide, so the values are exact. `rows` restricts
-    the evaluator to those residents, in that order.
+    counts the metrics divide, so the values are exact.
     """
 
-    def __init__(self, index: ProximityIndex,
-                 rows: Optional[np.ndarray] = None):
+    def __init__(self, index: ProximityIndex):
         index.require(REACH_M)
-        indptr = index.indptr
-        if rows is None:
-            self.n_rows = len(index.homes)
-            lengths = np.diff(indptr)
-            columns, dist = index.columns, index.distances
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            self.n_rows = len(rows)
-            lengths = indptr[rows + 1] - indptr[rows]
-            offsets = np.cumsum(lengths) - lengths
-            pairs = np.arange(int(lengths.sum())) + np.repeat(
-                indptr[rows] - offsets, lengths)
-            columns, dist = index.columns[pairs], index.distances[pairs]
+        self.n_rows = len(index.homes)
+        lengths = np.diff(index.indptr)
         # reduceat needs the start of every non-empty row
         self._filled = np.flatnonzero(lengths)
-        self._starts = (np.cumsum(lengths) - lengths)[self._filled]
-        self._columns = columns
+        self._starts = index.indptr[:-1][self._filled]
+        self._columns = index.columns
+        dist = index.distances
         self._mask = (np.where(dist < SERVICE_RADIUS_M,
                                np.uint16(_GREEN_BIT - 1), np.uint16(0))
                       | np.where(dist <= ESR_RADIUS_M,
                                  np.uint16(_GREEN_BIT), np.uint16(0)))
         self.region = index.region
-        self.rows = rows
 
     def bits(self, plan: Plan) -> np.ndarray:
         """Per-row bitmask of what the plan puts in range."""
@@ -208,30 +251,99 @@ class Coverage:
             out[self._filled] = np.bitwise_or.reduceat(pair_bits, self._starts)
         return out
 
-    def service(self, bits: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def service(bits: np.ndarray) -> np.ndarray:
         """Share of service categories in range per row."""
         hits = np.bitwise_count(bits & CATEGORY_MASK)
         return hits.astype(float) / float(_N_CATEGORIES)
 
-    def in_esr(self, bits: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def in_esr(bits: np.ndarray) -> np.ndarray:
         """1.0 where some green area is in the ecology range, else 0.0."""
         return ((bits & np.uint16(_GREEN_BIT)) != 0).astype(float)
 
-    def needs(self, population: Population) -> tuple[np.ndarray, np.ndarray]:
-        """(need bits, need counts) of the rows; raises if any resident
+    @staticmethod
+    def needs(population: Population) -> tuple[np.ndarray, np.ndarray]:
+        """(need bits, need counts) per resident; raises if any resident
         lacks needs."""
         mask, lens = population.needs_mask
         weights = (ASSIGNABLE_USE_BITS & USE_MASK).astype(np.intp)
-        need_bits = (mask @ weights).astype(np.uint16)
-        if self.rows is not None:
-            return need_bits[self.rows], lens[self.rows]
-        return need_bits, lens
+        return (mask @ weights).astype(np.uint16), lens
 
-    def satisfaction(self, bits: np.ndarray,
+    @staticmethod
+    def satisfaction(bits: np.ndarray,
                      needs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Share of each row's needs with a facility strictly in range."""
         need_bits, lens = needs
         return np.bitwise_count(bits & need_bits) / lens
+
+
+class CoverageCounts:
+    """Coverage of every resident under a use-code vector, kept current as
+    areas change use one at a time.
+
+    counts[k, i] is how many areas give resident i slot k: one per use
+    (areas strictly within SERVICE_RADIUS_M) and green (within ESR_RADIUS_M
+    inclusive); `hits` marks the slots with counts > 0. set_use adds the
+    two codes' slot difference on the area's by_area prefixes and
+    re-scores only those rows with Coverage's functions; setting the old
+    code back reverts it.
+    """
+
+    def __init__(self, index: ProximityIndex, codes: np.ndarray,
+                 needs: Optional[tuple[np.ndarray, np.ndarray]] = None):
+        index.require(REACH_M)
+        self._indptr, self._rows = index.by_area
+        self._service_end = index.prefix_ends(SERVICE_RADIUS_M, inclusive=False)
+        self._ecology_end = index.prefix_ends(ESR_RADIUS_M, inclusive=True)
+        self._needs = needs
+        n = len(index.homes)
+        self.counts = np.zeros((_N_SLOTS, n), dtype=np.int32)
+        self.hits = np.zeros(n, dtype=np.uint16)
+        self.codes = np.array(codes, dtype=np.int8)
+        for k in range(_N_SLOTS):
+            ends = self._ecology_end if k == _N_SLOTS - 1 else self._service_end
+            self.counts[k] = np.bincount(np.concatenate(
+                [self._rows[:0]] + [self._rows[self._indptr[j]:ends[j]]
+                                    for j in np.flatnonzero(_SLOTS[self.codes, k])]),
+                minlength=n)
+            self.hits[self.counts[k] > 0] |= np.uint16(1 << k)
+        self.service, self.in_esr = np.empty(n), np.empty(n)
+        if needs is not None:
+            self.satisfaction = np.empty(n)
+        self._score(slice(None))
+
+    def set_use(self, j: int, code: int) -> None:
+        """Give area position j the use code `code`."""
+        rows = self._add(j, _SLOTS[code] - _SLOTS[self.codes[j]])
+        self.codes[j] = code
+        self._score(rows)
+
+    def _add(self, j: int, delta: np.ndarray) -> np.ndarray:
+        """Add `delta` (one count per slot) to the counts of area j's
+        residents in range of each slot; return the rows in range."""
+        lo = self._indptr[j]
+        # an intp copy makes the fancy indexing below cheaper; the ecology
+        # prefix lies inside the service prefix
+        rows = self._rows[lo:self._service_end[j]].astype(np.intp)
+        for k in np.flatnonzero(delta):
+            near = rows[:self._ecology_end[j] - lo] if k == _N_SLOTS - 1 else rows
+            count, bit = self.counts[k], np.uint16(1 << k)
+            count[near] += delta[k]
+            if delta[k] > 0:
+                self.hits[near] |= bit
+            else:
+                self.hits[near[count[near] == 0]] ^= bit
+        return rows
+
+    def _score(self, rows) -> None:
+        bits = _HIT_BITS[self.hits[rows]]
+        self.service[rows] = Coverage.service(bits)
+        self.in_esr[rows] = Coverage.in_esr(bits)
+        if self._needs is not None:
+            need_bits, lens = self._needs
+            self.satisfaction[rows] = Coverage.satisfaction(
+                bits, (need_bits[rows], lens[rows]))
 
 
 def coverage(region: Region, population: Population,
@@ -285,7 +397,7 @@ def satisfaction(region: Region, plan: Plan, population: Population,
 
 def inclusion(region: Region, plan: Plan, population: Population,
               cache: Optional[ProximityIndex] = None) -> float:
-    mask = np.array([r.is_marginalized for r in population.residents], dtype=bool)
+    mask = population.marginalized_mask
     if not mask.any():
         raise NoMarginalized("population has no marginalized residents")
     per = per_resident_satisfaction(region, plan, population, cache)
@@ -320,7 +432,7 @@ def report(region: Region, plan: Plan, population: Population,
     srv = cov.service(bits)
     esr = cov.in_esr(bits)
     sat = cov.satisfaction(bits, cov.needs(population))
-    mask = np.array([r.is_marginalized for r in population.residents], dtype=bool)
+    mask = population.marginalized_mask
     incl = float(np.mean(sat[mask])) if mask.any() else None
     return MetricsReport(
         service=float(np.mean(srv)),

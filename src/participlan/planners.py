@@ -19,10 +19,10 @@ from . import metrics as metrics_mod
 from .errors import Infeasible
 from .geometry import Point
 from .metrics import (ASSIGNABLE_USE_BITS, CATEGORY_MASK, REACH_M, USE_MASK,
-                      ProximityIndex)
+                      CoverageCounts, ProximityIndex)
 from .population import Population
-from .region import (ASSIGNABLE_USES, LandUse, Plan, Region, quota_order,
-                     validate_plan)
+from .region import (ASSIGNABLE_USES, USE_CODES, LandUse, Plan, Region,
+                     quota_order, validate_plan)
 
 #: gsca's coverage radius, on centroid distance.
 GSCA_RADIUS_M = 500.0
@@ -34,6 +34,9 @@ OBJECTIVE_WEIGHTS = (0.5, 0.5)
 #: Local search's annealing temperature at the first and the last iteration.
 TEMPERATURE_FIRST = 0.2
 TEMPERATURE_LAST = 0.002
+
+#: LandUse by USE_CODES code.
+_USES = tuple(LandUse)
 
 
 @dataclass(frozen=True)
@@ -211,79 +214,87 @@ def gsca_trace(region: Region, population: Population,
 # Local search
 
 
+def _objective(service: np.ndarray, in_esr: np.ndarray) -> float:
+    """The OBJECTIVE_WEIGHTS sum of the means of the per-resident arrays."""
+    return (OBJECTIVE_WEIGHTS[0] * float(np.mean(service))
+            + OBJECTIVE_WEIGHTS[1] * float(np.mean(in_esr)))
+
+
 def plan_objective(region: Region, population: Population, plan: Plan,
                    cache: Optional[ProximityIndex] = None) -> float:
     """The OBJECTIVE_WEIGHTS sum of Service and Ecology from one coverage
     pass; equal to the weighted metric functions."""
     cov = metrics_mod.coverage(region, population, cache)
     bits = cov.bits(plan)
-    s = float(np.mean(cov.service(bits)))
-    e = float(np.mean(cov.in_esr(bits)))
-    return OBJECTIVE_WEIGHTS[0] * s + OBJECTIVE_WEIGHTS[1] * e
+    return _objective(cov.service(bits), cov.in_esr(bits))
 
 
-def _anneal(region: Region, population: Population, config: PlannerConfig,
-            cache: ProximityIndex, restart: int) -> tuple[float, dict[int, LandUse]]:
+def _anneal(region: Region, config: PlannerConfig, cache: ProximityIndex,
+            restart: int) -> tuple[float, dict[int, LandUse]]:
     seed = config.seed + restart
     rng = np.random.default_rng(seed)
     start = random_plan(region, replace(config, seed=seed))
-    current = dict(start.assignment)
     req = region.requirements
     counts = validate_plan(region, start).counts
-
-    def objective(a: dict[int, LandUse]) -> float:
-        return plan_objective(region, population, Plan(a), cache)
-
-    cur_obj = objective(current)
-    best, best_obj = dict(current), cur_obj
-    ids = list(region.vacant_ids)
+    evaluator = CoverageCounts(cache, start.use_codes(region))
+    codes = evaluator.codes
+    cur_obj = _objective(evaluator.service, evaluator.in_esr)
+    best, best_obj = codes.copy(), cur_obj
+    columns = region.vacant_columns.tolist()
     n_iters = config.max_iters
-    if n_iters <= 0:
-        return best_obj, best
     ratio = TEMPERATURE_LAST / TEMPERATURE_FIRST
     for k in range(n_iters):
         temp = TEMPERATURE_FIRST * ratio ** (k / max(1, n_iters - 1))
-        cand = dict(current)
-        if rng.random() < 0.5 or len(ids) < 2:
-            a = ids[int(rng.integers(len(ids)))]
-            old = current[a]
+        if rng.random() < 0.5 or len(columns) < 2:
+            a = columns[int(rng.integers(len(columns)))]
+            old = _USES[codes[a]]
             new = ASSIGNABLE_USES[int(rng.integers(len(ASSIGNABLE_USES)))]
             if new is old:
                 continue
             if counts[old] - 1 < req.get(old, 0):
                 continue
-            cand[a] = new
+            moves = [(a, USE_CODES[new], USE_CODES[old])]
             delta_counts = (old, new)
         else:
-            i, j = rng.choice(len(ids), size=2, replace=False)
-            a, b = ids[int(i)], ids[int(j)]
-            if current[a] is current[b]:
+            i, j = rng.choice(len(columns), size=2, replace=False)
+            a, b = columns[int(i)], columns[int(j)]
+            if codes[a] == codes[b]:
                 continue
-            cand[a], cand[b] = current[b], current[a]
+            moves = [(a, codes[b], codes[a]), (b, codes[a], codes[b])]
             delta_counts = None
-        cand_obj = objective(cand)
+        for column, code, _ in moves:
+            evaluator.set_use(column, code)
+        cand_obj = _objective(evaluator.service, evaluator.in_esr)
         delta = cand_obj - cur_obj
         if delta >= 0 or rng.random() < math.exp(delta / temp):
-            current, cur_obj = cand, cand_obj
+            cur_obj = cand_obj
             if delta_counts is not None:
                 counts[delta_counts[0]] -= 1
                 counts[delta_counts[1]] += 1
             if cur_obj > best_obj:
-                best, best_obj = dict(current), cur_obj
-    return best_obj, best
+                best, best_obj = codes.copy(), cur_obj
+        else:
+            for column, _, code in moves:
+                evaluator.set_use(column, code)
+    return best_obj, {a: _USES[best[j]] for a, j in
+                      zip(region.vacant_ids, columns)}
 
 
 def local_search_plan(region: Region, population: Population,
                       config: PlannerConfig = PlannerConfig()) -> Plan:
     """Simulated annealing over reassignments and swaps, best plan kept
-    across restarts (ties to the lowest restart index)."""
+    across restarts (ties to the lowest restart index).
+
+    Each candidate is applied to one CoverageCounts per restart, scored
+    from its per-resident arrays (equal to plan_objective) and set back
+    if rejected."""
     config.validate()
     _check_feasible(region)
     cache = ProximityIndex(region, population.homes, REACH_M)
     best_obj = -math.inf
     best: dict[int, LandUse] = {}
     for restart in range(config.restarts):
-        obj, assignment = _anneal(region, population, config, cache, restart)
+        obj, assignment = _anneal(region, config, cache, restart)
         if obj > best_obj:
             best_obj, best = obj, assignment
     return Plan(best)

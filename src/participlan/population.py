@@ -179,6 +179,13 @@ class Population:
         mask.flags.writeable = counts.flags.writeable = False
         return mask, counts
 
+    @cached_property
+    def marginalized_mask(self) -> np.ndarray:
+        """True for every marginalized resident, read-only."""
+        mask = np.array([r.is_marginalized for r in self.residents], dtype=bool)
+        mask.flags.writeable = False
+        return mask
+
     def marginalized(self) -> tuple[Resident, ...]:
         return tuple(r for r in self.residents if r.is_marginalized)
 

@@ -467,6 +467,9 @@ def test_bug_in_the_svg_writer_is_not_an_input_error(tmp_path, monkeypatch):
     ("--exchange-fraction", "nan"),
     ("--restarts", "0"),
     ("--search-iters", "-1"),
+    ("--timeout", "nan"),
+    ("--timeout", "inf"),
+    ("--temperature", "nan"),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:

@@ -47,6 +47,20 @@ def test_chat_message_validation():
         ChatMessage(role="user", content="")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("temperature", float("nan")),
+    ("temperature", -0.1),
+    ("timeout_s", float("nan")),
+    ("timeout_s", float("inf")),
+    ("timeout_s", 0.0),
+])
+def test_backend_config_rejects_bad_numbers(field, value):
+    config = BackendConfig(kind="remote", endpoint="http://localhost:1/v1",
+                           model="m", **{field: value})
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+
+
 def test_request_digest_stable_and_sensitive():
     msgs = [user("hello")]
     a = request_digest("m", 0.0, msgs)

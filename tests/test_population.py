@@ -79,6 +79,13 @@ def test_descriptions_mention_profile(pop_grid16):
     assert marg.background in marg.description
 
 
+def test_marginalized_mask_marks_the_marginalized(pop_grid16):
+    mask = pop_grid16.marginalized_mask
+    assert mask.tolist() == [r.is_marginalized for r in pop_grid16.residents]
+    assert mask.sum() == len(pop_grid16.marginalized()) > 0
+    assert not mask.flags.writeable
+
+
 def test_needs_rules_exact_profiles():
     # elderly living alone: hospital 5+4(age)=9, park 4+3=7, clinic 3+2=5
     facts = {"age_band": "65+", "family_size": 1, "education": "secondary",

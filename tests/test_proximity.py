@@ -1,4 +1,4 @@
-"""The radius-bounded proximity index and the coverage evaluator on it.
+"""The radius-bounded proximity index and the coverage evaluators on it.
 
 The index must hold exactly the (resident, area) pairs within its radius,
 with the distances the dense kernel gives, and must refuse any query
@@ -12,10 +12,13 @@ from participlan.discussion import invite, view_payload
 from participlan.errors import InvariantError
 from participlan.metrics import (
     Coverage,
+    CoverageCounts,
     ProximityIndex,
     report,
     satisfaction,
 )
+from participlan.planners import _objective, plan_objective
+from participlan.region import ASSIGNABLE_USES, USE_CODES, Plan
 from participlan.region import min_distance_many
 
 import oracles
@@ -120,6 +123,7 @@ def test_wider_index_gives_the_same_metrics(hlg, pop_hlg):
 
 
 def test_restricted_rows_match_the_full_evaluator():
+    # greedy repair scores the invited rows gathered from the counts
     rng = np.random.default_rng(77)
     region = _random_region(rng, 5, 5)
     pop = scatter_population(region, 60, rng)
@@ -127,11 +131,75 @@ def test_restricted_rows_match_the_full_evaluator():
     index = ProximityIndex(region, pop.homes, 600.0)
     full = index.coverage
     rows = np.array(sorted(rng.choice(len(pop), size=25, replace=False)))
-    part = Coverage(index, rows=rows)
-    assert np.array_equal(part.bits(plan), full.bits(plan)[rows])
+    counts = CoverageCounts(index, plan.use_codes(region), Coverage.needs(pop))
     want = full.satisfaction(full.bits(plan), full.needs(pop))[rows]
-    got = part.satisfaction(part.bits(plan), part.needs(pop))
-    assert np.array_equal(got, want)
+    assert np.array_equal(counts.satisfaction[rows], want)
+
+
+def _check_counts(counts, region, pop, assignment, index):
+    plan = Plan(dict(assignment))
+    cov = index.coverage
+    bits = cov.bits(plan)
+    assert np.array_equal(counts.service, cov.service(bits))
+    assert np.array_equal(counts.in_esr, cov.in_esr(bits))
+    assert np.array_equal(counts.satisfaction,
+                          cov.satisfaction(bits, cov.needs(pop)))
+    assert _objective(counts.service, counts.in_esr) \
+        == plan_objective(region, pop, plan, index)
+
+
+@pytest.mark.parametrize("radius", [500.0, 700.0])
+def test_counts_follow_moves_swaps_and_reverts(radius):
+    rng = np.random.default_rng(4242)
+    for _ in range(8):
+        region = _random_region(rng, int(rng.integers(2, 6)),
+                                int(rng.integers(2, 6)), cell_m=250.0)
+        while len(region.vacant_ids) < 2:
+            region = _random_region(rng, 3, 3, cell_m=250.0)
+        pop = scatter_population(region, 80, rng)
+        index = ProximityIndex(region, pop.homes, radius)
+        assignment = dict(random_plan_for(region, rng).assignment)
+        counts = CoverageCounts(index, Plan(assignment).use_codes(region),
+                                Coverage.needs(pop))
+        column = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
+        ids = list(region.vacant_ids)
+        undo = []
+        _check_counts(counts, region, pop, assignment, index)
+        for _ in range(30):
+            kind = rng.integers(3)
+            if kind == 2 and undo:
+                changes = undo.pop()
+            elif kind == 1:
+                a, b = (ids[int(i)] for i in
+                        rng.choice(len(ids), size=2, replace=False))
+                changes = [(a, assignment[b]), (b, assignment[a])]
+                undo.append([(a, assignment[a]), (b, assignment[b])])
+            else:
+                a = ids[int(rng.integers(len(ids)))]
+                use = ASSIGNABLE_USES[int(rng.integers(len(ASSIGNABLE_USES)))]
+                changes = [(a, use)]
+                undo.append([(a, assignment[a])])
+            for area_id, use in changes:
+                assignment[area_id] = use
+                counts.set_use(column[area_id], USE_CODES[use])
+            _check_counts(counts, region, pop, assignment, index)
+
+
+def test_counts_keep_the_strict_and_inclusive_radii(grid16, hand_plan):
+    # homes exactly 300 m and 500 m east of the cells at x in [750, 1000]
+    homes = np.array([[x, y] for x in (1300.0, 1500.0)
+                      for y in (125.0, 375.0, 625.0, 875.0)])
+    index = ProximityIndex(grid16, homes, 500.0)
+    counts = CoverageCounts(index, hand_plan.use_codes(grid16))
+    assignment = dict(hand_plan.assignment)
+    for area_id in (4, 8, 12):
+        for use in ASSIGNABLE_USES:
+            assignment[area_id] = use
+            counts.set_use([a.id for a in grid16.areas].index(area_id),
+                           USE_CODES[use])
+            bits = index.coverage.bits(Plan(dict(assignment)))
+            assert np.array_equal(counts.service, Coverage.service(bits))
+            assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
 
 
 def test_empty_population_builds_an_empty_index():
