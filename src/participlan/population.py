@@ -5,6 +5,12 @@ home sampled inside a residential area, an optional background tag that
 marks them as part of a marginalized group, a one-sentence description,
 and a short list of facility needs. Synthesis is a pure function of
 (spec, region, seed).
+
+Homes are drawn in batches, one (x, y) per resident from one block of
+uniforms, and tested against their areas in one vectorized pass. The
+generator rewinds to the first point that misses its area, so the homes
+equal, bit for bit, those that drawing one resident at a time with
+_sample_point_in_polygon gives.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import numpy as np
 from . import geometry, rules
 from .errors import GeometryError, NeedsMissing, ParseError, SpecError
 from .geometry import Point
-from .region import ASSIGNABLE_USES, CANON_INDEX, LandUse, Region
+from .region import ASSIGNABLE_USES, CANON_INDEX, Area, LandUse, Region
 
 _PROFILE_FIELDS = ("gender", "age_band", "education", "family_size")
 
@@ -78,10 +84,19 @@ class DemographicSpec:
             for fname, allowed in q.force.items():
                 if fname not in _PROFILE_FIELDS:
                     raise SpecError(f"quota {q.label}: unknown field {fname}")
+                if not allowed:
+                    raise SpecError(f"quota {q.label}: no allowed {fname} labels")
                 labels = set(self.distribution(fname))
                 bad = [v for v in allowed if v not in labels]
                 if bad:
                     raise SpecError(f"quota {q.label}: unknown {fname} labels {bad}")
+
+
+def _label_list(value) -> tuple[str, ...]:
+    """A quota's allowed labels for one field, which JSON gives as a list."""
+    if not isinstance(value, list):
+        raise TypeError(f"quota force values must be lists of labels, not {value!r}")
+    return tuple(value)
 
 
 def load_demographics(path: Union[str, Path]) -> DemographicSpec:
@@ -95,7 +110,7 @@ def load_demographics(path: Union[str, Path]) -> DemographicSpec:
             MarginalizedQuota(
                 label=str(q["label"]),
                 count=int(q["count"]),
-                force={k: tuple(v) for k, v in (q.get("force") or {}).items()},
+                force={k: _label_list(v) for k, v in (q.get("force") or {}).items()},
             )
             for q in doc.get("quotas", []))
         spec = DemographicSpec(
@@ -217,6 +232,72 @@ def _sample_point_in_polygon(rng: np.random.Generator,
         "polygon too thin?")
 
 
+def _fills_its_box(boundary: Sequence[Point]) -> bool:
+    """True for an axis-aligned rectangle, which point_in_polygon holds at
+    every point p with lo <= p < hi of its bounding box."""
+    ring = tuple(boundary)
+    return (len(set(ring)) == 4
+            and all(a.x == b.x or a.y == b.y
+                    for a, b in zip(ring, ring[1:] + ring[:1])))
+
+
+#: Above this expected share of first draws that miss their area, batches
+#: end too soon to pay for themselves, and homes are drawn one at a time.
+_MAX_BATCH_MISS_SHARE = 0.1
+
+
+def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
+                  home_idx: np.ndarray) -> np.ndarray:
+    """(x, y) of each resident's home, in areas[home_idx[i]]: the points
+    _sample_point_in_polygon draws one resident at a time.
+
+    A batch draws one (x, y) per resident; lo + span * u equals the scalar
+    uniform draw bit for bit. At the batch's first point outside its area,
+    the generator goes back to where that point's draws began, the scalar
+    sampler finishes that resident, and the next batch starts after it.
+    Where more than _MAX_BATCH_MISS_SHARE of first draws are expected to
+    miss, every resident takes the scalar sampler.
+    """
+    boxes = np.array([[min(p.x for p in a.boundary), min(p.y for p in a.boundary),
+                       max(p.x for p in a.boundary), max(p.y for p in a.boundary)]
+                      for a in areas])
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    span = hi - lo
+    box_m2 = span[:, 0] * span[:, 1]
+    area_m2 = np.array([a.area_m2 for a in areas])
+    fill = np.divide(area_m2, box_m2, out=np.ones_like(box_m2), where=box_m2 > 0)
+    if 1.0 - fill[home_idx].mean() > _MAX_BATCH_MISS_SHARE:
+        return np.array([_sample_point_in_polygon(rng, areas[i].boundary)
+                         for i in home_idx])
+    filled = np.array([_fills_its_box(a.boundary) for a in areas])
+    rings = geometry.Rings(a.boundary for a in areas)
+    bitgen = rng.bit_generator
+    n = len(home_idx)
+    homes = np.empty((n, 2))
+    start, size = 0, n
+    while start < n:
+        state = bitgen.state
+        idx = home_idx[start:start + size]
+        pts = lo[idx] + span[idx] * rng.random((len(idx), 2))
+        ok = filled[idx] & (pts < hi[idx]).all(axis=1)
+        test = np.flatnonzero(~ok)
+        ok[test] = rings.contains(pts[test], idx[test])
+        miss = np.flatnonzero(~ok)
+        r = int(miss[0]) if miss.size else len(idx)
+        homes[start:start + r] = pts[:r]
+        if miss.size:
+            # advance() also empties PCG64's 32-bit buffer, which synthesis
+            # never fills: it draws only doubles
+            bitgen.state = state
+            bitgen.advance(2 * r)
+            homes[start + r] = _sample_point_in_polygon(
+                rng, areas[idx[r]].boundary)
+            start, size = start + r + 1, 2 * (r + 1)
+        else:
+            start, size = start + r, 2 * size
+    return homes
+
+
 def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
     """Build the full population for one region.
 
@@ -224,7 +305,8 @@ def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
     forced fields are resampled from the allowed labels so the group
     definition holds (an elderly-living-alone resident is 65+ in a
     1-person household, say). Homes land in residential areas chosen
-    proportionally to polygon area.
+    proportionally to polygon area. Residents with the same profile and
+    background share one description and needs list.
     """
     spec.validate()
     rng = np.random.default_rng(seed)
@@ -251,21 +333,26 @@ def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
     weights = np.array([a.area_m2 for a in res_areas], dtype=float)
     weights = weights / weights.sum()
     home_idx = rng.choice(len(res_areas), size=n, p=weights)
+    homes = _sample_homes(rng, res_areas, home_idx).tolist()
 
+    personas: dict[tuple, tuple[Profile, str, tuple[LandUse, ...]]] = {}
     residents = []
-    for rid in range(n):
-        profile = Profile(**{f: cols[f][rid] for f in _PROFILE_FIELDS})
-        bg = backgrounds[rid]
-        facts = profile.facts(bg)
-        area = res_areas[home_idx[rid]]
-        home = _sample_point_in_polygon(rng, area.boundary)
+    keys = zip(*(cols[f] for f in _PROFILE_FIELDS), backgrounds)
+    for rid, key in enumerate(keys):
+        persona = personas.get(key)
+        if persona is None:
+            profile = Profile(*key[:-1])
+            facts = profile.facts(key[-1])
+            persona = personas[key] = (profile, rules.describe(facts),
+                                       rules.needs_from_rules(facts))
+        profile, description, needs = persona
         residents.append(Resident(
             id=rid,
             profile=profile,
-            background=bg,
-            description=rules.describe(facts),
-            home=home,
-            home_area_id=area.id,
-            needs=rules.needs_from_rules(facts),
+            background=key[-1],
+            description=description,
+            home=Point(*homes[rid]),
+            home_area_id=res_areas[home_idx[rid]].id,
+            needs=needs,
         ))
     return Population(residents=tuple(residents), seed=seed)

@@ -13,7 +13,7 @@ import pytest
 import participlan
 from participlan import planners, svgmap
 from participlan.cli import main
-from participlan.errors import ParseError
+from participlan.errors import ParseError, SpecError
 from participlan.fixtures import data_path
 from participlan.llm import ChatMessage, RuleBackend
 from participlan.population import load_demographics
@@ -247,6 +247,8 @@ MALFORMED = {
     "demographics-list": ("demographics", "[1]"),
     "demographics-gender-list": ("demographics", _edited(
         DEMOGRAPHICS, ["gender"], ["female"])),
+    "demographics-force-text": ("demographics", _edited(
+        DEMOGRAPHICS, ["quotas", 0, "force", "age_band"], "65+")),
     "plan-assignments-list": ("plan", '{"assignments": [1]}'),
     "aggregate-without-means": ("aggregate", '{"metrics": {}}'),
     "aggregate-list": ("aggregate", "[1]"),
@@ -274,6 +276,16 @@ def test_malformed_input_is_a_parse_error(tmp_path, case, capsys):
     if kind == "aggregate":
         path.rename(tmp_path / "aggregate.json")
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error while")
+
+
+def test_empty_quota_force_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "demographics.json"
+    path.write_text(_edited(DEMOGRAPHICS, ["quotas", 0, "force", "age_band"], []))
+    with pytest.raises(SpecError, match="no allowed age_band"):
+        load_demographics(path)
+    assert main(["plan", "--region", REGION, "--demographics", str(path),
+                 "--method", "random", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error while")
 
 

@@ -2,18 +2,23 @@ import collections
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
+from participlan import fixtures
 from participlan.errors import SpecError
 from participlan.geometry import Point
 from participlan.population import (
+    _MAX_BATCH_MISS_SHARE,
     DemographicSpec,
     MarginalizedQuota,
+    _sample_homes,
+    _sample_point_in_polygon,
     load_demographics,
     save_demographics,
     synthesize,
 )
-from participlan.region import LandUse
+from participlan.region import Area, LandUse, Region
 from participlan.rules import (
     GENERIC_NEEDS,
     needs_from_rules,
@@ -162,6 +167,16 @@ def test_spec_validation_rejects_bad_distributions():
             family_size={1: 1.0},
             quotas=(MarginalizedQuota("drifter", 9, {}),),
         ).validate()
+    # an empty allowed list leaves nothing to draw a forced field from
+    with pytest.raises(SpecError, match="no allowed age_band"):
+        DemographicSpec(
+            n_agents=10,
+            gender={"female": 1.0},
+            age_band={"18-29": 1.0},
+            education={"secondary": 1.0},
+            family_size={1: 1.0},
+            quotas=(MarginalizedQuota("drifter", 1, {"age_band": ()}),),
+        ).validate()
     # NaN compares false with everything, so no bound check may pass it
     with pytest.raises(SpecError, match="age_band"):
         DemographicSpec(
@@ -183,3 +198,82 @@ def test_demographics_round_trip(tmp_path, demo_spec):
     assert [q.label for q in again.quotas] == [q.label for q in demo_spec.quotas]
     assert [q.force for q in again.quotas] == [q.force for q in demo_spec.quotas]
 
+
+def _odd_shapes_region(lot: bool) -> Region:
+    """Residential areas whose homes need rejection sampling: a triangle,
+    a U, an L and a thin diagonal sliver, plus one rectangle; with `lot`,
+    also a large square, so that far fewer first draws miss their area."""
+    def area(aid, *xy):
+        return Area(aid, tuple(Point(float(x), float(y)) for x, y in xy),
+                    community_id=1, fixed_use=LandUse.RESIDENTIAL)
+    areas = (
+        area(1, (0, 0), (300, 0), (0, 200)),
+        area(2, (400, 0), (700, 0), (700, 300), (620, 300), (620, 80),
+             (480, 80), (480, 300), (400, 300)),
+        area(3, (800, 0), (1000, 0), (1000, 60), (860, 60), (860, 250),
+             (800, 250)),
+        area(4, (0, 400), (1000, 1200), (995, 1200)),
+        area(5, (1100, 0), (1300, 0), (1300, 100), (1100, 100)),
+    )
+    if lot:
+        areas += (area(6, (0, 1300), (700, 1300), (700, 2000), (0, 2000)),)
+    return Region(name="odd_shapes", areas=areas, requirements={},
+                  communities=((1, "odd"),))
+
+
+#: SHA-256 per (lot, seed) over every resident's home (as float.hex), home
+#: area, description and needs on _odd_shapes_region, recorded with the
+#: scalar one-resident-at-a-time sampler.
+ODD_SHAPES_DIGESTS = {
+    (False, 1): "2c6abd8f92b973503930efb0b66aacc199f7a40014ddafad14c73f8911c9457c",
+    (False, 2): "aaf5e7cecf1bcacd4e050de5d13a7c1fcc5fa194029033fc62876a69bbfd249e",
+    (False, 3): "4fe4f54b0008d3b650065ebff26bca2e8a0ed0b1e3d0c886207aa4fc6621255d",
+    (True, 1): "485b4599766b8a3850ca0abfbc65b5803a2da555b704c81495585eaa4729aa5e",
+    (True, 2): "a1360893406f8905311fc08804b87cac27fc245321c9bccaaf8c2b9f8589760c",
+    (True, 3): "cbbbe5bfa0573624827096fe6a61dd2cfb7e2de34a8182de63fda30b0f33fc41",
+}
+
+
+@pytest.mark.parametrize("lot, seed", sorted(ODD_SHAPES_DIGESTS))
+def test_synthesis_on_odd_shapes_is_pinned(lot, seed):
+    region = _odd_shapes_region(lot)
+    spec = fixtures.hlg_like_demographics(1000 if lot else 300)
+    pop = synthesize(spec, region, seed=seed)
+    lines = [
+        f"{r.home.x.hex()} {r.home.y.hex()} {r.home_area_id} "
+        f"{r.description} {[u.value for u in r.needs]}"
+        for r in pop.residents]
+    assert {r.home_area_id for r in pop.residents} == {a.id for a in region.areas}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ODD_SHAPES_DIGESTS[lot, seed]
+
+
+@pytest.mark.parametrize("offset", [0.0, 4.0e6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_homes_equal_the_scalar_draws(offset, seed):
+    # Quads a little off their bounding boxes, rectangles, a triangle and a
+    # sliver: few enough first draws miss that homes are drawn in batches.
+    def ring(*xy):
+        return tuple(Point(offset + x, offset + y) for x, y in xy)
+    areas = []
+    for k in range(12):
+        x = 300.0 * k
+        areas.append(Area(len(areas) + 1, ring(
+            (x, 0), (x + 200, 4), (x + 198, 204), (x - 3, 200)), 1))
+        areas.append(Area(len(areas) + 1, ring(
+            (x, 300), (x + 250, 300), (x + 250, 450), (x, 450)), 1))
+    areas.append(Area(len(areas) + 1, ring((0, 600), (300, 600), (0, 800)), 1))
+    areas.append(Area(len(areas) + 1, ring((0, 900), (1000, 1700), (995, 1700)), 1))
+    weights = np.array([a.area_m2 for a in areas])
+    home_idx = np.random.default_rng(seed).choice(
+        len(areas), size=2000, p=weights / weights.sum())
+    fills = [a.area_m2 / ((max(p.x for p in a.boundary) - min(p.x for p in a.boundary))
+                          * (max(p.y for p in a.boundary) - min(p.y for p in a.boundary)))
+             for a in areas]
+    assert 0.0 < 1.0 - np.mean([fills[i] for i in home_idx]) < _MAX_BATCH_MISS_SHARE
+
+    scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [list(_sample_point_in_polygon(scalar, areas[i].boundary))
+            for i in home_idx]
+    assert _sample_homes(batched, areas, home_idx).tolist() == want
+    assert batched.random() == scalar.random()
