@@ -89,59 +89,6 @@ def point_in_polygon(p: Point, vertices) -> bool:
     return _even_odd_inside(p, vertices)
 
 
-class Rings:
-    """Many rings, with their edges in flat arrays, so that testing each of
-    many points against its own ring is one vectorized pass."""
-
-    #: Points this close to an edge by the vectorized distance take the
-    #: scalar test; the two distances differ by far less.
-    BAND = 1e-6
-    #: Below this many points the scalar test is the faster one.
-    FEW = 4
-
-    def __init__(self, rings) -> None:
-        self.rings = [tuple(r) for r in rings]
-        self.counts = np.array([len(r) for r in self.rings])
-        self.first = np.cumsum(self.counts) - self.counts
-        a = np.array([c for r in self.rings for p in r for c in p],
-                     dtype=float).reshape(-1, 2)
-        following = np.arange(1, len(a) + 1)
-        following[self.first + self.counts - 1] = self.first
-        b = a[following]
-        self.x1, self.y1, self.y2 = a[:, 0], a[:, 1], b[:, 1]
-        self.dx, self.dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-
-    def contains(self, points: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """point_in_polygon(points[i], rings[which[i]]) for each row i of an
-        (n, 2) array, equal to it point for point: the crossing test
-        repeats _even_odd_inside's arithmetic, and points within BAND of an
-        edge take the scalar test."""
-        pts = np.asarray(points, dtype=float)
-        if len(pts) < self.FEW:
-            return np.array([point_in_polygon(Point(*p), self.rings[w])
-                             for p, w in zip(pts.tolist(), which)], dtype=bool)
-        counts = self.counts[which]
-        starts = np.cumsum(counts) - counts            # each point's first pair
-        pair = np.repeat(np.arange(len(pts)), counts)   # (point, edge) pairs
-        edge = np.arange(counts.sum()) + np.repeat(self.first[which] - starts, counts)
-        x, y = pts[pair, 0], pts[pair, 1]
-        x1, y1, dx, dy = self.x1[edge], self.y1[edge], self.dx[edge], self.dy[edge]
-        crosses = (y1 > y) != (self.y2[edge] > y)
-        # dy is nonzero wherever an edge crosses, so the 1.0 is never used
-        xint = x1 + (y - y1) * dx / np.where(dy == 0.0, 1.0, dy)
-        inside = np.logical_xor.reduceat(crosses & (x < xint), starts)
-
-        seg2 = dx * dx + dy * dy
-        t = ((x - x1) * dx + (y - y1) * dy) / np.where(seg2 > 0.0, seg2, 1.0)
-        t = np.minimum(np.maximum(t, 0.0), 1.0)
-        ex, ey = x - (x1 + t * dx), y - (y1 + t * dy)
-        near = np.minimum.reduceat(ex * ex + ey * ey, starts) <= self.BAND ** 2
-        for i in np.flatnonzero(near):
-            inside[i] = point_in_polygon(Point(*pts[i].tolist()),
-                                         self.rings[which[i]])
-        return inside
-
-
 def distance_to_polygon(p: Point, vertices) -> float:
     """Euclidean distance from p to the ring; 0 if inside or on the boundary."""
     n = len(vertices)

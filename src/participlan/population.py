@@ -7,10 +7,10 @@ and a short list of facility needs. Synthesis is a pure function of
 (spec, region, seed).
 
 Homes are drawn in batches, one (x, y) per resident from one block of
-uniforms, and tested against their areas in one vectorized pass. The
-generator rewinds to the first point that misses its area, so the homes
-equal, bit for bit, those that drawing one resident at a time with
-_sample_point_in_polygon gives.
+uniforms. Points inside an axis-aligned rectangle's box need no test, and
+the rest take point_in_polygon in order. The generator rewinds to the
+first point that misses its area, so the homes equal, bit for bit, those
+that drawing one resident at a time with _sample_point_in_polygon gives.
 """
 from __future__ import annotations
 
@@ -241,36 +241,24 @@ def _fills_its_box(boundary: Sequence[Point]) -> bool:
                     for a, b in zip(ring, ring[1:] + ring[:1])))
 
 
-#: Above this expected share of first draws that miss their area, batches
-#: end too soon to pay for themselves, and homes are drawn one at a time.
-_MAX_BATCH_MISS_SHARE = 0.1
-
-
 def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
                   home_idx: np.ndarray) -> np.ndarray:
     """(x, y) of each resident's home, in areas[home_idx[i]]: the points
     _sample_point_in_polygon draws one resident at a time.
 
     A batch draws one (x, y) per resident; lo + span * u equals the scalar
-    uniform draw bit for bit. At the batch's first point outside its area,
-    the generator goes back to where that point's draws began, the scalar
-    sampler finishes that resident, and the next batch starts after it.
-    Where more than _MAX_BATCH_MISS_SHARE of first draws are expected to
-    miss, every resident takes the scalar sampler.
+    uniform draw bit for bit. Points of rectangles inside their box need no
+    test; the others take point_in_polygon in order. At the batch's first
+    point outside its area, the generator goes back to where that point's
+    draws began, the scalar sampler finishes that resident, and the next
+    batch starts after it.
     """
     boxes = np.array([[min(p.x for p in a.boundary), min(p.y for p in a.boundary),
                        max(p.x for p in a.boundary), max(p.y for p in a.boundary)]
                       for a in areas])
     lo, hi = boxes[:, :2], boxes[:, 2:]
     span = hi - lo
-    box_m2 = span[:, 0] * span[:, 1]
-    area_m2 = np.array([a.area_m2 for a in areas])
-    fill = np.divide(area_m2, box_m2, out=np.ones_like(box_m2), where=box_m2 > 0)
-    if 1.0 - fill[home_idx].mean() > _MAX_BATCH_MISS_SHARE:
-        return np.array([_sample_point_in_polygon(rng, areas[i].boundary)
-                         for i in home_idx])
     filled = np.array([_fills_its_box(a.boundary) for a in areas])
-    rings = geometry.Rings(a.boundary for a in areas)
     bitgen = rng.bit_generator
     n = len(home_idx)
     homes = np.empty((n, 2))
@@ -280,21 +268,22 @@ def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
         idx = home_idx[start:start + size]
         pts = lo[idx] + span[idx] * rng.random((len(idx), 2))
         ok = filled[idx] & (pts < hi[idx]).all(axis=1)
-        test = np.flatnonzero(~ok)
-        ok[test] = rings.contains(pts[test], idx[test])
-        miss = np.flatnonzero(~ok)
-        r = int(miss[0]) if miss.size else len(idx)
+        r = len(idx)
+        for i in np.flatnonzero(~ok).tolist():
+            if not geometry.point_in_polygon(Point(*pts[i].tolist()),
+                                             tuple(areas[idx[i]].boundary)):
+                r = i
+                break
         homes[start:start + r] = pts[:r]
-        if miss.size:
-            # advance() also empties PCG64's 32-bit buffer, which synthesis
-            # never fills: it draws only doubles
-            bitgen.state = state
-            bitgen.advance(2 * r)
-            homes[start + r] = _sample_point_in_polygon(
-                rng, areas[idx[r]].boundary)
-            start, size = start + r + 1, 2 * (r + 1)
-        else:
+        if r == len(idx):
             start, size = start + r, 2 * size
+            continue
+        # advance() also empties PCG64's 32-bit buffer, which synthesis
+        # never fills: it draws only doubles
+        bitgen.state = state
+        bitgen.advance(2 * r)
+        homes[start + r] = _sample_point_in_polygon(rng, areas[idx[r]].boundary)
+        start, size = start + r + 1, 2 * (r + 1)
     return homes
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from participlan.geometry import (
     COMPASS_LABELS,
     Point,
-    Rings,
     compass_label,
     distance_to_polygon,
     distance_to_polygon_many,
@@ -88,48 +87,6 @@ def test_vectorized_distance_matches_scalar():
     for k in range(len(pts)):
         single = distance_to_polygon(Point(*pts[k]), UNIT_SQUARE)
         assert many[k] == pytest.approx(single, abs=1e-12)
-
-
-def _star_ring(rng, n_vertices, cx, cy):
-    """A simple, usually non-convex ring: vertices at sorted random angles
-    and random radii around (cx, cy)."""
-    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_vertices))
-    radii = rng.uniform(20.0, 100.0, n_vertices)
-    return tuple(Point(float(cx + r * math.cos(a)), float(cy + r * math.sin(a)))
-                 for a, r in zip(angles, radii))
-
-
-@pytest.mark.parametrize("offset", [0.0, 4.0e6])
-def test_rings_contains_agrees_with_point_in_polygon(offset):
-    rng = np.random.default_rng(7)
-    rings = [_star_ring(rng, n, offset + 300.0 * i, offset)
-             for i, n in enumerate(range(3, 13))]
-    rings.append(tuple(Point(offset + x, offset + y) for x, y in (
-        (0, 500), (300, 500), (300, 800), (220, 800), (220, 580), (80, 580),
-        (80, 800), (0, 800))))
-    points, which = [], []
-    for w, ring in enumerate(rings):
-        xs, ys = [p.x for p in ring], [p.y for p in ring]
-        for x, y in zip(rng.uniform(min(xs) - 10, max(xs) + 10, 200),
-                        rng.uniform(min(ys) - 10, max(ys) + 10, 200)):
-            points.append((x, y))
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            dx, dy = b.x - a.x, b.y - a.y
-            length = math.hypot(dx, dy)
-            for t in (0.0, 0.5, float(rng.random())):
-                x, y = a.x + t * dx, a.y + t * dy
-                for eps in (0.0, 1e-12, -1e-12, 1e-9, -1e-9):
-                    points += [(x - eps * dy / length, y + eps * dx / length),
-                               (x + eps, y), (x, y + eps)]
-        which += [w] * (len(points) - len(which))
-    want = [point_in_polygon(Point(*p), rings[w]) for p, w in zip(points, which)]
-    assert 0 < sum(want) < len(want)
-    table = Rings(rings)
-    assert table.contains(np.array(points), np.array(which)).tolist() == want
-    # a few points at a time take the scalar test
-    for i in range(0, 40, 2):
-        got = table.contains(np.array(points[i:i + 2]), np.array(which[i:i + 2]))
-        assert got.tolist() == want[i:i + 2]
 
 
 def test_simple_polygon_detection():

@@ -9,7 +9,6 @@ from participlan import fixtures
 from participlan.errors import SpecError
 from participlan.geometry import Point
 from participlan.population import (
-    _MAX_BATCH_MISS_SHARE,
     DemographicSpec,
     MarginalizedQuota,
     _sample_homes,
@@ -252,7 +251,8 @@ def test_synthesis_on_odd_shapes_is_pinned(lot, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_batched_homes_equal_the_scalar_draws(offset, seed):
     # Quads a little off their bounding boxes, rectangles, a triangle and a
-    # sliver: few enough first draws miss that homes are drawn in batches.
+    # sliver: rectangle points pass untested, the others are tested, and
+    # the misses rewind the generator.
     def ring(*xy):
         return tuple(Point(offset + x, offset + y) for x, y in xy)
     areas = []
@@ -267,10 +267,6 @@ def test_batched_homes_equal_the_scalar_draws(offset, seed):
     weights = np.array([a.area_m2 for a in areas])
     home_idx = np.random.default_rng(seed).choice(
         len(areas), size=2000, p=weights / weights.sum())
-    fills = [a.area_m2 / ((max(p.x for p in a.boundary) - min(p.x for p in a.boundary))
-                          * (max(p.y for p in a.boundary) - min(p.y for p in a.boundary)))
-             for a in areas]
-    assert 0.0 < 1.0 - np.mean([fills[i] for i in home_idx]) < _MAX_BATCH_MISS_SHARE
 
     scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
     want = [list(_sample_point_in_polygon(scalar, areas[i].boundary))
