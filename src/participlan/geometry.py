@@ -102,31 +102,48 @@ def distance_to_polygon(p: Point, vertices) -> float:
     return best
 
 
-def distance_to_polygon_many(points: np.ndarray, vertices) -> np.ndarray:
-    """Vectorized distance_to_polygon for an (n, 2) array of points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    v = np.asarray(vertices, dtype=float)
-    a = v
-    b = np.roll(v, -1, axis=0)
-    ab = b - a                                       # (m, 2)
-    ab2 = (ab * ab).sum(axis=1)                      # (m,)
-    ap = pts[:, None, :] - a[None, :, :]             # (n, m, 2)
-    t = (ap * ab[None, :, :]).sum(axis=2) / np.where(ab2 > 0.0, ab2, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    diff = pts[:, None, :] - closest
-    d = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)   # (n,)
+#: (point, edge) values per pass of distance_to_polygon_many: its (edges,
+#: points) temporaries stay in cache, and add little to peak memory.
+KERNEL_CHUNK = 4096
 
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    x1, y1 = a[:, 0][None, :], a[:, 1][None, :]
-    x2, y2 = b[:, 0][None, :], b[:, 1][None, :]
+
+def distance_to_polygon_many(points: np.ndarray, vertices) -> np.ndarray:
+    """Vectorized distance_to_polygon for an (n, 2) array of points.
+
+    `vertices` is one (m, 2) ring for every point, or an (m, n, 2) stack
+    that gives point k the ring vertices[:, k]. Either way len(vertices)
+    is the edge count, and each (point, edge) value comes from the same
+    float operations. The points are taken KERNEL_CHUNK // m at a time.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    v = np.asarray(vertices, dtype=float)
+    shared = v.ndim == 2
+    if shared:
+        v = v[:, None, :]
+    out = np.empty(len(pts))
+    step = max(1, KERNEL_CHUNK // len(v))
+    for lo in range(0, len(pts), step):
+        hi = lo + step
+        out[lo:hi] = _ring_distance(pts[lo:hi], v if shared else v[:, lo:hi])
+    return out
+
+
+def _ring_distance(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # edges run along axis 0 of a; its axis 1 is one per point or shared
+    b = np.roll(a, -1, axis=0)
+    x, y = pts[:, 0], pts[:, 1]
+    x1, y1, x2, y2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    dx, dy = x2 - x1, y2 - y1
+    ab2 = dx * dx + dy * dy
+    t = ((x - x1) * dx + (y - y1) * dy) / np.where(ab2 > 0.0, ab2, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    ex, ey = x - (x1 + t * dx), y - (y1 + t * dy)
+    # sqrt is monotone and correctly rounded, so it commutes with the min
+    d = np.sqrt((ex * ex + ey * ey).min(axis=0))
+
     crosses = (y1 > y) != (y2 > y)
-    denom = np.where(y2 - y1 == 0.0, 1.0, y2 - y1)
-    xint = x1 + (y - y1) * (x2 - x1) / denom
-    inside = ((crosses & (x < xint)).sum(axis=1) % 2) == 1
+    xint = x1 + (y - y1) * dx / np.where(dy == 0.0, 1.0, dy)
+    inside = ((crosses & (x < xint)).sum(axis=0) % 2) == 1
 
     return np.where(inside | (d <= BOUNDARY_EPS), 0.0, d)
 

@@ -25,7 +25,8 @@ import numpy as np
 from . import geometry, rules
 from .errors import GeometryError, NeedsMissing, ParseError, SpecError
 from .geometry import Point
-from .region import ASSIGNABLE_USES, CANON_INDEX, Area, LandUse, Region
+from .region import (ASSIGNABLE_USES, CANON_INDEX, USE_CODES, Area, LandUse,
+                     Region)
 
 _PROFILE_FIELDS = ("gender", "age_band", "education", "family_size")
 
@@ -174,7 +175,8 @@ class Population:
     @cached_property
     def homes(self) -> np.ndarray:
         """(x, y) of every home, read-only."""
-        homes = np.array([r.home for r in self.residents], dtype=float)
+        homes = np.fromiter((c for r in self.residents for c in r.home),
+                            dtype=float, count=2 * len(self)).reshape(-1, 2)
         homes.flags.writeable = False
         return homes
 
@@ -182,15 +184,21 @@ class Population:
     def needs_mask(self) -> tuple[np.ndarray, np.ndarray]:
         """(bool[resident, assignable use], needs count per resident),
         read-only; raises NeedsMissing if a resident has no needs."""
-        mask = np.zeros((len(self), len(ASSIGNABLE_USES)), dtype=bool)
-        counts = np.empty(len(self), dtype=float)
-        for i, r in enumerate(self.residents):
-            if not r.needs:
-                raise NeedsMissing(f"resident {r.id} has an empty needs list")
-            counts[i] = len(r.needs)
-            for need in r.needs:
-                if need in CANON_INDEX:
-                    mask[i, CANON_INDEX[need]] = True
+        # one row per distinct needs tuple, which the residents of one
+        # synthesized persona share
+        row_of: dict[tuple[LandUse, ...], int] = {}
+        which = np.fromiter((row_of.setdefault(r.needs, len(row_of))
+                             for r in self.residents),
+                            dtype=np.intp, count=len(self))
+        if () in row_of:
+            first = int(np.argmax(which == row_of[()]))
+            raise NeedsMissing(
+                f"resident {self.residents[first].id} has an empty needs list")
+        rows = np.zeros((len(row_of), len(ASSIGNABLE_USES)), dtype=bool)
+        for k, needs in enumerate(row_of):
+            rows[k, [CANON_INDEX[u] for u in needs if u in CANON_INDEX]] = True
+        mask = rows[which]
+        counts = np.array([len(needs) for needs in row_of], dtype=float)[which]
         mask.flags.writeable = counts.flags.writeable = False
         return mask, counts
 
@@ -242,9 +250,10 @@ def _fills_its_box(boundary: Sequence[Point]) -> bool:
 
 
 def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
-                  home_idx: np.ndarray) -> np.ndarray:
+                  boxes: np.ndarray, home_idx: np.ndarray) -> np.ndarray:
     """(x, y) of each resident's home, in areas[home_idx[i]]: the points
-    _sample_point_in_polygon draws one resident at a time.
+    _sample_point_in_polygon draws one resident at a time. `boxes` holds
+    each area's (x0, y0, x1, y1) bounding box, as in Region.area_boxes.
 
     A batch draws one (x, y) per resident; lo + span * u equals the scalar
     uniform draw bit for bit. Points of rectangles inside their box need no
@@ -253,9 +262,6 @@ def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
     draws began, the scalar sampler finishes that resident, and the next
     batch starts after it.
     """
-    boxes = np.array([[min(p.x for p in a.boundary), min(p.y for p in a.boundary),
-                       max(p.x for p in a.boundary), max(p.y for p in a.boundary)]
-                      for a in areas])
     lo, hi = boxes[:, :2], boxes[:, 2:]
     span = hi - lo
     filled = np.array([_fills_its_box(a.boundary) for a in areas])
@@ -322,7 +328,8 @@ def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
     weights = np.array([a.area_m2 for a in res_areas], dtype=float)
     weights = weights / weights.sum()
     home_idx = rng.choice(len(res_areas), size=n, p=weights)
-    homes = _sample_homes(rng, res_areas, home_idx).tolist()
+    boxes = region.area_boxes[region.fixed_codes == USE_CODES[LandUse.RESIDENTIAL]]
+    homes = _sample_homes(rng, res_areas, boxes, home_idx).tolist()
 
     personas: dict[tuple, tuple[Profile, str, tuple[LandUse, ...]]] = {}
     residents = []

@@ -143,6 +143,17 @@ class Region:
         """Positions in `areas` of the vacant areas, in vacant_ids order."""
         return np.flatnonzero(self.fixed_codes == -1)
 
+    @cached_property
+    def area_boxes(self) -> np.ndarray:
+        """(x0, y0, x1, y1) bounding box of every area, in `areas` order,
+        read-only."""
+        boxes = np.empty((len(self.areas), 4))
+        for row, a in zip(boxes, self.areas):
+            xs, ys = zip(*a.boundary)
+            row[:] = min(xs), min(ys), max(xs), max(ys)
+        boxes.flags.writeable = False
+        return boxes
+
     def community_areas(self, community_id: int) -> tuple[Area, ...]:
         return tuple(a for a in self.areas if a.community_id == community_id)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from participlan.geometry import (
     COMPASS_LABELS,
+    KERNEL_CHUNK,
     Point,
     compass_label,
     distance_to_polygon,
@@ -87,6 +88,58 @@ def test_vectorized_distance_matches_scalar():
     for k in range(len(pts)):
         single = distance_to_polygon(Point(*pts[k]), UNIT_SQUARE)
         assert many[k] == pytest.approx(single, abs=1e-12)
+
+
+def _reference_distance_many(pts, ring):
+    """distance_to_polygon_many for one ring as (points, edges, 2) arrays,
+    with sqrt before the edge-wise min."""
+    a = np.asarray(ring, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    ab = b - a
+    ab2 = (ab * ab).sum(axis=1)
+    ap = pts[:, None, :] - a[None, :, :]
+    t = (ap * ab[None, :, :]).sum(axis=2) / np.where(ab2 > 0.0, ab2, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    diff = pts[:, None, :] - (a[None, :, :] + t[:, :, None] * ab[None, :, :])
+    d = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
+    x1, y1 = a[:, 0][None, :], a[:, 1][None, :]
+    x2, y2 = b[:, 0][None, :], b[:, 1][None, :]
+    crosses = (y1 > y) != (y2 > y)
+    denom = np.where(y2 - y1 == 0.0, 1.0, y2 - y1)
+    xint = x1 + (y - y1) * (x2 - x1) / denom
+    inside = ((crosses & (x < xint)).sum(axis=1) % 2) == 1
+    return np.where(inside | (d <= 1e-9), 0.0, d)
+
+
+def test_ring_stack_equals_the_per_ring_calls():
+    # five-vertex rings: one with a zero-length edge, one with a horizontal
+    # edge, and random ones; more points than one kernel pass takes. Each
+    # value must also equal the (points, edges, 2) formula bit for bit.
+    rng = np.random.default_rng(19)
+    rings = [
+        [(0, 0), (0, 0), (40, 5), (30, 40), (-10, 25)],
+        [(0, 0), (50, 0), (50, 30), (20, 30), (0, 45)],
+        *(rng.uniform(-60, 60, size=(5, 2)).round(1) for _ in range(4)),
+    ]
+    rings = np.array(rings, dtype=float)
+    pts = rng.uniform(-80, 80, size=(9000, 2))
+    which = rng.integers(len(rings), size=len(pts))
+    # some points on a vertex and on an edge of their own ring
+    on = rng.integers(len(pts), size=500)
+    k = rng.integers(5, size=len(on))
+    a, b = rings[which[on], k], rings[which[on], (k + 1) % 5]
+    pts[on[:250]] = a[:250]
+    pts[on[250:]] = (a[250:] + b[250:]) / 2
+
+    got = distance_to_polygon_many(pts, rings[which].transpose(1, 0, 2))
+    assert len(pts) > 2 * KERNEL_CHUNK // 5  # several passes of the kernel
+    for r, ring in enumerate(rings):
+        mine = which == r
+        want = distance_to_polygon_many(pts[mine], ring)
+        assert got[mine].tobytes() == want.tobytes()
+        assert want.tobytes() == _reference_distance_many(pts[mine], ring).tobytes()
+    assert (got[on[:250]] == 0.0).all()
 
 
 def test_simple_polygon_detection():

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from participlan import fixtures
-from participlan.errors import SpecError
+from participlan.errors import NeedsMissing, SpecError
 from participlan.geometry import Point
 from participlan.population import (
     DemographicSpec,
     MarginalizedQuota,
+    Population,
+    Profile,
+    Resident,
     _sample_homes,
     _sample_point_in_polygon,
     load_demographics,
     save_demographics,
     synthesize,
 )
-from participlan.region import Area, LandUse, Region
+from participlan.region import (ASSIGNABLE_USES, CANON_INDEX, Area, LandUse,
+                                Region)
 from participlan.rules import (
     GENERIC_NEEDS,
     needs_from_rules,
@@ -88,6 +92,50 @@ def test_marginalized_mask_marks_the_marginalized(pop_grid16):
     assert mask.tolist() == [r.is_marginalized for r in pop_grid16.residents]
     assert mask.sum() == len(pop_grid16.marginalized()) > 0
     assert not mask.flags.writeable
+
+
+def _loop_homes_and_needs(pop):
+    """Population.homes and needs_mask as one loop over the residents."""
+    homes = np.array([r.home for r in pop.residents], dtype=float)
+    mask = np.zeros((len(pop), len(ASSIGNABLE_USES)), dtype=bool)
+    counts = np.empty(len(pop), dtype=float)
+    for i, r in enumerate(pop.residents):
+        counts[i] = len(r.needs)
+        for need in r.needs:
+            if need in CANON_INDEX:
+                mask[i, CANON_INDEX[need]] = True
+    return homes, mask, counts
+
+
+def _hand_built(needs_lists):
+    return Population(residents=tuple(
+        Resident(i, Profile("female", "30-44", "bachelor", 2), None,
+                 "hand-built", Point(10.0 * i + 0.1, -3.5 * i), 1, tuple(needs))
+        for i, needs in enumerate(needs_lists)), seed=0)
+
+
+def test_homes_and_needs_mask_equal_the_loop(pop_hlg):
+    # equal needs in separate tuples, a need outside ASSIGNABLE_USES, and
+    # one in two places
+    hand = _hand_built([
+        [LandUse.SCHOOL, LandUse.PARK], [LandUse.SCHOOL, LandUse.PARK],
+        [LandUse.GREEN_FIXED, LandUse.CLINIC], [LandUse.OFFICE],
+        [LandUse.PARK, LandUse.SCHOOL], [LandUse.OFFICE, LandUse.OFFICE]])
+    for pop in (pop_hlg, hand):
+        homes, mask, counts = _loop_homes_and_needs(pop)
+        assert pop.homes.tobytes() == homes.tobytes()
+        assert pop.homes.shape == homes.shape
+        got_mask, got_counts = pop.needs_mask
+        assert np.array_equal(got_mask, mask) and got_mask.dtype == bool
+        assert got_counts.tobytes() == counts.tobytes()
+        for array in (pop.homes, got_mask, got_counts):
+            assert not array.flags.writeable
+
+
+def test_needs_mask_names_the_first_resident_without_needs():
+    pop = _hand_built([[LandUse.SCHOOL], [LandUse.PARK], [], [LandUse.PARK], []])
+    with pytest.raises(NeedsMissing, match="resident 2 "):
+        pop.needs_mask
 
 
 def test_needs_rules_exact_profiles():
@@ -271,5 +319,7 @@ def test_batched_homes_equal_the_scalar_draws(offset, seed):
     scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
     want = [list(_sample_point_in_polygon(scalar, areas[i].boundary))
             for i in home_idx]
-    assert _sample_homes(batched, areas, home_idx).tolist() == want
+    boxes = Region(name="quads", areas=tuple(areas), requirements={},
+                   communities=((1, "quads"),)).area_boxes
+    assert _sample_homes(batched, areas, boxes, home_idx).tolist() == want
     assert batched.random() == scalar.random()

@@ -7,7 +7,7 @@ beyond that radius rather than answer it from missing pairs.
 import numpy as np
 import pytest
 
-from participlan import fixtures
+from participlan import fixtures, geometry, metrics
 from participlan.discussion import invite, view_payload
 from participlan.errors import InvariantError
 from participlan.metrics import (
@@ -18,7 +18,9 @@ from participlan.metrics import (
     satisfaction,
 )
 from participlan.planners import _objective, plan_objective
-from participlan.region import ASSIGNABLE_USES, USE_CODES, Plan
+from participlan.geometry import Point
+from participlan.region import (ASSIGNABLE_USES, USE_CODES, Area, LandUse,
+                                Plan, Region)
 from participlan.region import min_distance_many
 
 import oracles
@@ -207,3 +209,53 @@ def test_empty_population_builds_an_empty_index():
     index = ProximityIndex(region, np.zeros((0, 2)), 500.0)
     assert index.indptr.tolist() == [0]
     assert len(index.columns) == len(index.distances) == 0
+
+
+def _odd_shapes_region():
+    """Triangles, L, U, pentagon and sliver areas (3 to 8 vertices) around a
+    3 km L-shaped lot, so that the build makes one kernel call per vertex
+    count."""
+    shapes = (
+        [(0, 0), (300, 0), (0, 200)],
+        [(0, 0), (200, 0), (200, 60), (60, 60), (60, 250), (0, 250)],
+        [(0, 0), (300, 0), (300, 300), (220, 300), (220, 80), (80, 80),
+         (80, 300), (0, 300)],
+        [(0, 0), (200, 0), (260, 120), (100, 220), (-60, 120)],
+        [(0, 0), (900, 700), (895, 700)],
+    )
+    rings = [[(3200.0 + 700.0 * (k // 4) + x, 700.0 * (k % 4) + y)
+              for x, y in shapes[k % len(shapes)]] for k in range(15)]
+    rings.append([(0.0, 0.0), (3000.0, 0.0), (3000.0, 1000.0),
+                  (1000.0, 1000.0), (1000.0, 3000.0), (0.0, 3000.0)])
+    areas = tuple(
+        Area(k + 1, tuple(Point(x, y) for x, y in ring), community_id=1,
+             fixed_use=LandUse.RESIDENTIAL if k % 4 == 0 else None)
+        for k, ring in enumerate(rings))
+    region = Region(name="odd_shapes", areas=areas, requirements={},
+                    communities=((1, "odd"),))
+    return region, rings
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_index_matches_the_oracle_on_odd_shapes(monkeypatch, tiny):
+    region, rings = _odd_shapes_region()
+    rng = np.random.default_rng(2718)
+    homes = _homes_around(region, 1500, rng, margin=600.0)
+    # every vertex, every edge midpoint, and the lot's deep inside
+    ends = [(ring[i], ring[(i + 1) % len(ring)])
+            for ring in rings for i in range(len(ring))]
+    homes = np.vstack([homes, [a for a, _ in ends],
+                       [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in ends],
+                       [(550.0, 550.0), (2500.0, 400.0)]])
+    if tiny:
+        monkeypatch.setattr(metrics, "_BLOCK_PAIRS", 100)
+        monkeypatch.setattr(geometry, "KERNEL_CHUNK", 200)
+        # several blocks of areas, and kernel calls of several passes each
+        blocks = list(metrics._candidate_blocks(homes, region.area_boxes, 501.0))
+        assert len(blocks) >= 5
+        assert max(len(r) for r, _ in blocks) > 200
+    for radius in (0.0, 300.0, 500.0):
+        index = _check_against_oracle(region, homes, radius)
+        # the lot's deep inside is more than the radius from its edges
+        areas, dists = index.row(len(homes) - 2)
+        assert areas.tolist() == [len(rings) - 1] and dists.tolist() == [0.0]
