@@ -148,6 +148,31 @@ def test_greedy_repair_edits_on_dhm_are_pinned(dhm, rule_backend):
     assert plan_digest(revised) == "3cdcdbe4a6a3"
 
 
+@pytest.mark.parametrize("community, seed, digest, rationale", [
+    (1, 2, "d7663fcf05b7",
+     "greedy repair accepted: area 51 -> office (7 requests); area 51 -> "
+     "recreation (7 requests); area 42 -> office (6 requests); area 45 -> "
+     "clinic (3 requests); area 65 -> park (3 requests); area 45 -> "
+     "hospital (2 requests)"),
+    (3, 5, "eeecdbee6cd5",
+     "greedy repair accepted: area 3 -> park (6 requests); area 31 -> "
+     "office (5 requests); area 15 -> park (3 requests); area 5 -> "
+     "hospital (1 requests); area 5 -> recreation (1 requests); area 35 -> "
+     "clinic (1 requests)"),
+])
+def test_greedy_repair_on_6k_residents_is_pinned(dhm, rule_backend,
+                                                 community, seed, digest,
+                                                 rationale):
+    # thousands of invited residents, many sharing their areas in range
+    pop = synthesize(fixtures.hlg_like_demographics(6000), dhm, seed)
+    plan = random_plan(dhm, PlannerConfig(seed=seed))
+    revised, transcript = run_community_revision(
+        plan, community, dhm, pop, rule_backend, rule_backend,
+        DiscussionConfig(seed=seed))
+    assert plan_digest(revised) == digest
+    assert transcript.final_edits.rationale == rationale
+
+
 def test_community_revision_deterministic(hlg, pop_hlg, rule_backend):
     config = DiscussionConfig(rounds=2, speakers_per_round=20, seed=3)
     plan = random_plan(hlg, PlannerConfig(seed=3))

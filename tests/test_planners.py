@@ -173,6 +173,23 @@ def test_local_search_plans_on_dhm_are_pinned(dhm, seed, digest):
     assert plan_digest(plan) == digest
 
 
+@pytest.fixture(scope="module")
+def pop_dhm_10k(dhm):
+    return synthesize(fixtures.hlg_like_demographics(10_000), dhm, 1)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "44f8750d35f7"),
+    (2, "08e5d215e4c6"),
+])
+def test_local_search_plans_on_dhm_10k_are_pinned(dhm, pop_dhm_10k, seed,
+                                                  digest):
+    # recorded before residents sharing their areas in range shared one
+    # row of counts; 10k homes on 70 cells repeat many of those sets
+    plan = local_search_plan(dhm, pop_dhm_10k, PlannerConfig(seed=seed))
+    assert plan_digest(plan) == digest
+
+
 def test_planner_config_validation():
     with pytest.raises(ValueError):
         PlannerConfig(max_iters=-1).validate()
