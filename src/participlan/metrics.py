@@ -21,10 +21,12 @@ answering from a truncated index. One bitmask pass over the kept pairs
 (Coverage) gives all four metrics of a plan.
 
 Local search and greedy repair change one area's use at a time.
-CoverageCounts keeps per-resident counts of the areas in range per use
-and of green areas, so a change touches only the residents in that
-area's column of ProximityIndex.by_area; scored by Coverage's own
-functions, its values equal a from-scratch pass bit for bit.
+Residents with the same areas in range share a coverage class
+(ProximityIndex.classes). CoverageCounts keeps per-class counts of the
+areas in range per use and of green areas, so a change touches only
+that area's classes; each resident's values are gathered from its
+class's hits through Coverage's own functions, so they equal a
+from-scratch pass bit for bit.
 """
 from __future__ import annotations
 
@@ -239,29 +241,38 @@ class ProximityIndex:
         return Coverage(self)
 
     @cached_property
-    def by_area(self) -> tuple[np.ndarray, np.ndarray]:
-        """The CSC transpose: (indptr, rows) per area position, with area
-        j's residents in rows[indptr[j]:indptr[j + 1]] as int32, nearest
-        first, so the residents within any radius are a prefix of them
-        (see prefix_ends)."""
-        counts = np.bincount(self.columns, minlength=len(self.region.areas))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        order = np.argsort(self.columns)
-        for lo, hi in zip(indptr[:-1], indptr[1:]):
-            span = order[lo:hi]
-            span[:] = span[np.argsort(self.distances[span])]
-        rows = np.repeat(np.arange(len(self.homes), dtype=np.int32),
-                         np.diff(self.indptr))[order]
-        return indptr, rows
-
-    def prefix_ends(self, radius: float, inclusive: bool) -> np.ndarray:
-        """Per area position, where its prefix of by_area rows closer than
-        `radius` (or at it, if inclusive) ends."""
-        self.require(radius)
-        near = (self.distances <= radius if inclusive
-                else self.distances < radius)
-        return self.by_area[0][:-1] + np.bincount(
-            self.columns[near], minlength=len(self.region.areas))
+    def classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The residents grouped for CoverageCounts: (class of each row,
+        ptr, area classes). A class holds the rows with the same areas
+        strictly within SERVICE_RADIUS_M and the same areas within
+        ESR_RADIUS_M inclusive, leaving out fixed areas that give no
+        coverage bit. Area j's classes are area_classes[ptr[2j]:ptr[2j +
+        2]] as int32, those within ESR_RADIUS_M first, up to ptr[2j + 1]."""
+        self.require(REACH_M)
+        fixed = self.region.fixed_codes
+        keep = (self.distances < SERVICE_RADIUS_M) & ~(
+            (fixed >= 0) & (USE_CODE_BITS[fixed] == 0))[self.columns]
+        # each row's kept pairs as keys 2j (within ESR_RADIUS_M) or 2j + 1,
+        # padded with 2 * areas to one width and grouped by exact bytes
+        pad = 2 * len(fixed)
+        keys = self.columns[keep].astype(np.min_scalar_type(pad))
+        keys *= 2
+        keys += (self.distances > ESR_RADIUS_M)[keep]
+        lengths = np.diff(np.concatenate(
+            ([0], np.cumsum(keep, dtype=np.int32)))[self.indptr])
+        width = int(lengths.max(initial=0)) + 1
+        table = np.full((len(lengths), width), pad, dtype=keys.dtype)
+        table[np.arange(width) < lengths[:, None]] = keys
+        found, class_of = np.unique(
+            table.view(np.dtype((np.void, table.strides[0]))).ravel(),
+            return_inverse=True)
+        table = found.view(keys.dtype).reshape(len(found), width)
+        filled = table != pad
+        keys = table[filled]
+        classes = np.repeat(np.arange(len(found), dtype=np.int32),
+                            filled.sum(axis=1))
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=pad))))
+        return class_of, ptr, classes[np.argsort(keys, kind="stable")]
 
 
 class Coverage:
@@ -329,68 +340,71 @@ class CoverageCounts:
     """Coverage of every resident under a use-code vector, kept current as
     areas change use one at a time.
 
-    counts[k, i] is how many areas give resident i slot k: one per use
-    (areas strictly within SERVICE_RADIUS_M) and green (within ESR_RADIUS_M
-    inclusive); `hits` marks the slots with counts > 0. set_use adds the
-    two codes' slot difference on the area's by_area prefixes and
-    re-scores only those rows with Coverage's functions; setting the old
-    code back reverts it.
+    counts[k, c] is how many areas give the residents of class c
+    (ProximityIndex.classes) slot k: one per use (areas strictly within
+    SERVICE_RADIUS_M) and green (within ESR_RADIUS_M inclusive); `hits`
+    marks the slots with counts > 0. set_use adds the two codes' slot
+    difference on the area's classes; setting the old code back reverts
+    it. service, in_esr and satisfaction gather each resident's values
+    from its class hits, as Coverage's functions give them, for `rows`
+    (every resident by default) in that order.
     """
 
     def __init__(self, index: ProximityIndex, codes: np.ndarray,
-                 needs: Optional[tuple[np.ndarray, np.ndarray]] = None):
-        index.require(REACH_M)
-        self._indptr, self._rows = index.by_area
-        self._service_end = index.prefix_ends(SERVICE_RADIUS_M, inclusive=False)
-        self._ecology_end = index.prefix_ends(ESR_RADIUS_M, inclusive=True)
-        self._needs = needs
-        n = len(index.homes)
+                 needs: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 rows: Optional[np.ndarray] = None):
+        class_of, self._ptr, self._area_classes = index.classes
+        self._class_of = class_of if rows is None else class_of[rows]
+        self._needs = needs if needs is None or rows is None else (
+            needs[0][rows], needs[1][rows])
+        self._fixed = (index.region.fixed_codes >= 0).tolist()
+        self._service = Coverage.service(_HIT_BITS)
+        self._in_esr = Coverage.in_esr(_HIT_BITS)
+        n = int(class_of.max(initial=-1)) + 1
         self.counts = np.zeros((_N_SLOTS, n), dtype=np.int32)
         self.hits = np.zeros(n, dtype=np.uint16)
         self.codes = np.array(codes, dtype=np.int8)
+        classes, ptr = self._area_classes, self._ptr
         for k in range(_N_SLOTS):
-            ends = self._ecology_end if k == _N_SLOTS - 1 else self._service_end
+            # the green slot counts only the classes within ESR_RADIUS_M
+            end = 1 if k == _N_SLOTS - 1 else 2
             self.counts[k] = np.bincount(np.concatenate(
-                [self._rows[:0]] + [self._rows[self._indptr[j]:ends[j]]
-                                    for j in np.flatnonzero(_SLOTS[self.codes, k])]),
+                [classes[:0]] + [classes[ptr[2 * j]:ptr[2 * j + end]]
+                                 for j in np.flatnonzero(_SLOTS[self.codes, k])]),
                 minlength=n)
             self.hits[self.counts[k] > 0] |= np.uint16(1 << k)
-        self.service, self.in_esr = np.empty(n), np.empty(n)
-        if needs is not None:
-            self.satisfaction = np.empty(n)
-        self._score(slice(None))
+
+    @property
+    def service(self) -> np.ndarray:
+        return self._service.take(self.hits).take(self._class_of)
+
+    @property
+    def in_esr(self) -> np.ndarray:
+        return self._in_esr.take(self.hits).take(self._class_of)
+
+    @property
+    def satisfaction(self) -> np.ndarray:
+        bits = _HIT_BITS.take(self.hits).take(self._class_of)
+        return Coverage.satisfaction(bits, self._needs)
 
     def set_use(self, j: int, code: int) -> None:
         """Give area position j the use code `code`."""
-        rows = self._add(j, _SLOTS[code] - _SLOTS[self.codes[j]])
+        if self._fixed[j]:
+            raise InvariantError(f"area position {j} has a fixed use")
+        delta = _SLOTS[code] - _SLOTS[self.codes[j]]
         self.codes[j] = code
-        self._score(rows)
-
-    def _add(self, j: int, delta: np.ndarray) -> np.ndarray:
-        """Add `delta` (one count per slot) to the counts of area j's
-        residents in range of each slot; return the rows in range."""
-        lo = self._indptr[j]
-        # an intp copy makes the fancy indexing below cheaper; the ecology
-        # prefix lies inside the service prefix
-        rows = self._rows[lo:self._service_end[j]].astype(np.intp)
+        lo, eco, hi = self._ptr[2 * j:2 * j + 3].tolist()
+        # an intp copy makes the fancy indexing below cheaper; the
+        # ecology classes come first
+        classes = self._area_classes[lo:hi].astype(np.intp)
         for k in np.flatnonzero(delta):
-            near = rows[:self._ecology_end[j] - lo] if k == _N_SLOTS - 1 else rows
+            near = classes[:eco - lo] if k == _N_SLOTS - 1 else classes
             count, bit = self.counts[k], np.uint16(1 << k)
             count[near] += delta[k]
             if delta[k] > 0:
                 self.hits[near] |= bit
             else:
                 self.hits[near[count[near] == 0]] ^= bit
-        return rows
-
-    def _score(self, rows) -> None:
-        bits = _HIT_BITS[self.hits[rows]]
-        self.service[rows] = Coverage.service(bits)
-        self.in_esr[rows] = Coverage.in_esr(bits)
-        if self._needs is not None:
-            need_bits, lens = self._needs
-            self.satisfaction[rows] = Coverage.satisfaction(
-                bits, (need_bits[rows], lens[rows]))
 
 
 def coverage(region: Region, population: Population,

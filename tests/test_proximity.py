@@ -204,6 +204,105 @@ def test_counts_keep_the_strict_and_inclusive_radii(grid16, hand_plan):
             assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
 
 
+def test_classes_split_residents_at_the_radius_edges(grid16, hand_plan):
+    # area 4 is the cell [750, 1000] x [0, 250]: each home is paired with
+    # the neighbour one ulp across a threshold, strict at 500 m and
+    # inclusive at 300 m, and both see the same other areas
+    xs = [1500.0, np.nextafter(1500.0, 0.0),
+          1300.0, np.nextafter(1300.0, np.inf)]
+    homes = np.array([[x, 125.0] for x in xs])
+    index = ProximityIndex(grid16, homes, 500.0)
+    east = [a.id for a in grid16.areas].index(4)
+    at = [dict(zip(*index.row(i)))[east] for i in range(4)]
+    assert at[0] == 500.0 and at[1] < 500.0
+    assert at[2] == 300.0 and at[3] > 300.0
+    assert len(set(index.classes[0].tolist())) == 4
+    needs = (np.full(4, metrics.USE_MASK), np.full(4, len(ASSIGNABLE_USES)))
+    counts = CoverageCounts(index, hand_plan.use_codes(grid16), needs)
+    assignment = dict(hand_plan.assignment)
+    for use in ASSIGNABLE_USES:
+        assignment[4] = use
+        counts.set_use(east, USE_CODES[use])
+        bits = index.coverage.bits(Plan(dict(assignment)))
+        assert np.array_equal(counts.service, Coverage.service(bits))
+        assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
+        assert np.array_equal(counts.satisfaction,
+                              Coverage.satisfaction(bits, needs))
+
+
+def test_classes_group_exactly_the_same_areas_in_range():
+    rng = np.random.default_rng(606)
+    for _ in range(6):
+        region = _random_region(rng, int(rng.integers(2, 6)),
+                                int(rng.integers(2, 6)), cell_m=150.0)
+        homes = _homes_around(region, 300, rng, margin=400.0)
+        index = ProximityIndex(region, homes, 600.0)
+        silent = [a.fixed_use is LandUse.RESIDENTIAL for a in region.areas]
+        signatures = []
+        for i in range(len(homes)):
+            signatures.append(frozenset(
+                (int(j), bool(d <= metrics.ESR_RADIUS_M))
+                for j, d in zip(*index.row(i))
+                if d < metrics.SERVICE_RADIUS_M and not silent[j]))
+        class_of, ptr, area_classes = index.classes
+        # same class exactly when the same areas are in range
+        pairs = set(zip(signatures, class_of.tolist()))
+        assert len(pairs) == len(set(signatures)) == len(set(class_of.tolist()))
+        # area j's classes, those within the ecology radius first
+        for j in range(len(region.areas)):
+            near = {c for sig, c in pairs if (j, True) in sig}
+            far = {c for sig, c in pairs if (j, False) in sig}
+            assert sorted(area_classes[ptr[2 * j]:ptr[2 * j + 1]]) == sorted(near)
+            assert sorted(area_classes[ptr[2 * j + 1]:ptr[2 * j + 2]]) == sorted(far)
+
+
+def _check_degenerate(region, homes, plan):
+    index = ProximityIndex(region, homes, 500.0)
+    needs = (np.full(len(homes), metrics.USE_MASK, dtype=np.uint16),
+             np.full(len(homes), len(ASSIGNABLE_USES)))
+    counts = CoverageCounts(index, plan.use_codes(region), needs)
+    assignment = dict(plan.assignment)
+    column = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
+    for area_id in [None] + list(region.vacant_ids):
+        if area_id is not None:
+            assignment[area_id] = LandUse.PARK
+            counts.set_use(column[area_id], USE_CODES[LandUse.PARK])
+        bits = index.coverage.bits(Plan(dict(assignment)))
+        assert np.array_equal(counts.service, Coverage.service(bits))
+        assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
+        assert np.array_equal(counts.satisfaction,
+                              Coverage.satisfaction(bits, needs))
+    return counts
+
+
+def test_counts_on_an_empty_population(grid16, hand_plan):
+    counts = _check_degenerate(grid16, np.zeros((0, 2)), hand_plan)
+    assert counts.counts.shape == (len(ASSIGNABLE_USES) + 1, 0)
+
+
+def test_counts_with_no_pairs_in_range(grid16, hand_plan):
+    homes = np.array([[5000.0, 5000.0], [-900.0, 300.0]])
+    counts = _check_degenerate(grid16, homes, hand_plan)
+    assert counts.service.tolist() == [0.0, 0.0]
+
+
+def test_counts_see_only_a_residential_area():
+    # cells of 1 km: homes near the west residential cell are more than
+    # 500 m from both vacant cells
+    region = fixtures.make_grid_region(
+        "lone", 1, 3, 1000.0, [(0, 0)], [], {u: 0 for u in ASSIGNABLE_USES},
+        lambda row, col: 1, {1: "lone"})
+    homes = np.array([[100.0, 500.0], [300.0, 200.0], [-200.0, 900.0]])
+    plan = Plan({2: LandUse.SCHOOL, 3: LandUse.OFFICE})
+    counts = _check_degenerate(region, homes, plan)
+    index = ProximityIndex(region, homes, 500.0)
+    assert index.columns.tolist() == [0, 0, 0]
+    assert len(set(index.classes[0].tolist())) == 1
+    # a fixed area keeps its use
+    with pytest.raises(InvariantError):
+        counts.set_use(0, USE_CODES[LandUse.PARK])
+
+
 def test_empty_population_builds_an_empty_index():
     region = fixtures.grid16_region()
     index = ProximityIndex(region, np.zeros((0, 2)), 500.0)
