@@ -388,7 +388,8 @@ class CoverageCounts:
         return Coverage.satisfaction(bits, self._needs)
 
     def set_use(self, j: int, code: int) -> None:
-        """Give area position j the use code `code`."""
+        """Give area position j the use code `code`; raise InvariantError
+        if its use is fixed."""
         if self._fixed[j]:
             raise InvariantError(f"area position {j} has a fixed use")
         delta = _SLOTS[code] - _SLOTS[self.codes[j]]
