@@ -204,30 +204,37 @@ def test_counts_keep_the_strict_and_inclusive_radii(grid16, hand_plan):
             assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
 
 
+def _check_against_coverage(counts, index, assignment, needs):
+    bits = index.coverage.bits(Plan(dict(assignment)))
+    assert np.array_equal(counts.service, Coverage.service(bits))
+    assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
+    assert np.array_equal(counts.satisfaction,
+                          Coverage.satisfaction(bits, needs))
+
+
 def test_classes_split_residents_at_the_radius_edges(grid16, hand_plan):
-    # area 4 is the cell [750, 1000] x [0, 250]: each home is paired with
-    # the neighbour one ulp across a threshold, strict at 500 m and
-    # inclusive at 300 m, and both see the same other areas
+    # area 4 is the cell [750, 1000] x [0, 250]: homes at 500 m and 300 m
+    # from it, each with neighbours one ulp away, and every neighbour sees
+    # the same other areas
     xs = [1500.0, np.nextafter(1500.0, 0.0),
-          1300.0, np.nextafter(1300.0, np.inf)]
+          1300.0, np.nextafter(1300.0, np.inf), np.nextafter(1300.0, 0.0)]
     homes = np.array([[x, 125.0] for x in xs])
     index = ProximityIndex(grid16, homes, 500.0)
     east = [a.id for a in grid16.areas].index(4)
-    at = [dict(zip(*index.row(i)))[east] for i in range(4)]
+    at = [dict(zip(*index.row(i)))[east] for i in range(len(xs))]
     assert at[0] == 500.0 and at[1] < 500.0
-    assert at[2] == 300.0 and at[3] > 300.0
-    assert len(set(index.classes[0].tolist())) == 4
-    needs = (np.full(4, metrics.USE_MASK), np.full(4, len(ASSIGNABLE_USES)))
+    assert at[3] > 300.0 and at[2] == 300.0 and at[4] < 300.0
+    # strict at 500 m, inclusive at 300 m
+    class_of = index.classes[0].tolist()
+    assert len(set(class_of[:4])) == 4 and class_of[4] == class_of[2]
+    needs = (np.full(len(xs), metrics.USE_MASK),
+             np.full(len(xs), len(ASSIGNABLE_USES)))
     counts = CoverageCounts(index, hand_plan.use_codes(grid16), needs)
     assignment = dict(hand_plan.assignment)
     for use in ASSIGNABLE_USES:
         assignment[4] = use
         counts.set_use(east, USE_CODES[use])
-        bits = index.coverage.bits(Plan(dict(assignment)))
-        assert np.array_equal(counts.service, Coverage.service(bits))
-        assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
-        assert np.array_equal(counts.satisfaction,
-                              Coverage.satisfaction(bits, needs))
+        _check_against_coverage(counts, index, assignment, needs)
 
 
 def test_classes_group_exactly_the_same_areas_in_range():
@@ -263,26 +270,22 @@ def _check_degenerate(region, homes, plan):
     counts = CoverageCounts(index, plan.use_codes(region), needs)
     assignment = dict(plan.assignment)
     column = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
-    for area_id in [None] + list(region.vacant_ids):
-        if area_id is not None:
-            assignment[area_id] = LandUse.PARK
-            counts.set_use(column[area_id], USE_CODES[LandUse.PARK])
-        bits = index.coverage.bits(Plan(dict(assignment)))
-        assert np.array_equal(counts.service, Coverage.service(bits))
-        assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
-        assert np.array_equal(counts.satisfaction,
-                              Coverage.satisfaction(bits, needs))
-    return counts
+    _check_against_coverage(counts, index, assignment, needs)
+    for area_id in region.vacant_ids:
+        assignment[area_id] = LandUse.PARK
+        counts.set_use(column[area_id], USE_CODES[LandUse.PARK])
+        _check_against_coverage(counts, index, assignment, needs)
+    return index, counts
 
 
 def test_counts_on_an_empty_population(grid16, hand_plan):
-    counts = _check_degenerate(grid16, np.zeros((0, 2)), hand_plan)
+    _, counts = _check_degenerate(grid16, np.zeros((0, 2)), hand_plan)
     assert counts.counts.shape == (len(ASSIGNABLE_USES) + 1, 0)
 
 
 def test_counts_with_no_pairs_in_range(grid16, hand_plan):
     homes = np.array([[5000.0, 5000.0], [-900.0, 300.0]])
-    counts = _check_degenerate(grid16, homes, hand_plan)
+    _, counts = _check_degenerate(grid16, homes, hand_plan)
     assert counts.service.tolist() == [0.0, 0.0]
 
 
@@ -294,8 +297,7 @@ def test_counts_see_only_a_residential_area():
         lambda row, col: 1, {1: "lone"})
     homes = np.array([[100.0, 500.0], [300.0, 200.0], [-200.0, 900.0]])
     plan = Plan({2: LandUse.SCHOOL, 3: LandUse.OFFICE})
-    counts = _check_degenerate(region, homes, plan)
-    index = ProximityIndex(region, homes, 500.0)
+    index, counts = _check_degenerate(region, homes, plan)
     assert index.columns.tolist() == [0, 0, 0]
     assert len(set(index.classes[0].tolist())) == 1
     # a fixed area keeps its use
