@@ -246,8 +246,9 @@ class ProximityIndex:
         ptr, area classes). A class holds the rows with the same areas
         strictly within SERVICE_RADIUS_M and the same areas within
         ESR_RADIUS_M inclusive, leaving out fixed areas that give no
-        coverage bit. Area j's classes are area_classes[ptr[2j]:ptr[2j +
-        2]] as int32, those within ESR_RADIUS_M first, up to ptr[2j + 1]."""
+        coverage bit. Area j's int32 classes are
+        area_classes[ptr[2j]:ptr[2j + 2]], those within ESR_RADIUS_M
+        first, up to ptr[2j + 1]."""
         self.require(REACH_M)
         fixed = self.region.fixed_codes
         keep = (self.distances < SERVICE_RADIUS_M) & ~(
