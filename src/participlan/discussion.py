@@ -243,7 +243,7 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
     pos_by_id = {r.id: i for i, r in enumerate(population.residents)}
     invited_idx = np.array([pos_by_id[r] for r in invited], dtype=int)
     evaluator = metrics_mod.CoverageCounts(
-        cache, plan.use_codes(region), metrics_mod.Coverage.needs(population),
+        cache, plan.use_codes(region), metrics_mod.needs(population),
         rows=invited_idx)
 
     def invited_satisfaction() -> float:

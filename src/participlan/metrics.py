@@ -17,16 +17,16 @@ does not count, a home exactly at the ecology radius does.
 Every metric asks only whether some area lies within a radius, so
 home-to-area distances are kept only up to REACH_M (ProximityIndex); a
 query beyond an index's radius raises InvariantError instead of
-answering from a truncated index. One bitmask pass over the kept pairs
-(Coverage) gives all four metrics of a plan.
+answering from a truncated index.
 
-Local search and greedy repair change one area's use at a time.
-Residents with the same areas in range share a coverage class
-(ProximityIndex.classes). CoverageCounts keeps per-class counts of the
-areas in range per use and of green areas, so a change touches only
-that area's classes; each resident's values are gathered from its
-class's hits through Coverage's own functions, so they equal a
-from-scratch pass bit for bit.
+One evaluator, CoverageCounts, gives every metric, the local search
+objective and greedy repair's satisfaction. Residents with the same
+areas in range share a coverage class (ProximityIndex.classes), and it
+keeps per-class counts of the areas in range per use and of green
+areas, so changing one area's use touches only that area's classes.
+Each resident's values are gathered from its class's hits through
+tables of the exact per-resident floats, so a plan scored after a
+series of changes equals the same plan scored from scratch bit for bit.
 """
 from __future__ import annotations
 
@@ -96,26 +96,30 @@ ASSIGNABLE_USE_BITS = USE_CODE_BITS[[USE_CODES[u] for u in ASSIGNABLE_USES]]
 _N_SLOTS = len(ASSIGNABLE_USES) + 1
 
 
-def _slot_tables() -> tuple[np.ndarray, np.ndarray]:
+def _slot_tables() -> tuple[np.ndarray, ...]:
     # plain ints: the first numpy ops on these dtypes cost the process
     # about 0.3 MB of peak memory at import
     slots = [[bits >> k & 1 for k in range(_N_CATEGORIES, _GREEN_BIT.bit_length())]
              for bits in USE_CODE_BITS.tolist()]
     categories = [bits & int(CATEGORY_MASK) for bits in ASSIGNABLE_USE_BITS.tolist()]
-    hit_bits = []
+    hit_bits, service, in_esr = [], [], []
     for hits in range(1 << _N_SLOTS):
         bits = hits << _N_CATEGORIES
         for k, category in enumerate(categories):
             if hits >> k & 1:
                 bits |= category
         hit_bits.append(bits)
-    return np.array(slots, dtype=np.int32), np.array(hit_bits, dtype=np.uint16)
+        service.append((bits & int(CATEGORY_MASK)).bit_count() / float(_N_CATEGORIES))
+        in_esr.append(1.0 if bits & _GREEN_BIT else 0.0)
+    return (np.array(slots, dtype=np.int32), np.array(hit_bits, dtype=np.uint16),
+            np.array(service), np.array(in_esr))
 
 
-#: The 0/1 slots an area gives, indexed by its use code like USE_CODE_BITS,
-#: and the coverage bits of each set of hit slots, indexed by its bitmask
-#: (a category is hit when one of its uses is).
-_SLOTS, _HIT_BITS = _slot_tables()
+#: The 0/1 slots an area gives, indexed by its use code like USE_CODE_BITS;
+#: then, indexed by the bitmask of a set of hit slots, its coverage bits
+#: (a category is hit when one of its uses is), its share of service
+#: categories in range and 1.0 where it has green in range, else 0.0.
+_SLOTS, _HIT_BITS, _HIT_SERVICE, _HIT_IN_ESR = _slot_tables()
 
 
 #: Candidate pairs per block of a ProximityIndex build. Only one block's
@@ -236,11 +240,6 @@ class ProximityIndex:
         return self.columns[lo:hi], self.distances[lo:hi]
 
     @cached_property
-    def coverage(self) -> "Coverage":
-        """The coverage evaluator of every resident, kept for reuse."""
-        return Coverage(self)
-
-    @cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The residents grouped for CoverageCounts: (class of each row,
         ptr, area classes). A class holds the rows with the same areas
@@ -276,65 +275,12 @@ class ProximityIndex:
         return class_of, ptr, classes[np.argsort(keys, kind="stable")]
 
 
-class Coverage:
-    """What each resident has in range under a plan, as one bitmask.
-
-    Each area's use gives its bits through USE_CODE_BITS; each stored pair
-    keeps the category and use bits only strictly within SERVICE_RADIUS_M,
-    and the green bit only within ESR_RADIUS_M inclusive. OR-ing the pairs of a
-    row gives the resident's bits, and popcounts give the same integer
-    counts the metrics divide, so the values are exact.
-    """
-
-    def __init__(self, index: ProximityIndex):
-        index.require(REACH_M)
-        self.n_rows = len(index.homes)
-        lengths = np.diff(index.indptr)
-        # reduceat needs the start of every non-empty row
-        self._filled = np.flatnonzero(lengths)
-        self._starts = index.indptr[:-1][self._filled]
-        self._columns = index.columns
-        dist = index.distances
-        self._mask = (np.where(dist < SERVICE_RADIUS_M,
-                               np.uint16(_GREEN_BIT - 1), np.uint16(0))
-                      | np.where(dist <= ESR_RADIUS_M,
-                                 np.uint16(_GREEN_BIT), np.uint16(0)))
-        self.region = index.region
-
-    def bits(self, plan: Plan) -> np.ndarray:
-        """Per-row bitmask of what the plan puts in range."""
-        out = np.zeros(self.n_rows, dtype=np.uint16)
-        if len(self._starts):
-            pair_bits = USE_CODE_BITS[plan.use_codes(self.region)][self._columns]
-            pair_bits &= self._mask
-            out[self._filled] = np.bitwise_or.reduceat(pair_bits, self._starts)
-        return out
-
-    @staticmethod
-    def service(bits: np.ndarray) -> np.ndarray:
-        """Share of service categories in range per row."""
-        hits = np.bitwise_count(bits & CATEGORY_MASK)
-        return hits.astype(float) / float(_N_CATEGORIES)
-
-    @staticmethod
-    def in_esr(bits: np.ndarray) -> np.ndarray:
-        """1.0 where some green area is in the ecology range, else 0.0."""
-        return ((bits & np.uint16(_GREEN_BIT)) != 0).astype(float)
-
-    @staticmethod
-    def needs(population: Population) -> tuple[np.ndarray, np.ndarray]:
-        """(need bits, need counts) per resident; raises if any resident
-        lacks needs."""
-        mask, lens = population.needs_mask
-        weights = (ASSIGNABLE_USE_BITS & USE_MASK).astype(np.intp)
-        return (mask @ weights).astype(np.uint16), lens
-
-    @staticmethod
-    def satisfaction(bits: np.ndarray,
-                     needs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Share of each row's needs with a facility strictly in range."""
-        need_bits, lens = needs
-        return np.bitwise_count(bits & need_bits) / lens
+def needs(population: Population) -> tuple[np.ndarray, np.ndarray]:
+    """(need bits, need counts) per resident, the bits laid out as the
+    use bits of the coverage bits; raises if any resident lacks needs."""
+    mask, lens = population.needs_mask
+    weights = (ASSIGNABLE_USE_BITS & USE_MASK).astype(np.intp)
+    return (mask @ weights).astype(np.uint16), lens
 
 
 class CoverageCounts:
@@ -346,9 +292,10 @@ class CoverageCounts:
     SERVICE_RADIUS_M) and green (within ESR_RADIUS_M inclusive); `hits`
     marks the slots with counts > 0. set_use adds the two codes' slot
     difference on the area's classes; setting the old code back reverts
-    it. service, in_esr and satisfaction gather each resident's values
-    from its class hits, as Coverage's functions give them, for `rows`
-    (every resident by default) in that order.
+    it. service (share of service categories in range), in_esr (1.0
+    where some green area is in range) and satisfaction (share of the
+    `needs` in range) gather each resident's value from its class's
+    hits, for `rows` (every resident by default) in that order.
     """
 
     def __init__(self, index: ProximityIndex, codes: np.ndarray,
@@ -359,8 +306,6 @@ class CoverageCounts:
         self._needs = needs if needs is None or rows is None else (
             needs[0][rows], needs[1][rows])
         self._fixed = (index.region.fixed_codes >= 0).tolist()
-        self._service = Coverage.service(_HIT_BITS)
-        self._in_esr = Coverage.in_esr(_HIT_BITS)
         n = int(class_of.max(initial=-1)) + 1
         self.counts = np.zeros((_N_SLOTS, n), dtype=np.int32)
         self.hits = np.zeros(n, dtype=np.uint16)
@@ -377,16 +322,17 @@ class CoverageCounts:
 
     @property
     def service(self) -> np.ndarray:
-        return self._service.take(self.hits).take(self._class_of)
+        return _HIT_SERVICE.take(self.hits).take(self._class_of)
 
     @property
     def in_esr(self) -> np.ndarray:
-        return self._in_esr.take(self.hits).take(self._class_of)
+        return _HIT_IN_ESR.take(self.hits).take(self._class_of)
 
     @property
     def satisfaction(self) -> np.ndarray:
+        need_bits, lens = self._needs
         bits = _HIT_BITS.take(self.hits).take(self._class_of)
-        return Coverage.satisfaction(bits, self._needs)
+        return np.bitwise_count(bits & need_bits) / lens
 
     def set_use(self, j: int, code: int) -> None:
         """Give area position j the use code `code`; raise InvariantError
@@ -409,19 +355,21 @@ class CoverageCounts:
                 self.hits[near[count[near] == 0]] ^= bit
 
 
-def coverage(region: Region, population: Population,
-             cache: Optional[ProximityIndex] = None) -> Coverage:
-    """The evaluator from `cache`, or from an index built out to REACH_M."""
+def plan_coverage(region: Region, plan: Plan, population: Population,
+                  cache: Optional[ProximityIndex] = None,
+                  needs: Optional[tuple[np.ndarray, np.ndarray]] = None
+                  ) -> CoverageCounts:
+    """The plan's evaluator on `cache`, or on an index built out to
+    REACH_M; satisfaction reads `needs`."""
     if cache is None:
         cache = ProximityIndex(region, population.homes, REACH_M)
-    return cache.coverage
+    return CoverageCounts(cache, plan.use_codes(region), needs)
 
 
 def per_resident_service(region: Region, plan: Plan, population: Population,
                          cache: Optional[ProximityIndex] = None) -> np.ndarray:
     """Share of service categories reachable per resident, in [0, 1]."""
-    cov = coverage(region, population, cache)
-    return cov.service(cov.bits(plan))
+    return plan_coverage(region, plan, population, cache).service
 
 
 def per_resident_in_esr(region: Region, plan: Plan, population: Population,
@@ -431,16 +379,14 @@ def per_resident_in_esr(region: Region, plan: Plan, population: Population,
     The range is the union of closed ESR_RADIUS_M buffers around every
     green area: parks, open spaces and the fixed green stock.
     """
-    cov = coverage(region, population, cache)
-    return cov.in_esr(cov.bits(plan))
+    return plan_coverage(region, plan, population, cache).in_esr
 
 
 def per_resident_satisfaction(region: Region, plan: Plan, population: Population,
                               cache: Optional[ProximityIndex] = None) -> np.ndarray:
     """Share of each resident's needs with a facility strictly in range."""
-    cov = coverage(region, population, cache)
-    needs = cov.needs(population)
-    return cov.satisfaction(cov.bits(plan), needs)
+    return plan_coverage(region, plan, population, cache,
+                         needs(population)).satisfaction
 
 
 def service(region: Region, plan: Plan, population: Population,
@@ -485,16 +431,13 @@ class MetricsReport:
 
 def report(region: Region, plan: Plan, population: Population,
            cache: Optional[ProximityIndex] = None) -> MetricsReport:
-    """All four metrics from one coverage pass.
+    """All four metrics from one evaluator.
 
     Aggregates are means of the per-resident arrays, so report() and the
     scalar functions agree exactly.
     """
-    cov = coverage(region, population, cache)
-    bits = cov.bits(plan)
-    srv = cov.service(bits)
-    esr = cov.in_esr(bits)
-    sat = cov.satisfaction(bits, cov.needs(population))
+    cov = plan_coverage(region, plan, population, cache, needs(population))
+    srv, esr, sat = cov.service, cov.in_esr, cov.satisfaction
     mask = population.marginalized_mask
     incl = float(np.mean(sat[mask])) if mask.any() else None
     return MetricsReport(

@@ -222,11 +222,10 @@ def _objective(service: np.ndarray, in_esr: np.ndarray) -> float:
 
 def plan_objective(region: Region, population: Population, plan: Plan,
                    cache: Optional[ProximityIndex] = None) -> float:
-    """The OBJECTIVE_WEIGHTS sum of Service and Ecology from one coverage
-    pass; equal to the weighted metric functions."""
-    cov = metrics_mod.coverage(region, population, cache)
-    bits = cov.bits(plan)
-    return _objective(cov.service(bits), cov.in_esr(bits))
+    """The OBJECTIVE_WEIGHTS sum of Service and Ecology from one
+    evaluator; equal to the weighted metric functions."""
+    cov = metrics_mod.plan_coverage(region, plan, population, cache)
+    return _objective(cov.service, cov.in_esr)
 
 
 def _anneal(region: Region, config: PlannerConfig, cache: ProximityIndex,

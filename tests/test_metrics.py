@@ -17,6 +17,7 @@ from participlan.metrics import (
     service,
     write_metrics_csv,
 )
+from participlan.planners import plan_objective
 from participlan.population import Population
 from participlan.region import LandUse, Plan
 
@@ -73,14 +74,17 @@ def test_per_resident_vectors(grid16, hand_plan, hand_population):
 
 
 def test_synthesized_population_matches_oracle(grid16, hand_plan, pop_grid16):
-    assert service(grid16, hand_plan, pop_grid16) == pytest.approx(
-        oracles.oracle_service(grid16, hand_plan, pop_grid16), abs=1e-12)
-    assert ecology(grid16, hand_plan, pop_grid16) == pytest.approx(
-        oracles.oracle_ecology(grid16, hand_plan, pop_grid16), abs=1e-12)
-    assert satisfaction(grid16, hand_plan, pop_grid16) == pytest.approx(
-        oracles.oracle_satisfaction(grid16, hand_plan, pop_grid16), abs=1e-12)
-    assert inclusion(grid16, hand_plan, pop_grid16) == pytest.approx(
-        oracles.oracle_inclusion(grid16, hand_plan, pop_grid16), abs=1e-12)
+    # the second plan leaves vacant area 9 unassigned (use code -1)
+    partial = Plan({a: u for a, u in hand_plan.assignment.items() if a != 9})
+    for plan in (hand_plan, partial):
+        assert service(grid16, plan, pop_grid16) == pytest.approx(
+            oracles.oracle_service(grid16, plan, pop_grid16), abs=1e-12)
+        assert ecology(grid16, plan, pop_grid16) == pytest.approx(
+            oracles.oracle_ecology(grid16, plan, pop_grid16), abs=1e-12)
+        assert satisfaction(grid16, plan, pop_grid16) == pytest.approx(
+            oracles.oracle_satisfaction(grid16, plan, pop_grid16), abs=1e-12)
+        assert inclusion(grid16, plan, pop_grid16) == pytest.approx(
+            oracles.oracle_inclusion(grid16, plan, pop_grid16), abs=1e-12)
 
 
 def test_inclusion_requires_marginalized(grid16, hand_plan, hand_population):
@@ -100,6 +104,13 @@ def test_satisfaction_requires_needs(grid16, hand_plan, hand_population):
         seed=0)
     with pytest.raises(NeedsMissing):
         satisfaction(grid16, hand_plan, broken)
+    # the metrics that read no needs still answer
+    assert service(grid16, hand_plan, broken) \
+        == service(grid16, hand_plan, hand_population)
+    assert ecology(grid16, hand_plan, broken) \
+        == ecology(grid16, hand_plan, hand_population)
+    assert plan_objective(grid16, broken, hand_plan) \
+        == plan_objective(grid16, hand_population, hand_plan)
 
 
 def test_report_aggregates_equal_per_resident_means(grid16, hand_plan,

@@ -1,8 +1,10 @@
-"""The radius-bounded proximity index and the coverage evaluators on it.
+"""The radius-bounded proximity index and the coverage evaluator on it.
 
 The index must hold exactly the (resident, area) pairs within its radius,
 with the distances the dense kernel gives, and must refuse any query
-beyond that radius rather than answer it from missing pairs.
+beyond that radius rather than answer it from missing pairs. The
+evaluator (CoverageCounts) must give, after any series of use changes,
+what a plain OR over each resident's stored pairs gives.
 """
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from participlan import fixtures, geometry, metrics
 from participlan.discussion import invite, view_payload
 from participlan.errors import InvariantError
 from participlan.metrics import (
-    Coverage,
     CoverageCounts,
     ProximityIndex,
     report,
@@ -109,6 +110,10 @@ def test_query_beyond_the_radius_raises(grid16, hand_plan, pop_grid16):
     with pytest.raises(InvariantError):
         satisfaction(grid16, hand_plan, pop_grid16, cache=index)
     with pytest.raises(InvariantError):
+        report(grid16, hand_plan, pop_grid16, cache=index)
+    with pytest.raises(InvariantError):
+        plan_objective(grid16, pop_grid16, hand_plan, index)
+    with pytest.raises(InvariantError):
         invite(1, grid16, pop_grid16, invite_buffer_m=450.0, cache=index)
     with pytest.raises(InvariantError):
         view_payload(pop_grid16.residents[0], grid16, hand_plan, 450.0,
@@ -124,30 +129,77 @@ def test_wider_index_gives_the_same_metrics(hlg, pop_hlg):
     assert narrow == wide
 
 
+def _reference(index, assignment, needs=None, rows=None):
+    """(service, in_esr, satisfaction) per resident from a plain OR over
+    each row's stored pairs: category and use bits strictly within
+    SERVICE_RADIUS_M, the green bit within ESR_RADIUS_M inclusive. Only
+    `rows` (every resident by default), in that order; satisfaction is
+    None without `needs`."""
+    region = index.region
+    bits = metrics.USE_CODE_BITS[Plan(dict(assignment)).use_codes(region)].tolist()
+    near = int(metrics.CATEGORY_MASK | metrics.USE_MASK)
+    rows = range(len(index.homes)) if rows is None else rows
+    got = []
+    for i in rows:
+        acc = 0
+        for j, d in zip(*(a.tolist() for a in index.row(i))):
+            if d < metrics.SERVICE_RADIUS_M:
+                acc |= bits[j] & near
+            if d <= metrics.ESR_RADIUS_M:
+                acc |= bits[j] & metrics._GREEN_BIT
+        got.append(acc)
+    n_categories = float(len(metrics.SERVICE_CATEGORIES))
+    service = np.array([bin(b & int(metrics.CATEGORY_MASK)).count("1")
+                        / n_categories for b in got])
+    in_esr = np.array([1.0 if b & metrics._GREEN_BIT else 0.0 for b in got])
+    satisfaction = None if needs is None else np.array(
+        [bin(b & int(needs[0][i])).count("1") / needs[1][i]
+         for b, i in zip(got, rows)])
+    return service, in_esr, satisfaction
+
+
+def _check_against_reference(counts, index, assignment, needs=None,
+                             rows=None):
+    service, in_esr, sat = _reference(index, assignment, needs, rows)
+    assert np.array_equal(counts.service, service)
+    assert np.array_equal(counts.in_esr, in_esr)
+    if needs is not None:
+        assert np.array_equal(counts.satisfaction, sat)
+    return service, in_esr
+
+
 def test_restricted_rows_match_the_full_evaluator():
-    # greedy repair scores the invited rows gathered from the counts
+    # greedy repair scores only the invited rows
     rng = np.random.default_rng(77)
     region = _random_region(rng, 5, 5)
     pop = scatter_population(region, 60, rng)
-    plan = random_plan_for(region, rng)
+    assignment = dict(random_plan_for(region, rng).assignment)
     index = ProximityIndex(region, pop.homes, 600.0)
-    full = index.coverage
     rows = np.array(sorted(rng.choice(len(pop), size=25, replace=False)))
-    counts = CoverageCounts(index, plan.use_codes(region), Coverage.needs(pop))
-    want = full.satisfaction(full.bits(plan), full.needs(pop))[rows]
-    assert np.array_equal(counts.satisfaction[rows], want)
+    needs = metrics.needs(pop)
+    counts = CoverageCounts(index, Plan(assignment).use_codes(region), needs,
+                            rows=rows)
+    _check_against_reference(counts, index, assignment, needs, rows)
+    column = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
+    moves = [(a, ASSIGNABLE_USES[int(rng.integers(len(ASSIGNABLE_USES)))])
+             for a in rng.choice(region.vacant_ids, size=4).tolist()]
+    undo = []
+    for area_id, use in moves:
+        undo.append((area_id, assignment[area_id]))
+        assignment[area_id] = use
+        counts.set_use(column[area_id], USE_CODES[use])
+        _check_against_reference(counts, index, assignment, needs, rows)
+    for area_id, use in reversed(undo):
+        assignment[area_id] = use
+        counts.set_use(column[area_id], USE_CODES[use])
+        _check_against_reference(counts, index, assignment, needs, rows)
 
 
 def _check_counts(counts, region, pop, assignment, index):
-    plan = Plan(dict(assignment))
-    cov = index.coverage
-    bits = cov.bits(plan)
-    assert np.array_equal(counts.service, cov.service(bits))
-    assert np.array_equal(counts.in_esr, cov.in_esr(bits))
-    assert np.array_equal(counts.satisfaction,
-                          cov.satisfaction(bits, cov.needs(pop)))
-    assert _objective(counts.service, counts.in_esr) \
-        == plan_objective(region, pop, plan, index)
+    service, in_esr = _check_against_reference(counts, index, assignment,
+                                               metrics.needs(pop))
+    assert _objective(service, in_esr) \
+        == plan_objective(region, pop, Plan(dict(assignment)), index)
 
 
 @pytest.mark.parametrize("radius", [500.0, 700.0])
@@ -162,7 +214,7 @@ def test_counts_follow_moves_swaps_and_reverts(radius):
         index = ProximityIndex(region, pop.homes, radius)
         assignment = dict(random_plan_for(region, rng).assignment)
         counts = CoverageCounts(index, Plan(assignment).use_codes(region),
-                                Coverage.needs(pop))
+                                metrics.needs(pop))
         column = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
         ids = list(region.vacant_ids)
         undo = []
@@ -199,17 +251,7 @@ def test_counts_keep_the_strict_and_inclusive_radii(grid16, hand_plan):
             assignment[area_id] = use
             counts.set_use([a.id for a in grid16.areas].index(area_id),
                            USE_CODES[use])
-            bits = index.coverage.bits(Plan(dict(assignment)))
-            assert np.array_equal(counts.service, Coverage.service(bits))
-            assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
-
-
-def _check_against_coverage(counts, index, assignment, needs):
-    bits = index.coverage.bits(Plan(dict(assignment)))
-    assert np.array_equal(counts.service, Coverage.service(bits))
-    assert np.array_equal(counts.in_esr, Coverage.in_esr(bits))
-    assert np.array_equal(counts.satisfaction,
-                          Coverage.satisfaction(bits, needs))
+            _check_against_reference(counts, index, assignment)
 
 
 def test_classes_split_residents_at_the_radius_edges(grid16, hand_plan):
@@ -234,7 +276,7 @@ def test_classes_split_residents_at_the_radius_edges(grid16, hand_plan):
     for use in ASSIGNABLE_USES:
         assignment[4] = use
         counts.set_use(east, USE_CODES[use])
-        _check_against_coverage(counts, index, assignment, needs)
+        _check_against_reference(counts, index, assignment, needs)
 
 
 def test_classes_group_exactly_the_same_areas_in_range():
@@ -270,11 +312,11 @@ def _check_degenerate(region, homes, plan):
     counts = CoverageCounts(index, plan.use_codes(region), needs)
     assignment = dict(plan.assignment)
     column = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
-    _check_against_coverage(counts, index, assignment, needs)
+    _check_against_reference(counts, index, assignment, needs)
     for area_id in region.vacant_ids:
         assignment[area_id] = LandUse.PARK
         counts.set_use(column[area_id], USE_CODES[LandUse.PARK])
-        _check_against_coverage(counts, index, assignment, needs)
+        _check_against_reference(counts, index, assignment, needs)
     return index, counts
 
 
