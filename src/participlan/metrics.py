@@ -20,13 +20,13 @@ query beyond an index's radius raises InvariantError instead of
 answering from a truncated index.
 
 One evaluator, CoverageCounts, gives every metric, the local search
-objective and greedy repair's satisfaction. Residents with the same
-areas in range share a coverage class (ProximityIndex.classes), and it
-keeps per-class counts of the areas in range per use and of green
-areas, so changing one area's use touches only that area's classes.
-Each resident's values are gathered from its class's hits through
-tables of the exact per-resident floats, so a plan scored after a
-series of changes equals the same plan scored from scratch bit for bit.
+objective, gsca's gains and greedy repair's satisfaction. Residents with
+the same areas in range share a coverage class (ProximityIndex.classes),
+and it keeps per-class counts of the areas in range per use and of green
+areas, so changing one area's use touches only that area's classes. Each
+resident's values are gathered from its class's hits through tables of
+the exact per-resident floats, so a plan scored after a series of
+changes equals the same plan scored from scratch bit for bit.
 """
 from __future__ import annotations
 
@@ -62,64 +62,38 @@ SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
 
 DISTANCE_MODES = ("boundary", "centroid")
 
-# The coverage bit layout, low to high: one bit per service category, one
-# per assignable use (in ASSIGNABLE_USES order), then one for green.
-# Fourteen bits, so a uint16 holds them.
-_N_CATEGORIES = len(SERVICE_CATEGORIES)
-_GREEN_BIT = 1 << (_N_CATEGORIES + len(ASSIGNABLE_USES))
-#: The service category bits.
-CATEGORY_MASK = np.uint16((1 << _N_CATEGORIES) - 1)
-#: The assignable use bits.
-USE_MASK = np.uint16(_GREEN_BIT - 1 - CATEGORY_MASK)
-
-
-def _use_code_bits() -> np.ndarray:
-    table = np.zeros(len(USE_CODES) + 1, dtype=np.uint16)
-    for k, (_, uses) in enumerate(SERVICE_CATEGORIES):
-        for use in uses:
-            table[USE_CODES[use]] |= 1 << k
-    for k, use in enumerate(ASSIGNABLE_USES):
-        table[USE_CODES[use]] |= 1 << (_N_CATEGORIES + k)
-    for use in GREEN_USES:
-        table[USE_CODES[use]] |= _GREEN_BIT
-    return table
-
-
-#: The coverage bits an area gives, indexed by its use code: its service
-#: category, its own use bit and green. Code -1 (unassigned) reads the
-#: trailing 0.
-USE_CODE_BITS = _use_code_bits()
-#: USE_CODE_BITS of each assignable use, in ASSIGNABLE_USES order.
-ASSIGNABLE_USE_BITS = USE_CODE_BITS[[USE_CODES[u] for u in ASSIGNABLE_USES]]
-
-# CoverageCounts counts one slot per use bit and one for the green bit.
+# CoverageCounts counts one slot per assignable use, in ASSIGNABLE_USES
+# order, then one for green; bit k of a class's hits is slot k.
 _N_SLOTS = len(ASSIGNABLE_USES) + 1
 
 
 def _slot_tables() -> tuple[np.ndarray, ...]:
     # plain ints: the first numpy ops on these dtypes cost the process
     # about 0.3 MB of peak memory at import
-    slots = [[bits >> k & 1 for k in range(_N_CATEGORIES, _GREEN_BIT.bit_length())]
-             for bits in USE_CODE_BITS.tolist()]
-    categories = [bits & int(CATEGORY_MASK) for bits in ASSIGNABLE_USE_BITS.tolist()]
-    hit_bits, service, in_esr = [], [], []
-    for hits in range(1 << _N_SLOTS):
-        bits = hits << _N_CATEGORIES
-        for k, category in enumerate(categories):
-            if hits >> k & 1:
-                bits |= category
-        hit_bits.append(bits)
-        service.append((bits & int(CATEGORY_MASK)).bit_count() / float(_N_CATEGORIES))
-        in_esr.append(1.0 if bits & _GREEN_BIT else 0.0)
-    return (np.array(slots, dtype=np.int32), np.array(hit_bits, dtype=np.uint16),
+    slots = [[0] * _N_SLOTS for _ in range(len(USE_CODES) + 1)]
+    for k, use in enumerate(ASSIGNABLE_USES):
+        slots[USE_CODES[use]][k] = 1
+    for use in GREEN_USES:
+        slots[USE_CODES[use]][_N_SLOTS - 1] = 1
+    categories = [sum(1 << ASSIGNABLE_USES.index(use) for use in uses)
+                  for _, uses in SERVICE_CATEGORIES]
+    category_slots = [sum(c for c in categories if c >> k & 1)
+                      for k in range(len(ASSIGNABLE_USES))]
+    service = [sum(1 for c in categories if hits & c) / float(len(categories))
+               for hits in range(1 << _N_SLOTS)]
+    in_esr = [float(hits >> (_N_SLOTS - 1)) for hits in range(1 << _N_SLOTS)]
+    return (np.array(slots, dtype=np.int32),
+            np.array(category_slots, dtype=np.uint16),
             np.array(service), np.array(in_esr))
 
 
-#: The 0/1 slots an area gives, indexed by its use code like USE_CODE_BITS;
-#: then, indexed by the bitmask of a set of hit slots, its coverage bits
-#: (a category is hit when one of its uses is), its share of service
-#: categories in range and 1.0 where it has green in range, else 0.0.
-_SLOTS, _HIT_BITS, _HIT_SERVICE, _HIT_IN_ESR = _slot_tables()
+#: The 0/1 slots an area gives, indexed by its use code (code -1,
+#: unassigned, reads the trailing row of zeros); the slots of each
+#: assignable use's service category, in ASSIGNABLE_USES order, 0 for a
+#: use without one; then, indexed by the hits of a class, its share of
+#: service categories in range (a category is in range when one of its
+#: uses is) and 1.0 where it has green in range, else 0.0.
+_SLOTS, CATEGORY_SLOTS, _HIT_SERVICE, _HIT_IN_ESR = _slot_tables()
 
 
 #: Candidate pairs per block of a ProximityIndex build. Only one block's
@@ -245,13 +219,12 @@ class ProximityIndex:
         ptr, area classes). A class holds the rows with the same areas
         strictly within SERVICE_RADIUS_M and the same areas within
         ESR_RADIUS_M inclusive, leaving out fixed areas that give no
-        coverage bit. Area j's int32 classes are
-        area_classes[ptr[2j]:ptr[2j + 2]], those within ESR_RADIUS_M
-        first, up to ptr[2j + 1]."""
+        slot. Area j's int32 classes are area_classes[ptr[2j]:ptr[2j + 2]],
+        those within ESR_RADIUS_M first, up to ptr[2j + 1]."""
         self.require(REACH_M)
         fixed = self.region.fixed_codes
-        keep = (self.distances < SERVICE_RADIUS_M) & ~(
-            (fixed >= 0) & (USE_CODE_BITS[fixed] == 0))[self.columns]
+        gives = (fixed < 0) | _SLOTS[fixed].any(axis=1)
+        keep = (self.distances < SERVICE_RADIUS_M) & gives[self.columns]
         # each row's kept pairs as keys 2j (within ESR_RADIUS_M) or 2j + 1,
         # padded with 2 * areas to one width and grouped by exact bytes
         pad = 2 * len(fixed)
@@ -276,10 +249,11 @@ class ProximityIndex:
 
 
 def needs(population: Population) -> tuple[np.ndarray, np.ndarray]:
-    """(need bits, need counts) per resident, the bits laid out as the
-    use bits of the coverage bits; raises if any resident lacks needs."""
+    """(need bits, need counts) per resident: bit k is set where the
+    resident needs ASSIGNABLE_USES[k], as in CoverageCounts' hits; raises
+    if any resident lacks needs."""
     mask, lens = population.needs_mask
-    weights = (ASSIGNABLE_USE_BITS & USE_MASK).astype(np.intp)
+    weights = 1 << np.arange(len(ASSIGNABLE_USES))
     return (mask @ weights).astype(np.uint16), lens
 
 
@@ -331,8 +305,7 @@ class CoverageCounts:
     @property
     def satisfaction(self) -> np.ndarray:
         need_bits, lens = self._needs
-        bits = _HIT_BITS.take(self.hits).take(self._class_of)
-        return np.bitwise_count(bits & need_bits) / lens
+        return np.bitwise_count(self.hits.take(self._class_of) & need_bits) / lens
 
     def set_use(self, j: int, code: int) -> None:
         """Give area position j the use code `code`; raise InvariantError

@@ -18,14 +18,12 @@ import numpy as np
 from . import metrics as metrics_mod
 from .errors import Infeasible
 from .geometry import Point
-from .metrics import (ASSIGNABLE_USE_BITS, CATEGORY_MASK, REACH_M, USE_MASK,
+from .metrics import (CATEGORY_SLOTS, REACH_M, SERVICE_RADIUS_M,
                       CoverageCounts, ProximityIndex)
 from .population import Population
-from .region import (ASSIGNABLE_USES, USE_CODES, LandUse, Plan, Region,
-                     quota_order, validate_plan)
+from .region import (ASSIGNABLE_USES, CANON_INDEX, USE_CODES, LandUse, Plan,
+                     Region, quota_order, validate_plan)
 
-#: gsca's coverage radius, on centroid distance.
-GSCA_RADIUS_M = 500.0
 #: Added to centroid distances in the centralized planner's inverse
 #: weights, so an area at the center gets a finite weight.
 EPSILON_M = 1.0
@@ -149,35 +147,35 @@ def decentralized_plan(region: Region,
 
 def _gsca(region: Region, population: Population
           ) -> tuple[dict[int, LandUse], dict[LandUse, list[tuple[int, int]]]]:
-    """(assignment, quota-phase trace) on one coverage bitmask per resident
-    over the centroid pairs strictly within GSCA_RADIUS_M."""
+    """(assignment, quota-phase trace) on one CoverageCounts over the
+    centroid pairs strictly within SERVICE_RADIUS_M. An area reaches the
+    residents of its coverage classes, so each gain sums class sizes."""
     free = np.zeros(len(region.areas), dtype=bool)
     free[region.vacant_columns] = True
-    index = ProximityIndex(region, population.homes, GSCA_RADIUS_M,
+    index = ProximityIndex(region, population.homes, SERVICE_RADIUS_M,
                            mode="centroid")
-    hit = (index.distances < GSCA_RADIUS_M) & free[index.columns]
-    residents, columns = index.residents[hit], index.columns[hit]
-    by_column = np.argsort(columns, kind="stable")
-    reach = np.split(residents[by_column],
-                     np.cumsum(np.bincount(columns, minlength=len(free)))[:-1])
-    bits = np.zeros(len(population), dtype=np.uint16)
-    bits_of = dict(zip(ASSIGNABLE_USES, ASSIGNABLE_USE_BITS))
+    counts = CoverageCounts(index, region.fixed_codes)
+    class_of, ptr, area_classes = index.classes
+    sizes = np.bincount(class_of, minlength=len(counts.hits))
+    ends = ptr[0::2]
+    reached = np.zeros(len(area_classes) + 1, dtype=sizes.dtype)
     assignment: dict[int, LandUse] = {}
     trace: dict[LandUse, list[tuple[int, int]]] = {u: [] for u in ASSIGNABLE_USES}
 
     def assign(column: int, use: LandUse) -> None:
         assignment[region.areas[column].id] = use
         free[column] = False
-        bits[reach[column]] |= bits_of[use]
+        counts.set_use(column, USE_CODES[use])
 
     # Quota phase: per use, largest quota first, take the free area that
     # reaches the most residents still without that use; ties go to the
     # first free area in region order.
     for use in quota_order(region.requirements):
-        use_bit = bits_of[use] & USE_MASK
+        slot = 1 << CANON_INDEX[use]
         for _ in range(region.requirements.get(use, 0)):
-            lacking = (bits[residents] & use_bit) == 0
-            gains = np.bincount(columns[lacking], minlength=len(free))
+            without = np.where(counts.hits & slot, 0, sizes)
+            np.cumsum(without.take(area_classes), out=reached[1:])
+            gains = np.diff(reached[ends])
             best = int(np.argmax(np.where(free, gains, -1)))
             trace[use].append((region.areas[best].id, int(gains[best])))
             assign(best, use)
@@ -185,10 +183,12 @@ def _gsca(region: Region, population: Population
     # Fill phase: in id order, each leftover area takes the use whose
     # service category is missing for the most residents it reaches; ties
     # go to canonical order, and uses without a category gain nothing.
-    category_bits = ASSIGNABLE_USE_BITS & CATEGORY_MASK
+    categorized = CATEGORY_SLOTS > 0
     for column in sorted(np.flatnonzero(free), key=lambda j: region.areas[j].id):
-        missing = (~bits[reach[column], None] & category_bits) != 0
-        assign(column, ASSIGNABLE_USES[int(np.argmax(missing.sum(axis=0)))])
+        classes = area_classes[ptr[2 * column]:ptr[2 * column + 2]]
+        missing = (counts.hits[classes, None] & CATEGORY_SLOTS) == 0
+        gains = sizes[classes] @ (missing & categorized)
+        assign(column, ASSIGNABLE_USES[int(np.argmax(gains))])
     return assignment, trace
 
 

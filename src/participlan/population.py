@@ -94,8 +94,9 @@ class DemographicSpec:
 
 
 def _label_list(value) -> tuple[str, ...]:
-    """A quota's allowed labels for one field, which JSON gives as a list."""
-    if not isinstance(value, list):
+    """A quota's allowed labels for one field, which JSON gives as a list
+    of strings."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise TypeError(f"quota force values must be lists of labels, not {value!r}")
     return tuple(value)
 

@@ -249,6 +249,8 @@ MALFORMED = {
         DEMOGRAPHICS, ["gender"], ["female"])),
     "demographics-force-text": ("demographics", _edited(
         DEMOGRAPHICS, ["quotas", 0, "force", "age_band"], "65+")),
+    "demographics-force-nested": ("demographics", _edited(
+        DEMOGRAPHICS, ["quotas", 0, "force", "age_band"], [["65+"]])),
     "plan-assignments-list": ("plan", '{"assignments": [1]}'),
     "aggregate-without-means": ("aggregate", '{"metrics": {}}'),
     "aggregate-list": ("aggregate", "[1]"),

@@ -18,11 +18,12 @@ from participlan.planners import (
     plan_objective,
     random_plan,
 )
-from participlan.population import synthesize
+from participlan.population import Population, synthesize
 from participlan.region import (ASSIGNABLE_USES, LandUse, Plan, plan_digest,
                                 validate_plan)
 
 import oracles
+from conftest import _resident
 
 
 def _counts(plan):
@@ -118,18 +119,36 @@ def test_gsca_trace_and_coverage(grid16, pop_grid16):
     assert validate_plan(grid16, plan).ok
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("name", ["hlg", "dhm", "grid16", "grid16-reversed"])
+def _edge_population(region):
+    """Homes exactly 500 m east of vacant area 2's centroid, (375, 125),
+    and one ulp inside it: offsets along one axis, so the oracle's
+    math.hypot and np.hypot agree at the edge."""
+    inside = float(np.nextafter(875.0, 0.0))
+    homes = [875.0, 875.0, inside, inside, inside]
+    return Population(residents=tuple(
+        _resident(rid, x, 125.0, 4, [LandUse.SCHOOL])
+        for rid, x in enumerate(homes)), seed=0)
+
+
+@pytest.mark.parametrize("name, seed", [
+    *itertools.product(["hlg", "dhm", "grid16", "grid16-reversed"], [1, 2]),
+    pytest.param("grid16-edge", None, id="grid16-edge")])
 def test_gsca_matches_the_oracle(name, seed):
     region = {"hlg": fixtures.hlg_like_region,
               "dhm": fixtures.dhm_like_region,
               "grid16": fixtures.grid16_region,
-              "grid16-reversed": fixtures.grid16_region}[name]()
+              "grid16-reversed": fixtures.grid16_region,
+              "grid16-edge": fixtures.grid16_region}[name]()
     if name == "grid16-reversed":
         # areas out of id order: quota ties go to region order, the fill
         # goes in id order
         region = dataclasses.replace(region, areas=region.areas[::-1])
-    pop = synthesize(fixtures.hlg_like_demographics(1000), region, seed)
+    if name == "grid16-edge":
+        # area 2 reaches only the homes inside the strict radius
+        pop = _edge_population(region)
+        assert gsca_trace(region, pop)[LandUse.BUSINESS] == [(2, 3)]
+    else:
+        pop = synthesize(fixtures.hlg_like_demographics(1000), region, seed)
     want_plan, want_trace = oracles.oracle_gsca(region, pop)
     plan = gsca_plan(region, pop)
     trace = gsca_trace(region, pop)

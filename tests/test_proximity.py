@@ -20,8 +20,8 @@ from participlan.metrics import (
 )
 from participlan.planners import _objective, plan_objective
 from participlan.geometry import Point
-from participlan.region import (ASSIGNABLE_USES, USE_CODES, Area, LandUse,
-                                Plan, Region)
+from participlan.region import (ASSIGNABLE_USES, GREEN_USES, USE_CODES, Area,
+                                LandUse, Plan, Region)
 from participlan.region import min_distance_many
 
 import oracles
@@ -131,30 +131,28 @@ def test_wider_index_gives_the_same_metrics(hlg, pop_hlg):
 
 def _reference(index, assignment, needs=None, rows=None):
     """(service, in_esr, satisfaction) per resident from a plain OR over
-    each row's stored pairs: category and use bits strictly within
-    SERVICE_RADIUS_M, the green bit within ESR_RADIUS_M inclusive. Only
-    `rows` (every resident by default), in that order; satisfaction is
-    None without `needs`."""
+    each row's stored pairs: the uses strictly within SERVICE_RADIUS_M,
+    green within ESR_RADIUS_M inclusive. Need bit k is
+    ASSIGNABLE_USES[k]. Only `rows` (every resident by default), in that
+    order; satisfaction is None without `needs`."""
     region = index.region
-    bits = metrics.USE_CODE_BITS[Plan(dict(assignment)).use_codes(region)].tolist()
-    near = int(metrics.CATEGORY_MASK | metrics.USE_MASK)
+    plan = Plan(dict(assignment))
+    uses = [plan.use_of(area) for area in region.areas]
     rows = range(len(index.homes)) if rows is None else rows
-    got = []
+    near, green = [], []
     for i in rows:
-        acc = 0
-        for j, d in zip(*(a.tolist() for a in index.row(i))):
-            if d < metrics.SERVICE_RADIUS_M:
-                acc |= bits[j] & near
-            if d <= metrics.ESR_RADIUS_M:
-                acc |= bits[j] & metrics._GREEN_BIT
-        got.append(acc)
-    n_categories = float(len(metrics.SERVICE_CATEGORIES))
-    service = np.array([bin(b & int(metrics.CATEGORY_MASK)).count("1")
-                        / n_categories for b in got])
-    in_esr = np.array([1.0 if b & metrics._GREEN_BIT else 0.0 for b in got])
+        pairs = list(zip(*(a.tolist() for a in index.row(i))))
+        near.append({uses[j] for j, d in pairs if d < metrics.SERVICE_RADIUS_M})
+        green.append(any(uses[j] in GREEN_USES for j, d in pairs
+                         if d <= metrics.ESR_RADIUS_M))
+    categories = [set(members) for _, members in metrics.SERVICE_CATEGORIES]
+    service = np.array([sum(1 for c in categories if c & got)
+                        / float(len(categories)) for got in near])
+    in_esr = np.array([1.0 if g else 0.0 for g in green])
     satisfaction = None if needs is None else np.array(
-        [bin(b & int(needs[0][i])).count("1") / needs[1][i]
-         for b, i in zip(got, rows)])
+        [sum(1 for k, use in enumerate(ASSIGNABLE_USES)
+             if int(needs[0][i]) >> k & 1 and use in got) / needs[1][i]
+         for got, i in zip(near, rows)])
     return service, in_esr, satisfaction
 
 
@@ -269,7 +267,7 @@ def test_classes_split_residents_at_the_radius_edges(grid16, hand_plan):
     # strict at 500 m, inclusive at 300 m
     class_of = index.classes[0].tolist()
     assert len(set(class_of[:4])) == 4 and class_of[4] == class_of[2]
-    needs = (np.full(len(xs), metrics.USE_MASK),
+    needs = (np.full(len(xs), (1 << len(ASSIGNABLE_USES)) - 1),
              np.full(len(xs), len(ASSIGNABLE_USES)))
     counts = CoverageCounts(index, hand_plan.use_codes(grid16), needs)
     assignment = dict(hand_plan.assignment)
@@ -307,7 +305,8 @@ def test_classes_group_exactly_the_same_areas_in_range():
 
 def _check_degenerate(region, homes, plan):
     index = ProximityIndex(region, homes, 500.0)
-    needs = (np.full(len(homes), metrics.USE_MASK, dtype=np.uint16),
+    needs = (np.full(len(homes), (1 << len(ASSIGNABLE_USES)) - 1,
+                     dtype=np.uint16),
              np.full(len(homes), len(ASSIGNABLE_USES)))
     counts = CoverageCounts(index, plan.use_codes(region), needs)
     assignment = dict(plan.assignment)
