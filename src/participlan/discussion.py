@@ -29,7 +29,7 @@ from .llm import (Backend, PlanEdit, RuleBackend, ask_with_repair,
 from .metrics import REACH_M, SERVICE_RADIUS_M, MetricsReport, ProximityIndex
 from .population import Population, Resident
 from .region import (CANON_INDEX, USE_CODES, LandUse, Plan, Region,
-                     plan_digest, validate_plan)
+                     plan_digest, quota_spare, validate_plan)
 
 log = logging.getLogger(__name__)
 
@@ -223,11 +223,12 @@ def apply_edits(plan: Plan, edits: PlanEdit) -> Plan:
 
 
 def _greedy_repair(plan: Plan, community_id: int, region: Region,
-                   population: Population, invited: Sequence[int],
+                   population: Population, rows: np.ndarray,
                    rounds: Sequence[Round], cache: ProximityIndex
                    ) -> tuple[Plan, PlanEdit]:
     """Apply the most-requested edits that keep quotas feasible and never
-    lower the invited residents' mean satisfaction."""
+    lower the mean satisfaction of the invited residents, whose positions
+    in the population are `rows`."""
     tally: dict[tuple[int, LandUse], int] = {}
     for rnd in rounds:
         for op in rnd.opinions:
@@ -240,43 +241,31 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
                 tally[key] = tally.get(key, 0) + 1
     order = sorted(tally, key=lambda k: (-tally[k], k[0], CANON_INDEX[k[1]]))
 
-    pos_by_id = {r.id: i for i, r in enumerate(population.residents)}
-    invited_idx = np.array([pos_by_id[r] for r in invited], dtype=int)
     evaluator = metrics_mod.CoverageCounts(
-        cache, plan.use_codes(region), metrics_mod.needs(population),
-        rows=invited_idx)
-
-    def invited_satisfaction() -> float:
-        return float(np.mean(evaluator.satisfaction))
-
+        cache, plan.use_codes(region), metrics_mod.needs(population), rows)
+    codes = evaluator.codes
     column_of = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
-    req = region.requirements
-    current = dict(plan.assignment)
-    counts = validate_plan(region, plan).counts
-    base = invited_satisfaction()
+    base = float(np.mean(evaluator.satisfaction))
     accepted: list[tuple[int, LandUse]] = []
     for area_id, use in order:
-        old = current[area_id]
-        if old is use:
+        column = column_of[area_id]
+        old = int(codes[column])
+        if old == USE_CODES[use] or not quota_spare(region, codes, old):
             continue
-        if counts[old] - 1 < req.get(old, 0):
-            continue
-        evaluator.set_use(column_of[area_id], USE_CODES[use])
-        cand_sat = invited_satisfaction()
+        evaluator.set_use(column, USE_CODES[use])
+        cand_sat = float(np.mean(evaluator.satisfaction))
         if cand_sat - base >= 0:  # the edit's change of invited satisfaction
-            current[area_id], base = use, cand_sat
-            counts[old] -= 1
-            counts[use] += 1
+            base = cand_sat
             accepted.append((area_id, use))
         else:
-            evaluator.set_use(column_of[area_id], USE_CODES[old])
+            evaluator.set_use(column, old)
     if accepted:
         rationale = "greedy repair accepted: " + "; ".join(
             f"area {a} -> {u.value} ({tally[(a, u)]} requests)"
             for a, u in accepted)
     else:
         rationale = "greedy repair: no request improved invited satisfaction"
-    return Plan(current), PlanEdit(tuple(accepted), rationale)
+    return Plan.from_codes(region, codes), PlanEdit(tuple(accepted), rationale)
 
 
 def _llm_revision(plan: Plan, community_id: int, region: Region,
@@ -360,8 +349,9 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
 
     notes: list[str] = []
     if isinstance(planner_backend, RuleBackend):
+        rows = np.array([pos_by_id[rid] for rid in invited], dtype=np.intp)
         new_plan, edits = _greedy_repair(plan, community_id, region,
-                                         population, invited, rounds, cache)
+                                         population, rows, rounds, cache)
     else:
         new_plan, edits, notes = _llm_revision(plan, community_id, region,
                                                planner_backend, history)

@@ -264,10 +264,12 @@ class CoverageCounts:
     counts[k, c] is how many areas give the residents of class c
     (ProximityIndex.classes) slot k: one per use (areas strictly within
     SERVICE_RADIUS_M) and green (within ESR_RADIUS_M inclusive); `hits`
-    marks the slots with counts > 0. set_use adds the two codes' slot
-    difference on the area's classes; setting the old code back reverts
-    it. service (share of service categories in range), in_esr (1.0
-    where some green area is in range) and satisfaction (share of the
+    marks the slots with counts > 0. The build takes every (area, slot)
+    pair the codes give, gathers the class ranges of all pairs into one
+    array and counts it with one bincount. set_use adds the two codes'
+    slot difference on the area's classes; setting the old code back
+    reverts it. service (share of service categories in range), in_esr
+    (1.0 where some green area is in range) and satisfaction (share of the
     `needs` in range) gather each resident's value from its class's
     hits, for `rows` (every resident by default) in that order.
     """
@@ -281,18 +283,19 @@ class CoverageCounts:
             needs[0][rows], needs[1][rows])
         self._fixed = (index.region.fixed_codes >= 0).tolist()
         n = int(class_of.max(initial=-1)) + 1
-        self.counts = np.zeros((_N_SLOTS, n), dtype=np.int32)
-        self.hits = np.zeros(n, dtype=np.uint16)
         self.codes = np.array(codes, dtype=np.int8)
-        classes, ptr = self._area_classes, self._ptr
-        for k in range(_N_SLOTS):
-            # the green slot counts only the classes within ESR_RADIUS_M
-            end = 1 if k == _N_SLOTS - 1 else 2
-            self.counts[k] = np.bincount(np.concatenate(
-                [classes[:0]] + [classes[ptr[2 * j]:ptr[2 * j + end]]
-                                 for j in np.flatnonzero(_SLOTS[self.codes, k])]),
-                minlength=n)
-            self.hits[self.counts[k] > 0] |= np.uint16(1 << k)
+        # a pair counts its area's classes, the green slot only those
+        # within ESR_RADIUS_M; each class is keyed by slot * n + class
+        areas, slots = np.nonzero(_SLOTS[self.codes])
+        lo = self._ptr[2 * areas]
+        lengths = self._ptr[2 * areas + 2 - (slots == _N_SLOTS - 1)] - lo
+        entries = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+        entries += np.arange(len(entries))
+        keys = self._area_classes[entries] + np.repeat(slots * n, lengths)
+        self.counts = np.bincount(keys, minlength=_N_SLOTS * n).astype(
+            np.int32).reshape(_N_SLOTS, n)
+        self.hits = (1 << np.arange(_N_SLOTS, dtype=np.uint16)) @ (
+            self.counts > 0)
 
     @property
     def service(self) -> np.ndarray:

@@ -6,6 +6,10 @@ annealing search on the service/ecology objective. All draw from
 numpy Generator streams so identical configs give identical plans.
 Planner-side selection weights use centroid distances throughout;
 the evaluation metrics keep their own (boundary) distance semantics.
+
+Greedy coverage and local search edit the use-code vector of one
+CoverageCounts, check quotas on it with quota_spare, and turn it into
+a Plan once, with Plan.from_codes.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from .metrics import (CATEGORY_SLOTS, REACH_M, SERVICE_RADIUS_M,
                       CoverageCounts, ProximityIndex)
 from .population import Population
 from .region import (ASSIGNABLE_USES, CANON_INDEX, USE_CODES, LandUse, Plan,
-                     Region, quota_order, validate_plan)
+                     Region, quota_order, quota_spare)
 
 #: Added to centroid distances in the centralized planner's inverse
 #: weights, so an area at the center gets a finite weight.
@@ -32,9 +36,6 @@ OBJECTIVE_WEIGHTS = (0.5, 0.5)
 #: Local search's annealing temperature at the first and the last iteration.
 TEMPERATURE_FIRST = 0.2
 TEMPERATURE_LAST = 0.002
-
-#: LandUse by USE_CODES code.
-_USES = tuple(LandUse)
 
 
 @dataclass(frozen=True)
@@ -146,12 +147,11 @@ def decentralized_plan(region: Region,
 
 
 def _gsca(region: Region, population: Population
-          ) -> tuple[dict[int, LandUse], dict[LandUse, list[tuple[int, int]]]]:
-    """(assignment, quota-phase trace) on one CoverageCounts over the
+          ) -> tuple[np.ndarray, dict[LandUse, list[tuple[int, int]]]]:
+    """(use codes, quota-phase trace) on one CoverageCounts over the
     centroid pairs strictly within SERVICE_RADIUS_M. An area reaches the
-    residents of its coverage classes, so each gain sums class sizes."""
-    free = np.zeros(len(region.areas), dtype=bool)
-    free[region.vacant_columns] = True
+    residents of its coverage classes, so each gain sums class sizes;
+    the free areas are those with code -1."""
     index = ProximityIndex(region, population.homes, SERVICE_RADIUS_M,
                            mode="centroid")
     counts = CoverageCounts(index, region.fixed_codes)
@@ -159,13 +159,7 @@ def _gsca(region: Region, population: Population
     sizes = np.bincount(class_of, minlength=len(counts.hits))
     ends = ptr[0::2]
     reached = np.zeros(len(area_classes) + 1, dtype=sizes.dtype)
-    assignment: dict[int, LandUse] = {}
     trace: dict[LandUse, list[tuple[int, int]]] = {u: [] for u in ASSIGNABLE_USES}
-
-    def assign(column: int, use: LandUse) -> None:
-        assignment[region.areas[column].id] = use
-        free[column] = False
-        counts.set_use(column, USE_CODES[use])
 
     # Quota phase: per use, largest quota first, take the free area that
     # reaches the most residents still without that use; ties go to the
@@ -176,20 +170,21 @@ def _gsca(region: Region, population: Population
             without = np.where(counts.hits & slot, 0, sizes)
             np.cumsum(without.take(area_classes), out=reached[1:])
             gains = np.diff(reached[ends])
-            best = int(np.argmax(np.where(free, gains, -1)))
+            best = int(np.argmax(np.where(counts.codes < 0, gains, -1)))
             trace[use].append((region.areas[best].id, int(gains[best])))
-            assign(best, use)
+            counts.set_use(best, USE_CODES[use])
 
     # Fill phase: in id order, each leftover area takes the use whose
     # service category is missing for the most residents it reaches; ties
     # go to canonical order, and uses without a category gain nothing.
     categorized = CATEGORY_SLOTS > 0
-    for column in sorted(np.flatnonzero(free), key=lambda j: region.areas[j].id):
+    for column in sorted(np.flatnonzero(counts.codes < 0),
+                         key=lambda j: region.areas[j].id):
         classes = area_classes[ptr[2 * column]:ptr[2 * column + 2]]
         missing = (counts.hits[classes, None] & CATEGORY_SLOTS) == 0
         gains = sizes[classes] @ (missing & categorized)
-        assign(column, ASSIGNABLE_USES[int(np.argmax(gains))])
-    return assignment, trace
+        counts.set_use(column, USE_CODES[ASSIGNABLE_USES[int(np.argmax(gains))]])
+    return counts.codes, trace
 
 
 def gsca_plan(region: Region, population: Population,
@@ -198,7 +193,7 @@ def gsca_plan(region: Region, population: Population,
     leftover areas are then filled by max marginal service."""
     config.validate()
     _check_feasible(region)
-    return Plan(_gsca(region, population)[0])
+    return Plan.from_codes(region, _gsca(region, population)[0])
 
 
 def gsca_trace(region: Region, population: Population,
@@ -229,12 +224,11 @@ def plan_objective(region: Region, population: Population, plan: Plan,
 
 
 def _anneal(region: Region, config: PlannerConfig, cache: ProximityIndex,
-            restart: int) -> tuple[float, dict[int, LandUse]]:
+            restart: int) -> tuple[float, np.ndarray]:
+    """(objective, use codes) of the best plan one restart visits."""
     seed = config.seed + restart
     rng = np.random.default_rng(seed)
     start = random_plan(region, replace(config, seed=seed))
-    req = region.requirements
-    counts = validate_plan(region, start).counts
     evaluator = CoverageCounts(cache, start.use_codes(region))
     codes = evaluator.codes
     cur_obj = _objective(evaluator.service, evaluator.in_esr)
@@ -246,37 +240,29 @@ def _anneal(region: Region, config: PlannerConfig, cache: ProximityIndex,
         temp = TEMPERATURE_FIRST * ratio ** (k / max(1, n_iters - 1))
         if rng.random() < 0.5 or len(columns) < 2:
             a = columns[int(rng.integers(len(columns)))]
-            old = _USES[codes[a]]
-            new = ASSIGNABLE_USES[int(rng.integers(len(ASSIGNABLE_USES)))]
-            if new is old:
+            old = int(codes[a])
+            new = USE_CODES[ASSIGNABLE_USES[int(rng.integers(len(ASSIGNABLE_USES)))]]
+            if new == old or not quota_spare(region, codes, old):
                 continue
-            if counts[old] - 1 < req.get(old, 0):
-                continue
-            moves = [(a, USE_CODES[new], USE_CODES[old])]
-            delta_counts = (old, new)
+            moves = [(a, new, old)]
         else:
             i, j = rng.choice(len(columns), size=2, replace=False)
             a, b = columns[int(i)], columns[int(j)]
             if codes[a] == codes[b]:
                 continue
             moves = [(a, codes[b], codes[a]), (b, codes[a], codes[b])]
-            delta_counts = None
         for column, code, _ in moves:
             evaluator.set_use(column, code)
         cand_obj = _objective(evaluator.service, evaluator.in_esr)
         delta = cand_obj - cur_obj
         if delta >= 0 or rng.random() < math.exp(delta / temp):
             cur_obj = cand_obj
-            if delta_counts is not None:
-                counts[delta_counts[0]] -= 1
-                counts[delta_counts[1]] += 1
             if cur_obj > best_obj:
                 best, best_obj = codes.copy(), cur_obj
         else:
             for column, _, code in moves:
                 evaluator.set_use(column, code)
-    return best_obj, {a: _USES[best[j]] for a, j in
-                      zip(region.vacant_ids, columns)}
+    return best_obj, best
 
 
 def local_search_plan(region: Region, population: Population,
@@ -290,13 +276,12 @@ def local_search_plan(region: Region, population: Population,
     config.validate()
     _check_feasible(region)
     cache = ProximityIndex(region, population.homes, REACH_M)
-    best_obj = -math.inf
-    best: dict[int, LandUse] = {}
+    best_obj, best = -math.inf, region.fixed_codes
     for restart in range(config.restarts):
-        obj, assignment = _anneal(region, config, cache, restart)
+        obj, codes = _anneal(region, config, cache, restart)
         if obj > best_obj:
-            best_obj, best = obj, assignment
-    return Plan(best)
+            best_obj, best = obj, codes
+    return Plan.from_codes(region, best)
 
 
 PLANNER_NAMES = ("random", "centralized", "decentralized", "gsca",

@@ -64,8 +64,8 @@ class DemographicSpec:
         return getattr(self, field_name)
 
     def validate(self) -> None:
-        if self.n_agents <= 0:
-            raise SpecError("n_agents must be positive")
+        if not 0 < self.n_agents <= np.iinfo(np.intp).max:
+            raise SpecError("n_agents must be positive and fit a numpy array")
         for name in _PROFILE_FIELDS:
             dist = self.distribution(name)
             if not dist:

@@ -78,6 +78,8 @@ GREEN_USES = (LandUse.PARK, LandUse.OPEN_SPACE, LandUse.GREEN_FIXED)
 
 #: int8 code of every land use (its position in LandUse); -1 is unassigned.
 USE_CODES = {u: k for k, u in enumerate(LandUse)}
+#: LandUse by USE_CODES code.
+_USE_OF_CODE = tuple(LandUse)
 
 DistanceMode = str  # "boundary" | "centroid"
 
@@ -193,6 +195,8 @@ class Region:
 
 @dataclass(frozen=True)
 class Plan:
+    """The use of each vacant area by id; from_codes inverts use_codes."""
+
     assignment: Mapping[int, LandUse]
 
     def use_of(self, area: Area) -> Optional[LandUse]:
@@ -209,6 +213,14 @@ class Plan:
         codes[region.vacant_columns] = [USE_CODES.get(get(a), -1)
                                         for a in region.vacant_ids]
         return codes
+
+    @classmethod
+    def from_codes(cls, region: Region, codes: np.ndarray) -> "Plan":
+        """The uses of the vacant areas' codes, in vacant_ids order,
+        leaving out code -1; fixed areas' codes are not read."""
+        return cls({a: _USE_OF_CODE[c] for a, c in
+                    zip(region.vacant_ids, codes[region.vacant_columns].tolist())
+                    if c >= 0})
 
 
 def quota_order(requirements: Mapping[LandUse, int]) -> list[LandUse]:
@@ -294,6 +306,13 @@ def validate_plan(region: Region, plan: Plan) -> ValidationReport:
                 for u in ASSIGNABLE_USES if counts[u] < required[u]}
     ok = not (missing or unexpected or bad or deficits)
     return ValidationReport(ok, counts, required, deficits, missing, unexpected, bad)
+
+
+def quota_spare(region: Region, codes: np.ndarray, code: int) -> bool:
+    """True unless one area fewer with use code `code` in `codes` would
+    break that use's quota; code -1, unassigned, has none to break."""
+    return code < 0 or bool(np.count_nonzero(codes == code)
+                            > region.requirements.get(_USE_OF_CODE[code], 0))
 
 
 # ---------------------------------------------------------------------------

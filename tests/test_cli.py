@@ -291,6 +291,18 @@ def test_empty_quota_force_is_a_spec_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error while")
 
 
+@pytest.mark.parametrize("n_agents", [2 ** 63, 10 ** 400],
+                         ids=["2**63", "10**400"])
+def test_unsizable_n_agents_is_a_spec_error(tmp_path, capsys, n_agents):
+    path = tmp_path / "demographics.json"
+    path.write_text(_edited(DEMOGRAPHICS, ["n_agents"], n_agents))
+    with pytest.raises(SpecError, match="n_agents"):
+        load_demographics(path)
+    assert main(["plan", "--region", REGION, "--demographics", str(path),
+                 "--method", "random", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error while")
+
+
 def test_zero_rounds_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-rounds", "--region", REGION,

@@ -235,6 +235,9 @@ def test_counts_follow_moves_swaps_and_reverts(radius):
                 assignment[area_id] = use
                 counts.set_use(column[area_id], USE_CODES[use])
             _check_counts(counts, region, pop, assignment, index)
+            fresh = CoverageCounts(index, counts.codes, metrics.needs(pop))
+            assert np.array_equal(counts.counts, fresh.counts)
+            assert np.array_equal(counts.hits, fresh.hits)
 
 
 def test_counts_keep_the_strict_and_inclusive_radii(grid16, hand_plan):

@@ -12,11 +12,13 @@ from participlan.population import Profile, Resident
 from participlan.region import (
     ASSIGNABLE_USES,
     FIXED_USES,
+    USE_CODES,
     LandUse,
     Plan,
     load_plan,
     load_region,
     plan_digest,
+    quota_spare,
     save_plan,
     save_region,
     validate_plan,
@@ -67,6 +69,24 @@ def test_validate_plan_reports_everything(grid16, hand_plan):
     assert bad.deficits.get(LandUse.HOSPITAL) == 1
     text = bad.summary()
     assert "15" in text and "hospital" in text
+
+
+def test_from_codes_inverts_use_codes(grid16, hand_plan):
+    assert Plan.from_codes(grid16, hand_plan.use_codes(grid16)) == hand_plan
+    partial = Plan({a: u for a, u in hand_plan.assignment.items() if a != 9})
+    codes = partial.use_codes(grid16)
+    assert codes.tolist().count(-1) == 1
+    # fixed areas' codes are not read
+    codes[grid16.fixed_codes >= 0] = USE_CODES[LandUse.SCHOOL]
+    assert Plan.from_codes(grid16, codes) == partial
+
+
+def test_quota_spare_counts_the_codes(grid16, hand_plan):
+    # every quota is 1: hand_plan has two parks and one clinic
+    codes = hand_plan.use_codes(grid16)
+    assert quota_spare(grid16, codes, USE_CODES[LandUse.PARK])
+    assert not quota_spare(grid16, codes, USE_CODES[LandUse.CLINIC])
+    assert quota_spare(grid16, codes, -1)
 
 
 def test_plan_digest_is_order_independent(hand_plan):
