@@ -96,8 +96,9 @@ def _aggregate(rows: Sequence[dict]) -> dict:
     return out
 
 
-def _initial_plan(args, region, population, seed: int, backend):
-    """The plan of the --method planner for one seed."""
+def _initial_plan(args, region, population, seed: int, backend, cache=None):
+    """The plan of the --method planner for one seed; local search runs on
+    `cache`, the seed's REACH_M boundary index, or builds its own."""
     method = args.method
     config = PlannerConfig(
         seed=seed, max_iters=args.search_iters, restarts=args.restarts)
@@ -110,7 +111,8 @@ def _initial_plan(args, region, population, seed: int, backend):
     if method == "gsca":
         return planners_mod.gsca_plan(region, population, config)
     if method == "local-search":
-        return planners_mod.local_search_plan(region, population, config)
+        return planners_mod.local_search_plan(region, population, config,
+                                              cache)
     if method == "llm":
         return request_initial_plan(region, backend)
     raise ValueError(f"unknown method {method!r}")
@@ -249,17 +251,21 @@ def _run_seeds(args, setup, command: str, run_seed) -> int:
 
 def _plan_seed(args, region, spec, backend, seed, out, provenance):
     """Plan, validate, evaluate and save one seed; a failure names the
-    stage it happened in."""
+    stage it happened in. One REACH_M boundary index of the seed's homes
+    serves the planner (local search) and the report; gsca adds its own
+    centroid index."""
     stage = "synthesizing population"
     try:
         population = synthesize(spec, region, seed)
         stage = "planning"
-        plan = _initial_plan(args, region, population, seed, backend)
+        index = metrics_mod.ProximityIndex(region, population.homes,
+                                           metrics_mod.REACH_M)
+        plan = _initial_plan(args, region, population, seed, backend, index)
         check = validate_plan(region, plan)
         if not check.ok:
             raise PlanningError(check.summary())
         stage = "evaluating"
-        report = metrics_mod.report(region, plan, population)
+        report = metrics_mod.report(region, plan, population, index)
         save_plan(plan, out / "plans" / f"seed{seed}.json",
                   provenance=provenance)
     except (PlanningError, OSError) as exc:

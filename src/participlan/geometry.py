@@ -89,26 +89,14 @@ def point_in_polygon(p: Point, vertices) -> bool:
     return _even_odd_inside(p, vertices)
 
 
-def distance_to_polygon(p: Point, vertices) -> float:
-    """Euclidean distance from p to the ring; 0 if inside or on the boundary."""
-    n = len(vertices)
-    best = math.inf
-    for i in range(n):
-        d = point_segment_distance(p, vertices[i], vertices[(i + 1) % n])
-        if d < best:
-            best = d
-    if best <= BOUNDARY_EPS or _even_odd_inside(p, vertices):
-        return 0.0
-    return best
-
-
 #: (point, edge) values per pass of distance_to_polygon_many: its (edges,
 #: points) temporaries stay in cache, and add little to peak memory.
 KERNEL_CHUNK = 4096
 
 
 def distance_to_polygon_many(points: np.ndarray, vertices) -> np.ndarray:
-    """Vectorized distance_to_polygon for an (n, 2) array of points.
+    """Euclidean distance from each of an (n, 2) array of points to a
+    ring; 0 inside or on the boundary.
 
     `vertices` is one (m, 2) ring for every point, or an (m, n, 2) stack
     that gives point k the ring vertices[:, k]. Either way len(vertices)

@@ -135,7 +135,8 @@ class ProximityIndex:
 
     The candidate pairs of a block of areas go to the distance kernel
     together, one call per ring vertex count, each pair with its area's
-    ring; each value equals min_distance_many's for that area bit for bit.
+    ring; each value equals, bit for bit, what
+    geometry.distance_to_polygon_many gives for that area's ring alone.
     """
 
     def __init__(self, region: Region, homes: np.ndarray, radius: float,

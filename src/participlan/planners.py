@@ -266,16 +266,22 @@ def _anneal(region: Region, config: PlannerConfig, cache: ProximityIndex,
 
 
 def local_search_plan(region: Region, population: Population,
-                      config: PlannerConfig = PlannerConfig()) -> Plan:
+                      config: PlannerConfig = PlannerConfig(),
+                      cache: Optional[ProximityIndex] = None) -> Plan:
     """Simulated annealing over reassignments and swaps, best plan kept
     across restarts (ties to the lowest restart index).
 
     Each candidate is applied to one CoverageCounts per restart, scored
     from its per-resident arrays (equal to plan_objective) and set back
-    if rejected."""
+    if rejected. `cache` is the boundary index of the population's homes,
+    reaching at least REACH_M (the one metrics.report takes), or None to
+    build one. A region with no vacant area gets the empty plan."""
     config.validate()
     _check_feasible(region)
-    cache = ProximityIndex(region, population.homes, REACH_M)
+    if not region.vacant_ids:
+        return Plan({})
+    if cache is None:
+        cache = ProximityIndex(region, population.homes, REACH_M)
     best_obj, best = -math.inf, region.fixed_codes
     for restart in range(config.restarts):
         obj, codes = _anneal(region, config, cache, restart)

@@ -81,9 +81,6 @@ USE_CODES = {u: k for k, u in enumerate(LandUse)}
 #: LandUse by USE_CODES code.
 _USE_OF_CODE = tuple(LandUse)
 
-DistanceMode = str  # "boundary" | "centroid"
-
-
 @dataclass(frozen=True)
 class Area:
     id: int
@@ -455,17 +452,3 @@ def region_to_json_dict(region: Region) -> dict:
 
 def save_region(region: Region, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(region_to_json_dict(region), indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Spatial queries
-
-
-def min_distance_many(points: np.ndarray, area: Area,
-                      mode: DistanceMode = "boundary") -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if mode == "centroid":
-        cx, cy = area.centroid
-        return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-    return geometry.distance_to_polygon_many(pts, area.boundary)
-

@@ -4,10 +4,17 @@ Everything here is deliberately scalar pure Python with its own geometry,
 so agreement with the vectorized package code is meaningful. Keep these
 functions dumb: nested loops over residents and areas, no numpy, no
 imports from the package beyond reading plain attributes.
+
+The last section is the exception: the package's scalar and dense
+distance forms that only tests use, built on its geometry module.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from participlan import geometry
 
 SERVICE_CATEGORIES = {
     "education": ("school",),
@@ -200,3 +207,29 @@ def oracle_gsca(region, population, radius=500.0):
         if use in category_of:
             served[category_of[use]] |= reach[area_id]
     return assignment, trace
+
+
+# ---------------------------------------------------------------------------
+# The package's distance forms
+
+
+def distance_to_polygon(p, vertices):
+    """Distance from p to the ring from the package's segment distance and
+    even-odd test; 0 if inside or on the boundary."""
+    n = len(vertices)
+    best = min(geometry.point_segment_distance(p, vertices[i],
+                                               vertices[(i + 1) % n])
+               for i in range(n))
+    if best <= geometry.BOUNDARY_EPS or geometry._even_odd_inside(p, vertices):
+        return 0.0
+    return best
+
+
+def min_distance_many(points, area, mode="boundary"):
+    """Each point's distance to the area: the dense kernel on its ring, or
+    the distance to its centroid."""
+    pts = np.asarray(points, dtype=float)
+    if mode == "centroid":
+        cx, cy = area.centroid
+        return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+    return geometry.distance_to_polygon_many(pts, area.boundary)

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 import participlan
-from participlan import planners, svgmap
+from participlan import metrics, planners, svgmap
 from participlan.cli import main
 from participlan.errors import ParseError, SpecError
-from participlan.fixtures import data_path
+from participlan.fixtures import data_path, make_grid_region
 from participlan.llm import ChatMessage, RuleBackend
 from participlan.population import load_demographics
-from participlan.region import load_plan, load_region, plan_digest
+from participlan.region import (ASSIGNABLE_USES, load_plan, load_region,
+                                plan_digest, save_region)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -93,6 +94,49 @@ def test_plan_run_directory(tmp_path):
     for col in ("service", "ecology", "satisfaction", "inclusion"):
         want = (float(rows[0][col]) + float(rows[1][col])) / 2.0
         assert float(rows[2][col]) == pytest.approx(want, abs=1e-12)
+
+
+def test_plan_local_search_on_a_region_with_no_vacant_area(tmp_path):
+    # every area fixed and every quota 0: a valid region whose plan is
+    # empty, as gsca's is
+    region = make_grid_region("no_vacancy", 2, 2, 250.0,
+                              [(0, 0), (0, 1), (1, 0)], [(1, 1)],
+                              {u: 0 for u in ASSIGNABLE_USES},
+                              lambda row, col: 1, {1: "All"})
+    save_region(region, tmp_path / "region.json")
+    out = tmp_path / "run"
+    code = main(["plan", "--region", str(tmp_path / "region.json"),
+                 "--demographics", DEMOGRAPHICS, "--method", "local-search",
+                 "--seeds", "101", "--out", str(out)])
+    assert code == 0
+    assert load_plan(out / "plans" / "seed101.json").assignment == {}
+    assert [r["seed"] for r in _read_csv(out / "metrics.csv")] == ["101",
+                                                                   "mean"]
+
+
+@pytest.mark.parametrize("method, builds", [
+    ("local-search", [("boundary", metrics.REACH_M)]),
+    ("gsca", [("boundary", metrics.REACH_M),
+              ("centroid", metrics.SERVICE_RADIUS_M)]),
+    ("random", [("boundary", metrics.REACH_M)]),
+])
+def test_plan_builds_one_proximity_index_per_seed(tmp_path, monkeypatch,
+                                                  method, builds):
+    # the seed's boundary index serves the planner and the report; gsca
+    # adds its centroid index
+    built = []
+    init = metrics.ProximityIndex.__init__
+
+    def counted(self, region, homes, radius, mode="boundary"):
+        built.append((mode, radius))
+        init(self, region, homes, radius, mode)
+
+    monkeypatch.setattr(metrics.ProximityIndex, "__init__", counted)
+    code = main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
+                 "--method", method, "--seeds", "101",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert sorted(built) == builds
 
 
 def test_plan_llm_method_uses_backend(tmp_path):

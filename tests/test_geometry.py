@@ -10,7 +10,6 @@ from participlan.geometry import (
     KERNEL_CHUNK,
     Point,
     compass_label,
-    distance_to_polygon,
     distance_to_polygon_many,
     is_simple_polygon,
     point_in_polygon,
@@ -19,7 +18,7 @@ from participlan.geometry import (
     polygon_centroid,
     polygon_signed_area,
 )
-from oracles import poly_dist, seg_dist
+from oracles import distance_to_polygon, poly_dist, seg_dist
 
 UNIT_SQUARE = (Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10))
 

@@ -7,6 +7,7 @@ import pytest
 
 from participlan import fixtures
 from participlan.errors import Infeasible
+from participlan.metrics import REACH_M, ProximityIndex
 from participlan.planners import (
     PLANNER_NAMES,
     PlannerConfig,
@@ -190,6 +191,16 @@ def test_local_search_plans_on_dhm_are_pinned(dhm, seed, digest):
     pop = synthesize(fixtures.hlg_like_demographics(1000), dhm, seed)
     plan = local_search_plan(dhm, pop, PlannerConfig(seed=seed))
     assert plan_digest(plan) == digest
+
+
+@pytest.mark.parametrize("radius", [REACH_M, 900.0])
+def test_local_search_on_a_shared_index_is_pinned(dhm, radius):
+    # the plan of the first pinned seed, searched on an index the caller
+    # built; coverage classes ignore the pairs at 500 m and beyond
+    pop = synthesize(fixtures.hlg_like_demographics(1000), dhm, 1)
+    plan = local_search_plan(dhm, pop, PlannerConfig(seed=1),
+                             cache=ProximityIndex(dhm, pop.homes, radius))
+    assert plan_digest(plan) == "a05731c2fc57"
 
 
 @pytest.fixture(scope="module")

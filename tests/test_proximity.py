@@ -22,9 +22,9 @@ from participlan.planners import _objective, plan_objective
 from participlan.geometry import Point
 from participlan.region import (ASSIGNABLE_USES, GREEN_USES, USE_CODES, Area,
                                 LandUse, Plan, Region)
-from participlan.region import min_distance_many
 
 import oracles
+from oracles import min_distance_many
 from conftest import random_plan_for, scatter_population
 from test_acceptance import _random_region
 
