@@ -164,7 +164,7 @@ def invite(community_id: int, region: Region, population: Population,
                              for a in region.areas], dtype=bool)
     if not in_community.any():
         raise EmptyCommunity(f"community {community_id} has no areas")
-    hit = in_community[cache.columns] & (cache.distances <= invite_buffer_m)
+    hit = in_community[cache.columns] & cache.within(invite_buffer_m)
     near = np.zeros(len(population), dtype=bool)
     near[cache.residents[hit]] = True
     invited = tuple(r.id for i, r in enumerate(population.residents) if near[i])
@@ -175,11 +175,14 @@ def invite(community_id: int, region: Region, population: Population,
 
 
 def view_payload(resident: Resident, region: Region, plan: Plan,
-                 radius: float, cache: ProximityIndex,
-                 resident_index: int) -> list[dict]:
-    """Neighborhood entries as plain dicts for prompts and rule replies."""
+                 radius: float, cache: ProximityIndex, resident_index: int,
+                 row: Optional[tuple[np.ndarray, np.ndarray]] = None
+                 ) -> list[dict]:
+    """Neighborhood entries as plain dicts for prompts and rule replies;
+    `row` is the resident's row of the cache as ProximityIndex.rows gives
+    it, read from the cache when absent."""
     cache.require(radius)
-    columns, distances = cache.row(resident_index)
+    columns, distances = cache.row(resident_index) if row is None else row
     entries = []
     for j, d in zip(columns.tolist(), distances.tolist()):
         if d <= radius:
@@ -326,10 +329,12 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
         speakers = _sample_speakers(rng, invited, prev, m_eff,
                                     config.exchange_fraction)
         opinions = []
-        for rid in speakers:
+        # the speakers' exact distances come from one kernel call
+        views = cache.rows([pos_by_id[rid] for rid in speakers])
+        for rid, row in zip(speakers, views):
             resident = by_id[rid]
             view = view_payload(resident, region, plan, SERVICE_RADIUS_M,
-                                cache, pos_by_id[rid])
+                                cache, pos_by_id[rid], row)
             if roleplay:
                 desc, needs = resident.description, resident.needs
             else:

@@ -17,7 +17,9 @@ does not count, a home exactly at the ecology radius does.
 Every metric asks only whether some area lies within a radius, so
 home-to-area distances are kept only up to REACH_M (ProximityIndex); a
 query beyond an index's radius raises InvariantError instead of
-answering from a truncated index.
+answering from a truncated index. The index decides each radius as the
+distance kernel does, from box distances on rectangular areas away from
+the radius; exact distances come from the kernel on demand.
 
 One evaluator, CoverageCounts, gives every metric, the local search
 objective, gsca's gains and greedy repair's satisfaction. Residents with
@@ -41,8 +43,8 @@ import numpy as np
 from . import geometry
 from .errors import InvariantError, NoMarginalized
 from .population import Population
-from .region import (ASSIGNABLE_USES, GREEN_USES, USE_CODES, LandUse, Plan,
-                     Region)
+from .region import (ASSIGNABLE_USES, COORDINATE_BOUND_M, GREEN_USES,
+                     USE_CODES, LandUse, Plan, Region)
 
 #: Services count strictly within this distance of home.
 SERVICE_RADIUS_M = 500.0
@@ -61,6 +63,10 @@ SERVICE_CATEGORIES: tuple[tuple[str, tuple[LandUse, ...]], ...] = (
 )
 
 DISTANCE_MODES = ("boundary", "centroid")
+
+#: How far from every threshold a box distance must lie to decide it, in
+#: meters; ProximityIndex argues it from COORDINATE_BOUND_M.
+MARGIN = 1e-5
 
 # CoverageCounts counts one slot per assignable use, in ASSIGNABLE_USES
 # order, then one for green; bit k of a class's hits is slot k.
@@ -128,15 +134,43 @@ def _candidate_blocks(homes: np.ndarray, boxes: np.ndarray, pad: float):
 class ProximityIndex:
     """Home-to-area distances up to `radius`, in CSR rows per resident.
 
-    Only pairs with distance <= radius are stored. Row i spans
+    A pair is stored when its distance is <= radius: the boundary
+    distance geometry.distance_to_polygon_many gives (the kernel), or in
+    centroid mode the distance to the area's centroid. Row i spans
     indptr[i]:indptr[i + 1] of `columns` (area positions in region.areas,
-    ascending) and `distances`. Any query beyond `radius` raises
-    InvariantError.
+    ascending). Any query beyond `radius` raises InvariantError.
 
-    The candidate pairs of a block of areas go to the distance kernel
-    together, one call per ring vertex count, each pair with its area's
-    ring; each value equals, bit for bit, what
-    geometry.distance_to_polygon_many gives for that area's ring alone.
+    Each pair keeps one float that decides every threshold in
+    `thresholds`: the radius, ESR_RADIUS_M, SERVICE_RADIUS_M and
+    geometry.BOUNDARY_EPS, below which the kernel gives 0. The metrics,
+    invite and the build itself ask only which side of a threshold a pair
+    lies on (within). The float is the kernel's distance, except on a
+    boxed area: one that fills its box (Area.fills_its_box) inside
+    COORDINATE_BOUND_M. There it is the box distance sqrt(gx² + gy²) of
+    the gaps gx = max(x0 - x, 0, x - x1) and gy = max(y0 - y, 0, y - y1),
+    the exact distance to the area up to rounding, unless that lies within
+    MARGIN of a threshold; then it is the kernel's. A home with
+    x0 <= x < x1 and y0 <= y < y1 keeps 0, which is the kernel's value
+    too: the kernel's even-odd test is exact on such an area and holds
+    there. Exact values (distances, rows) come from the kernel on demand.
+    The pairs of a block of areas that need the kernel go to it together,
+    one call per ring vertex count, each pair with its area's ring; each
+    value equals, bit for bit, what the kernel gives for that area's ring
+    alone.
+
+    Why MARGIN suffices. Let u = 2**-53 and B = COORDINATE_BOUND_M. No home
+    or vertex coordinate exceeds B in magnitude, so a pair's distance D is
+    at most 3B. The box distance rounds one subtraction per gap (relative
+    error u), and the squares, their sum and the square root add 2u: it is
+    off by at most 3u·D <= 9u·B. On an axis-aligned edge one of the kernel's
+    dx, dy is exactly 0, so its projection t is off by at most 5u relative,
+    x1 + t·dx adds rounding of values up to 2B, and each of ex, ey is off by
+    at most 17u·B + u·|e|; squaring, summing and the square root add 3u
+    relative. Each edge's value, and so their minimum, is off by at most
+    25u·B + 5u·D <= 40u·B. The two formulas differ by at most 49u·B, or
+    5.5e-7 m, and MARGIN is eighteen times that: a box distance farther than
+    MARGIN from a threshold lies on the kernel's side of it. A wider margin
+    would cost only kernel calls.
     """
 
     def __init__(self, region: Region, homes: np.ndarray, radius: float,
@@ -147,55 +181,114 @@ class ProximityIndex:
             raise ValueError(f"index radius must be finite and >= 0, got {radius}")
         self.region = region
         self.homes = np.asarray(homes, dtype=float).reshape(-1, 2)
+        if not np.all(np.abs(self.homes) <= COORDINATE_BOUND_M):
+            raise ValueError(f"home coordinates must not exceed "
+                             f"{COORDINATE_BOUND_M:g} m in magnitude")
         self.radius = float(radius)
+        self.thresholds = (geometry.BOUNDARY_EPS, ESR_RADIUS_M,
+                           SERVICE_RADIUS_M, self.radius)
 
         if mode == "centroid":
             centroids = np.array([a.centroid for a in region.areas]).reshape(-1, 2)
             boxes = np.hstack([centroids, centroids])
+            self._boxed = np.zeros(len(region.areas), dtype=bool)
         else:
             boxes = region.area_boxes
-            groups: dict[int, list[int]] = {}
-            for j, area in enumerate(region.areas):
-                groups.setdefault(len(area.boundary), []).append(j)
-            # the rings with m vertices as one (m, areas, 2) stack, and each
-            # area's place in its stack
-            sizes = np.empty(len(region.areas), dtype=np.intp)
-            slots = np.empty(len(region.areas), dtype=np.intp)
-            stacks = {}
-            for m, members in groups.items():
-                sizes[members] = m
-                slots[members] = np.arange(len(members))
-                coords = np.fromiter((c for j in members
-                                      for p in region.areas[j].boundary
-                                      for c in p),
-                                     dtype=float, count=2 * m * len(members))
-                stacks[m] = coords.reshape(-1, m, 2).transpose(1, 0, 2)
+            self._boxed = (np.array([a.fills_its_box for a in region.areas],
+                                    dtype=bool)
+                           & (np.abs(boxes) <= COORDINATE_BOUND_M).all(axis=1))
         # a zero-length head keeps concatenate valid when nothing is in range
         rows = [np.zeros(0, dtype=np.intp)]
         cols = [np.zeros(0, dtype=np.int32)]
-        dists = [np.zeros(0)]
+        values = [np.zeros(0)]
         for r, c in _candidate_blocks(self.homes, boxes, self.radius + 1.0):
             if mode == "centroid":
                 d = np.hypot(self.homes[r, 0] - centroids[c, 0],
                              self.homes[r, 1] - centroids[c, 1])
             else:
-                d = np.empty(len(r))
-                for m, stack in stacks.items():
-                    sel = np.flatnonzero(sizes[c] == m)
-                    if len(sel):
-                        d[sel] = geometry.distance_to_polygon_many(
-                            self.homes[r[sel]], stack[:, slots[c[sel]]])
+                d = self._decide(r, c, boxes)
             keep = d <= self.radius
             rows.append(r[keep])
             cols.append(c[keep])
-            dists.append(d[keep])
-        rows = np.concatenate(rows)
-        # areas were visited in order, so a stable sort keeps columns ascending
-        by_row = np.argsort(rows, kind="stable")
+            values.append(d[keep])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
         counts = np.bincount(rows, minlength=len(self.homes))
         self.indptr = np.concatenate(([0], np.cumsum(counts)))
-        self.columns = np.concatenate(cols)[by_row]
-        self.distances = np.concatenate(dists)[by_row]
+        # each (row, column) is one key, so any sort gives row-major order
+        # with columns ascending
+        rows *= len(region.areas)
+        rows += cols
+        by_row = np.argsort(rows)
+        del rows
+        self.columns = cols[by_row]
+        self._values = np.concatenate(values)[by_row]
+
+    @cached_property
+    def _rings(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(vertex count of each area, its place in its stack, the rings
+        with m vertices as one (m, areas, 2) stack by m)."""
+        areas = self.region.areas
+        groups: dict[int, list[int]] = {}
+        for j, area in enumerate(areas):
+            groups.setdefault(len(area.boundary), []).append(j)
+        sizes = np.empty(len(areas), dtype=np.intp)
+        slots = np.empty(len(areas), dtype=np.intp)
+        stacks = {}
+        for m, members in groups.items():
+            sizes[members] = m
+            slots[members] = np.arange(len(members))
+            coords = np.fromiter((c for j in members
+                                  for p in areas[j].boundary for c in p),
+                                 dtype=float, count=2 * m * len(members))
+            stacks[m] = coords.reshape(-1, m, 2).transpose(1, 0, 2)
+        return sizes, slots, stacks
+
+    def _kernel(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The kernel's distance of each (row, area position) pair, one
+        call per ring vertex count among them."""
+        d = np.empty(len(rows))
+        if not len(rows):
+            return d
+        sizes, slots, stacks = self._rings
+        sizes = sizes[cols]
+        for m, stack in stacks.items():
+            sel = np.flatnonzero(sizes == m)
+            if len(sel):
+                d[sel] = geometry.distance_to_polygon_many(
+                    np.take(self.homes, rows[sel], axis=0),
+                    np.take(stack, slots[cols[sel]], axis=1))
+        return d
+
+    def _decide(self, r: np.ndarray, c: np.ndarray,
+                boxes: np.ndarray) -> np.ndarray:
+        """The float each candidate pair keeps: its box distance where that
+        decides every threshold, else the kernel's distance."""
+        boxed = self._boxed[c]
+        if not boxed.any():
+            return self._kernel(r, c)
+        box = np.flatnonzero(boxed)
+        # np.take: numpy 2 indexes the rows of a 2-d array several times
+        # faster this way
+        p = np.take(self.homes, r[box], axis=0)
+        b = np.take(boxes, c[box], axis=0)
+        x, y = p[:, 0], p[:, 1]
+        x0, y0, x1, y1 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+        gx = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
+        gy = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
+        dist = np.sqrt(gx * gx + gy * gy)
+        near = np.zeros(len(box), dtype=bool)
+        for t in set(self.thresholds):
+            near |= np.abs(dist - t) <= MARGIN
+        # where x0 <= x < x1 and y0 <= y < y1 the kernel gives 0, as dist does
+        k = np.flatnonzero(near)
+        k = k[~((x0[k] <= x[k]) & (x[k] < x1[k])
+                & (y0[k] <= y[k]) & (y[k] < y1[k]))]
+        boxed[box[k]] = False
+        d = np.empty(len(r))
+        d[box] = dist
+        slow = np.flatnonzero(~boxed)
+        d[slow] = self._kernel(r[slow], c[slow])
+        return d
 
     @property
     def residents(self) -> np.ndarray:
@@ -209,10 +302,53 @@ class ProximityIndex:
                 f"query radius {radius} m exceeds the proximity index "
                 f"radius {self.radius} m")
 
+    def within(self, t: float, strict: bool = False) -> np.ndarray:
+        """Whether each stored pair's distance is < t (strict) or <= t:
+        the kernel's comparison, read from the kept floats. For a t not in
+        `thresholds`, the boxed areas' pairs within MARGIN of t are
+        checked again with the kernel."""
+        self.require(t)
+        v = self._values
+        hit = v < t if strict else v <= t
+        if t not in self.thresholds:
+            k = np.flatnonzero(self._boxed[self.columns]
+                               & (np.abs(v - t) <= MARGIN))
+            if len(k):
+                d = self._kernel(self.residents[k], self.columns[k])
+                hit[k] = d < t if strict else d <= t
+        return hit
+
+    def _exact(self, rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """The distances of the stored pairs at `pairs`, whose rows are
+        `rows`: the kept floats, the boxed areas' from one kernel call."""
+        d = self._values[pairs]
+        k = np.flatnonzero(self._boxed[self.columns[pairs]])
+        if len(k):
+            d[k] = self._kernel(rows[k], self.columns[pairs[k]])
+        return d
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The distance of every stored pair, computed on each read."""
+        return self._exact(self.residents, np.arange(len(self.columns)))
+
+    def rows(self, residents: Sequence[int]
+             ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(area positions, distances) of each listed resident's stored
+        pairs, from one kernel call."""
+        residents = np.asarray(residents, dtype=np.intp)
+        lo, hi = self.indptr[residents], self.indptr[residents + 1]
+        lengths = hi - lo
+        pairs = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+        pairs += np.arange(len(pairs))
+        d = self._exact(np.repeat(residents, lengths), pairs)
+        cols = self.columns[pairs]
+        return [(cols[end - n:end], d[end - n:end]) for end, n in
+                zip(np.cumsum(lengths).tolist(), lengths.tolist())]
+
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(area positions, distances) of resident i's stored pairs."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.columns[lo:hi], self.distances[lo:hi]
+        return self.rows([i])[0]
 
     @cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,13 +361,13 @@ class ProximityIndex:
         self.require(REACH_M)
         fixed = self.region.fixed_codes
         gives = (fixed < 0) | _SLOTS[fixed].any(axis=1)
-        keep = (self.distances < SERVICE_RADIUS_M) & gives[self.columns]
+        keep = self.within(SERVICE_RADIUS_M, strict=True) & gives[self.columns]
         # each row's kept pairs as keys 2j (within ESR_RADIUS_M) or 2j + 1,
         # padded with 2 * areas to one width and grouped by exact bytes
         pad = 2 * len(fixed)
         keys = self.columns[keep].astype(np.min_scalar_type(pad))
         keys *= 2
-        keys += (self.distances > ESR_RADIUS_M)[keep]
+        keys += ~self.within(ESR_RADIUS_M)[keep]
         lengths = np.diff(np.concatenate(
             ([0], np.cumsum(keep, dtype=np.int32)))[self.indptr])
         width = int(lengths.max(initial=0)) + 1

@@ -241,15 +241,6 @@ def _sample_point_in_polygon(rng: np.random.Generator,
         "polygon too thin?")
 
 
-def _fills_its_box(boundary: Sequence[Point]) -> bool:
-    """True for an axis-aligned rectangle, which point_in_polygon holds at
-    every point p with lo <= p < hi of its bounding box."""
-    ring = tuple(boundary)
-    return (len(set(ring)) == 4
-            and all(a.x == b.x or a.y == b.y
-                    for a, b in zip(ring, ring[1:] + ring[:1])))
-
-
 def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
                   boxes: np.ndarray, home_idx: np.ndarray) -> np.ndarray:
     """(x, y) of each resident's home, in areas[home_idx[i]]: the points
@@ -265,7 +256,7 @@ def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
     """
     lo, hi = boxes[:, :2], boxes[:, 2:]
     span = hi - lo
-    filled = np.array([_fills_its_box(a.boundary) for a in areas])
+    filled = np.array([a.fills_its_box for a in areas])
     bitgen = rng.bit_generator
     n = len(home_idx)
     homes = np.empty((n, 2))

@@ -81,6 +81,11 @@ USE_CODES = {u: k for k, u in enumerate(LandUse)}
 #: LandUse by USE_CODES code.
 _USE_OF_CODE = tuple(LandUse)
 
+#: The loader rejects a coordinate whose magnitude exceeds this, in
+#: meters: no map projection of the Earth comes near it, and it bounds the
+#: rounding error of every distance formula (metrics.MARGIN).
+COORDINATE_BOUND_M = 1e8
+
 @dataclass(frozen=True)
 class Area:
     id: int
@@ -95,6 +100,16 @@ class Area:
     @cached_property
     def area_m2(self) -> float:
         return geometry.polygon_area(self.boundary)
+
+    @cached_property
+    def fills_its_box(self) -> bool:
+        """True for an axis-aligned rectangle: the ring is its bounding box,
+        so point_in_polygon holds at every point p with lo <= p < hi of
+        the box, and the box distance is the distance to the area."""
+        ring = tuple(self.boundary)
+        return (len(set(ring)) == 4
+                and all(a[0] == b[0] or a[1] == b[1]
+                        for a, b in zip(ring, ring[1:] + ring[:1])))
 
     @property
     def is_vacant(self) -> bool:
@@ -325,8 +340,13 @@ def _ring_from_coordinates(coords, feature_label: str) -> tuple[Point, ...]:
         if not isinstance(pair, (list, tuple)) or len(pair) < 2:
             raise ParseError(f"{feature_label}: malformed coordinate {pair!r}")
         x, y = float(pair[0]), float(pair[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"{feature_label}: non-finite coordinate {pair!r}")
+        # one test for the usual coordinate; NaN fails it too
+        if not (abs(x) <= COORDINATE_BOUND_M and abs(y) <= COORDINATE_BOUND_M):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"{feature_label}: non-finite coordinate {pair!r}")
+            raise InvariantError(
+                f"{feature_label}: coordinate {pair!r} exceeds "
+                f"{COORDINATE_BOUND_M:g} m in magnitude")
         pts.append(Point(x, y))
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]

@@ -233,3 +233,11 @@ def min_distance_many(points, area, mode="boundary"):
         cx, cy = area.centroid
         return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
     return geometry.distance_to_polygon_many(pts, area.boundary)
+
+
+def kernel_distances(homes, region):
+    """(homes, areas) array of the dense kernel's distance from each home
+    to each area's ring alone: the values every index decision must
+    reproduce."""
+    return np.column_stack([min_distance_many(homes, area)
+                            for area in region.areas])

@@ -13,12 +13,13 @@ import pytest
 import participlan
 from participlan import metrics, planners, svgmap
 from participlan.cli import main
-from participlan.errors import ParseError, SpecError
+from participlan.errors import InvariantError, ParseError, SpecError
 from participlan.fixtures import data_path, make_grid_region
 from participlan.llm import ChatMessage, RuleBackend
 from participlan.population import load_demographics
-from participlan.region import (ASSIGNABLE_USES, load_plan, load_region,
-                                plan_digest, save_region)
+from participlan.region import (ASSIGNABLE_USES, COORDINATE_BOUND_M,
+                                load_plan, load_region, plan_digest,
+                                save_region)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -323,6 +324,38 @@ def test_malformed_input_is_a_parse_error(tmp_path, case, capsys):
         path.rename(tmp_path / "aggregate.json")
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error while")
+
+
+def _scaled_region(path, scale, shift=0.0):
+    doc = json.loads(Path(REGION).read_text())
+    for feature in doc["features"]:
+        feature["geometry"]["coordinates"] = [
+            [[x * scale + shift, y * scale] for x, y in ring]
+            for ring in feature["geometry"]["coordinates"]]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_coordinates_beyond_the_bound_are_an_invariant_error(tmp_path,
+                                                             capsys):
+    # hlg_like scaled by 1e150 used to load, and then overflowed the
+    # centroids into a NaN bearing in the neighbourhood view
+    region = _scaled_region(tmp_path / "huge.json", 1e150)
+    with pytest.raises(InvariantError, match="exceeds"):
+        load_region(region)
+    demographics = tmp_path / "demographics.json"
+    demographics.write_text(_edited(DEMOGRAPHICS, ["n_agents"], 300))
+    assert main(["simulate", "--region", str(region),
+                 "--demographics", str(demographics), "--method", "random",
+                 "--rounds", "1", "--speakers", "3", "--seeds", "101",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error while")
+    # a region that reaches the bound loads
+    width = max(x for a in load_region(REGION).areas for x, _ in a.boundary)
+    edge = load_region(_scaled_region(tmp_path / "edge.json", 1.0,
+                                      COORDINATE_BOUND_M - width))
+    assert max(x for a in edge.areas for x, _ in a.boundary) \
+        == COORDINATE_BOUND_M
 
 
 def test_empty_quota_force_is_a_spec_error(tmp_path, capsys):

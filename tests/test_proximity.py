@@ -1,8 +1,12 @@
 """The radius-bounded proximity index and the coverage evaluator on it.
 
-The index must hold exactly the (resident, area) pairs within its radius,
-with the distances the dense kernel gives, and must refuse any query
-beyond that radius rather than answer it from missing pairs. The
+The index must hold exactly the (resident, area) pairs that the dense
+kernel puts within its radius, and must refuse any query beyond that
+radius rather than answer it from missing pairs. Box distances decide
+the thresholds of rectangular areas, so every threshold test (within,
+classes, invite) must still equal the kernel's comparison, and the exact
+distances (distances, rows, the neighbourhood view) are the kernel's, bit
+for bit. The
 evaluator (CoverageCounts) must give, after any series of use changes,
 what a plain OR over each resident's stored pairs gives.
 """
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 
 from participlan import fixtures, geometry, metrics
+from participlan.cli import main
 from participlan.discussion import invite, view_payload
 from participlan.errors import InvariantError
 from participlan.metrics import (
@@ -20,8 +25,10 @@ from participlan.metrics import (
 )
 from participlan.planners import _objective, plan_objective
 from participlan.geometry import Point
-from participlan.region import (ASSIGNABLE_USES, GREEN_USES, USE_CODES, Area,
-                                LandUse, Plan, Region)
+from participlan.population import Population, Profile, Resident
+from participlan.region import (ASSIGNABLE_USES, COORDINATE_BOUND_M,
+                                GREEN_USES, USE_CODES, Area, LandUse, Plan,
+                                Region)
 
 import oracles
 from oracles import min_distance_many
@@ -404,3 +411,208 @@ def test_index_matches_the_oracle_on_odd_shapes(monkeypatch, tiny):
         # the lot's deep inside is more than the radius from its edges
         areas, dists = index.row(len(homes) - 2)
         assert areas.tolist() == [len(rings) - 1] and dists.tolist() == [0.0]
+
+
+# Box distances decide thresholds; the kernel decides near them.
+
+#: Every distance the threshold tests place homes at: the kernel's snap
+#: to 0, the two metric radii, an invite buffer the index does not know
+#: (450 m) and the index radius.
+_PLACED = (0.0, geometry.BOUNDARY_EPS, metrics.ESR_RADIUS_M, 450.0,
+           metrics.SERVICE_RADIUS_M, 700.0)
+
+
+def _translated(region, dx, dy):
+    areas = tuple(Area(a.id, tuple(Point(x + dx, y + dy) for x, y in a.boundary),
+                       a.community_id, a.fixed_use) for a in region.areas)
+    return Region(region.name, areas, region.requirements, region.communities)
+
+
+def _ulps(v):
+    """v and its neighbours one and two ulps away on each side."""
+    down = np.nextafter(v, -np.inf)
+    up = np.nextafter(v, np.inf)
+    return [np.nextafter(down, -np.inf), down, v, up, np.nextafter(up, np.inf)]
+
+
+def _threshold_homes(x0, y0):
+    """Homes on grid16 moved by (x0, y0), at each _PLACED distance and
+    +-1, +-2 ulps of it: east of the east edge, north of the north edge
+    and diagonally off the north-east corner."""
+    homes = []
+    for d in _PLACED:
+        homes += [(x, y0 + 125.0) for x in _ulps(x0 + 1000.0 + d)]
+        homes += [(x0 + 125.0, y) for y in _ulps(y0 + 1000.0 + d)]
+        homes += [(x, x - x0 + y0) for x in _ulps(x0 + 1000.0 + d / np.sqrt(2))]
+    return np.array(homes)
+
+
+def _resident_at(i, home):
+    return Resident(id=i, profile=Profile("female", "30-44", "bachelor", "2"),
+                    background=None, description="probe", home=Point(*home),
+                    home_area_id=1, needs=(LandUse.SCHOOL,))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6, COORDINATE_BOUND_M - 2000.0],
+                         ids=["origin", "1e6", "bound"])
+def test_thresholds_are_decided_as_the_kernel_decides(grid16, hand_plan,
+                                                      shift, monkeypatch):
+    region = _translated(grid16, shift, shift)
+    homes = _threshold_homes(shift, shift)
+    assert np.abs(homes).max() <= COORDINATE_BOUND_M
+    kernel = oracles.kernel_distances(homes, region)
+    calls = _count_kernel_pairs(monkeypatch)
+    index = ProximityIndex(region, homes, 700.0)
+    # the build sends the candidate pairs near a threshold it decides,
+    # except homes inside the half-open box, where both give 0
+    decided = (geometry.BOUNDARY_EPS, metrics.ESR_RADIUS_M,
+               metrics.SERVICE_RADIUS_M, 700.0)
+    boxes = region.area_boxes
+    sent = 0
+    for r, c in metrics._candidate_blocks(homes, boxes, 701.0):
+        p, b = homes[r], boxes[c]
+        inside = ((b[:, :2] <= p) & (p < b[:, 2:])).all(axis=1)
+        sent += int((_near_a_threshold(kernel[r, c], decided)
+                     & ~inside).sum())
+    assert sum(n for n, _ in calls) == sent > 0
+    # membership, and every stored distance bit for bit
+    assert set(zip(index.residents.tolist(), index.columns.tolist())) \
+        == set(zip(*(a.tolist() for a in np.nonzero(kernel <= 700.0))))
+    exact = kernel[index.residents, index.columns]
+    assert np.array_equal(index.distances, exact)
+    del calls[:]
+    for t in _PLACED:
+        assert np.array_equal(index.within(t), exact <= t)
+        assert np.array_equal(index.within(t, strict=True), exact < t)
+    # only a threshold the build did not decide calls the kernel, for the
+    # pairs within MARGIN of it
+    assert sum(n for n, _ in calls) == 2 * sum(
+        int((np.abs(exact - t) <= metrics.MARGIN).sum())
+        for t in _PLACED if t not in decided)
+    del calls[:]
+    # classes: same class exactly when the same areas are in range
+    silent = [a.fixed_use is LandUse.RESIDENTIAL for a in region.areas]
+    signatures = [frozenset((j, bool(d <= metrics.ESR_RADIUS_M))
+                            for j, d in enumerate(row)
+                            if d < metrics.SERVICE_RADIUS_M and not silent[j])
+                  for row in kernel]
+    class_of = index.classes[0].tolist()
+    assert len(set(zip(signatures, class_of))) == len(set(signatures)) \
+        == len(set(class_of))
+    # invite, at the index radius and at a buffer the index does not know
+    population = Population(tuple(_resident_at(i, h)
+                                  for i, h in enumerate(homes.tolist())), 0)
+    for buffer in (450.0, 700.0):
+        assert invite(1, region, population, buffer, cache=index) \
+            == tuple(np.flatnonzero((kernel <= buffer).any(axis=1)).tolist())
+    # each view row, read alone or from one call for every row
+    rows = index.rows(range(len(homes)))
+    for i, resident in enumerate(population.residents):
+        view = view_payload(resident, region, hand_plan,
+                            metrics.SERVICE_RADIUS_M, index, i)
+        assert [(e["distance_m"], e["area_id"]) for e in view] == sorted(
+            (float(d), region.areas[j].id) for j, d in enumerate(kernel[i])
+            if d <= metrics.SERVICE_RADIUS_M)
+        assert view_payload(resident, region, hand_plan,
+                            metrics.SERVICE_RADIUS_M, index, i, rows[i]) == view
+
+
+def _count_kernel_pairs(monkeypatch):
+    """[(points, ring vertex count)] of every kernel call from now on."""
+    calls = []
+    kernel = geometry.distance_to_polygon_many
+
+    def counted(points, vertices):
+        calls.append((len(points), len(vertices)))
+        return kernel(points, vertices)
+
+    monkeypatch.setattr(geometry, "distance_to_polygon_many", counted)
+    return calls
+
+
+def _near_a_threshold(kernel, thresholds):
+    return (np.abs(kernel[..., None] - np.array(thresholds))
+            <= metrics.MARGIN).any(axis=-1)
+
+
+def test_rectangles_away_from_thresholds_need_no_kernel(hlg, pop_hlg,
+                                                        monkeypatch):
+    kernel = oracles.kernel_distances(pop_hlg.homes, hlg)
+    # every home is inside its own cell, and no other pair is near a
+    # threshold the build decides
+    assert not (_near_a_threshold(kernel, (geometry.BOUNDARY_EPS,
+                                           metrics.ESR_RADIUS_M,
+                                           metrics.REACH_M))
+                & (kernel > 0.0)).any()
+    calls = _count_kernel_pairs(monkeypatch)
+    index = ProximityIndex(hlg, pop_hlg.homes, metrics.REACH_M)
+    index.classes
+    assert calls == []
+    # exact values come from the kernel on demand
+    assert np.array_equal(index.distances,
+                          kernel[index.residents, index.columns])
+    assert calls == [(len(index.columns), 4)]
+
+
+def test_odd_shapes_send_every_candidate_pair_to_the_kernel(monkeypatch):
+    odd, _ = _odd_shapes_region()
+    boxes = [[(5000.0 + 400.0 * k, 0.0), (5300.0 + 400.0 * k, 0.0),
+              (5300.0 + 400.0 * k, 200.0), (5000.0 + 400.0 * k, 200.0)]
+             for k in range(3)]
+    areas = odd.areas + tuple(
+        Area(len(odd.areas) + k + 1, tuple(Point(*p) for p in ring), 1)
+        for k, ring in enumerate(boxes))
+    region = Region("odd_and_boxes", areas, {}, odd.communities)
+    rng = np.random.default_rng(99)
+    homes = _homes_around(region, 1500, rng, margin=600.0)
+    kernel = oracles.kernel_distances(homes, region)
+    rectangle = np.array([a.fills_its_box for a in areas])
+    assert rectangle.sum() == 3
+    assert not (_near_a_threshold(kernel, (geometry.BOUNDARY_EPS,
+                                           metrics.ESR_RADIUS_M,
+                                           metrics.SERVICE_RADIUS_M))
+                & (kernel > 0.0))[:, rectangle].any()
+    candidates = sum(int((~rectangle[c]).sum()) for _, c in
+                     metrics._candidate_blocks(homes, region.area_boxes,
+                                               metrics.SERVICE_RADIUS_M + 1.0))
+    calls = _count_kernel_pairs(monkeypatch)
+    index = ProximityIndex(region, homes, metrics.SERVICE_RADIUS_M)
+    assert sum(n for n, _ in calls) == candidates
+    assert 4 not in {m for _, m in calls}
+    assert np.array_equal(index.distances,
+                          kernel[index.residents, index.columns])
+
+
+def test_runs_read_exact_distances_once_per_round(tmp_path, monkeypatch):
+    calls = _count_kernel_pairs(monkeypatch)
+    building = []
+    init = ProximityIndex.__init__
+
+    def build(self, *args, **kwargs):
+        building.append(len(calls))
+        init(self, *args, **kwargs)
+        building.append(len(calls))
+
+    monkeypatch.setattr(ProximityIndex, "__init__", build)
+    # nothing in a run reads every stored pair's exact distance
+    monkeypatch.setattr(ProximityIndex, "distances", property(
+        lambda self: pytest.fail("a run read ProximityIndex.distances")))
+    inputs = ["--region", str(fixtures.data_path("hlg_like.region.json")),
+              "--demographics",
+              str(fixtures.data_path("hlg_like.demographics.json")),
+              "--seeds", "101"]
+
+    def outside_builds():
+        return len(calls) - sum(b - a for a, b in
+                                zip(building[::2], building[1::2]))
+
+    # plan asks only which side of a radius each pair lies on
+    for method in ("local-search", "gsca"):
+        assert main(["plan", "--method", method, *inputs,
+                     "--out", str(tmp_path / method)]) == 0
+    assert outside_builds() == 0
+    assert main(["simulate", "--method", "random", "--rounds", "2",
+                 "--speakers", "5", *inputs,
+                 "--out", str(tmp_path / "simulate")]) == 0
+    # four communities, two rounds each: one call per round's speakers
+    assert outside_builds() == 4 * 2
