@@ -27,7 +27,8 @@ import pytest
 
 from participlan.cli import main
 from participlan.fixtures import data_path
-from participlan.llm import RuleBackend, render_initial_plan_prompt
+from participlan.llm import (RuleBackend, render_initial_plan_prompt,
+                            request_digest)
 from participlan.region import load_region
 
 INPUTS = ("--region", "hlg_like.region.json",
@@ -296,3 +297,45 @@ def test_golden_run_directory(name, tmp_path, monkeypatch):
     assert got == GOLDEN[name], (
         f"run files differ from the golden digests, recorded with numpy "
         f"{GOLDEN_NUMPY}; this run used numpy {np.__version__}")
+
+
+#: Two runs whose every rule-backend exchange is pinned below: the
+#: roleplay discussion with an LLM initial plan, and the generic-persona one.
+PROMPT_RUNS = (
+    ["simulate", *INPUTS, "--backend", "rule", "--method", "llm",
+     "--seeds", "101", "--rounds", "3", "--speakers", "50"],
+    ["ablate", *INPUTS, "--backend", "rule", "--mode", "no-roleplay",
+     "--seeds", "101"],
+)
+
+#: (exchange count, SHA-256 over each exchange's request digest and reply).
+PROMPT_PIN = (
+    1226,
+    "04d484178f902009cb6deb4b8e8a3998012168bd669a00805e1cac448655d66a")
+
+
+def test_prompt_bytes_are_pinned(tmp_path, monkeypatch):
+    # The golden transcripts pin the replies, and the record/replay tests
+    # record and replay with one version of the code; this pins the prompt
+    # bytes themselves (through request_digest, as a scripted tape checks
+    # them), so a drifted prompt cannot silently break a recorded tape.
+    for rel in ("hlg_like.region.json", "hlg_like.demographics.json"):
+        shutil.copy(data_path(rel), tmp_path / rel)
+    monkeypatch.chdir(tmp_path)
+    exchanges = []
+    complete = RuleBackend.complete
+
+    def recorded(self, messages):
+        reply = complete(self, messages)
+        exchanges.append([request_digest("", 0.0, messages), reply])
+        return reply
+
+    monkeypatch.setattr(RuleBackend, "complete", recorded)
+    for k, argv in enumerate(PROMPT_RUNS):
+        assert main(argv + ["--out", f"run{k}"]) == 0
+    h = hashlib.sha256()
+    for exchange in exchanges:
+        h.update(json.dumps(exchange).encode() + b"\n")
+    assert (len(exchanges), h.hexdigest()) == PROMPT_PIN, (
+        f"prompts or replies differ from the pinned ones, recorded with "
+        f"numpy {GOLDEN_NUMPY}; this run used numpy {np.__version__}")
