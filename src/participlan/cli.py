@@ -147,7 +147,8 @@ def _read_aggregate(run_dir) -> dict:
         record = {"run_id": doc["run_id"], "region": doc.get("region", ""),
                   "method": doc.get("method", "?"),
                   **{col: doc["metrics"][col]["mean"] for col in METRIC_COLUMNS}}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError,
+            ValueError) as exc:
         raise ParseError(f"{path}: {exc!r}") from exc
     if not (isinstance(record["run_id"], str)
             and isinstance(record["region"], str)

@@ -174,31 +174,32 @@ def invite(community_id: int, region: Region, population: Population,
     return invited
 
 
+def area_table(region: Region, plan: Plan) -> list[tuple]:
+    """(id, use value or None, centroid x, centroid y, changeable) of every
+    area under `plan`, in region order: all view_payload reads of them."""
+    return [(a.id, getattr(plan.use_of(a), "value", None), *a.centroid,
+             a.is_vacant) for a in region.areas]
+
+
 def view_payload(resident: Resident, region: Region, plan: Plan,
                  radius: float, cache: ProximityIndex, resident_index: int,
-                 row: Optional[tuple[np.ndarray, np.ndarray]] = None
-                 ) -> list[dict]:
-    """Neighborhood entries as plain dicts for prompts and rule replies;
-    `row` is the resident's row of the cache as ProximityIndex.rows gives
-    it, read from the cache when absent."""
+                 row: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 table: Optional[list[tuple]] = None) -> list[dict]:
+    """Neighborhood entries as plain dicts, nearest first, for prompts and
+    rule replies; `row` is the resident's cache row as ProximityIndex.rows
+    gives it and `table` is area_table(region, plan), each built if absent."""
     cache.require(radius)
     columns, distances = cache.row(resident_index) if row is None else row
-    entries = []
-    for j, d in zip(columns.tolist(), distances.tolist()):
-        if d <= radius:
-            area = region.areas[j]
-            use = plan.use_of(area)
-            cx, cy = area.centroid
-            entries.append({
-                "area_id": area.id,
-                "land_use": use.value if use is not None else None,
-                "distance_m": d,
-                "direction": compass_label(cx - resident.home[0],
-                                           cy - resident.home[1]),
-                "changeable": area.is_vacant,
-            })
-    entries.sort(key=lambda e: (e["distance_m"], e["area_id"]))
-    return entries
+    if table is None:
+        table = area_table(region, plan)
+    hx, hy = resident.home
+    near = sorted((d, table[j]) for j, d in
+                  zip(columns.tolist(), distances.tolist()) if d <= radius)
+    # keys in sorted order, as the prompt's JSON encoder writes them
+    return [{"area_id": area_id, "changeable": changeable,
+             "direction": compass_label(cx - hx, cy - hy),
+             "distance_m": d, "land_use": use}
+            for d, (area_id, use, cx, cy, changeable) in near]
 
 
 def _sample_speakers(rng: np.random.Generator, invited: Sequence[int],
@@ -319,8 +320,8 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
                      config.invite_buffer_m, cache)
     rng = np.random.default_rng([config.seed, community_id])
     m_eff = min(config.speakers_per_round, len(invited))
-    by_id = {r.id: r for r in population.residents}
-    pos_by_id = {r.id: i for i, r in enumerate(population.residents)}
+    # the plan is frozen for the whole discussion
+    table = area_table(region, plan)
 
     history: list[str] = []
     rounds: list[Round] = []
@@ -329,12 +330,13 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
         speakers = _sample_speakers(rng, invited, prev, m_eff,
                                     config.exchange_fraction)
         opinions = []
+        positions = [population.position_of[rid] for rid in speakers]
         # the speakers' exact distances come from one kernel call
-        views = cache.rows([pos_by_id[rid] for rid in speakers])
-        for rid, row in zip(speakers, views):
-            resident = by_id[rid]
+        views = cache.rows(positions)
+        for rid, pos, row in zip(speakers, positions, views):
+            resident = population.residents[pos]
             view = view_payload(resident, region, plan, SERVICE_RADIUS_M,
-                                cache, pos_by_id[rid], row)
+                                cache, pos, row, table)
             if roleplay:
                 desc, needs = resident.description, resident.needs
             else:
@@ -354,7 +356,8 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
 
     notes: list[str] = []
     if isinstance(planner_backend, RuleBackend):
-        rows = np.array([pos_by_id[rid] for rid in invited], dtype=np.intp)
+        rows = np.array([population.position_of[rid] for rid in invited],
+                        dtype=np.intp)
         new_plan, edits = _greedy_repair(plan, community_id, region,
                                          population, rows, rounds, cache)
     else:

@@ -192,7 +192,8 @@ class RemoteBackend:
         try:
             data = resp.json()
             content = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError,
+                RecursionError) as exc:
             raise BadReply(f"malformed completion body: {exc!r}") from exc
         if not content:
             raise BadReply("empty completion content")
@@ -248,7 +249,7 @@ def load_transcript_file(path: Union[str, Path]) -> list[dict]:
     """A JSON list of {"reply_text": str, "request_digest": str or null}."""
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, list):
         raise ParseError(f"{path}: transcript must be a JSON list")
@@ -288,9 +289,8 @@ class RuleBackend:
                     break
             if tag is None:
                 raise BackendError("rule backend: no role tag in system message")
-            docs = [doc for m in messages if m.role == "user"
-                    for doc in rules.fenced_docs(m.content)]
-            payload = docs[-1] if docs else {}
+            payload = rules.last_fenced_doc(
+                [m.content for m in messages if m.role == "user"])
             if tag == "resident_opinion":
                 return rules.opinion_reply(payload)
             if tag == "summarize":
@@ -327,33 +327,33 @@ _ALLOWED = ", ".join(u.value for u in ASSIGNABLE_USES)
 GENERIC_PERSONA = "You are a resident living in a region in the city."
 
 
+_NEIGHBORHOOD_HEAD = (f"Your neighborhood (within {SERVICE_RADIUS_M:.0f} m "
+                      "of home):")
+
+
 def render_opinion_prompt(description: str, needs: Sequence[LandUse],
                           view_entries: Sequence[dict],
                           summaries: Sequence[str],
                           roleplay: bool = True) -> list[ChatMessage]:
-    lines = [f"Your needs: {', '.join(u.value for u in needs)}.",
-             f"Your neighborhood (within {SERVICE_RADIUS_M:.0f} m of home):"]
-    if view_entries:
-        for e in view_entries:
-            use = e.get("land_use") or "unassigned"
-            tag = " (changeable)" if e.get("changeable") else ""
-            lines.append(f"- area {e['area_id']}: {use}, "
-                         f"{e['distance_m']:.0f} m {e['direction']}{tag}")
-    else:
-        lines.append("- (no areas within range)")
+    need_values = [u.value for u in needs]
+    lines = [f"Your needs: {', '.join(need_values)}.", _NEIGHBORHOOD_HEAD]
+    lines += [f"- area {e['area_id']}: {e.get('land_use') or 'unassigned'}, "
+              f"{e['distance_m']:.0f} m {e['direction']}"
+              f"{' (changeable)' if e.get('changeable') else ''}"
+              for e in view_entries] or ["- (no areas within range)"]
     if summaries:
         lines.append("Discussion so far:")
-        for i, s in enumerate(summaries, start=1):
-            lines.append(f"[summary of round {i}] {s}")
+        lines += [f"[summary of round {i}] {s}"
+                  for i, s in enumerate(summaries, start=1)]
     lines.append(
         "Say how well the current plan serves you. If you want changes, end "
         'with a JSON object {"requests": [{"area_id": int, "use": str, '
         '"reason": str}]} touching only changeable areas; otherwise end with '
         '{"requests": []}.')
     lines.append(rules.fence({
-        "needs": [u.value for u in needs],
-        "view": list(view_entries),
+        "needs": need_values,
         "service_radius_m": SERVICE_RADIUS_M,
+        "view": list(view_entries),
     }))
     if roleplay:
         sys_text = ("[role:resident_opinion] You are role-playing a specific "
@@ -484,21 +484,22 @@ def render_revision_prompt(region: Region, community_id: int, plan: Plan,
 # Reply parsing
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _all_json_objects(text: str) -> list[dict]:
+    """Every JSON object in `text` that parses, left to right; one nested
+    too deeply to decode is skipped like one that does not parse."""
     out = []
-    decoder = json.JSONDecoder()
     idx = text.find("{")
     while idx >= 0:
         try:
-            doc, consumed = decoder.raw_decode(text[idx:])
-        except json.JSONDecodeError:
+            doc, end = _raw_decode(text, idx)
+        except (json.JSONDecodeError, RecursionError):
             idx = text.find("{", idx + 1)
-            continue
-        if isinstance(doc, dict):
-            out.append(doc)
-            idx = text.find("{", idx + consumed)
         else:
-            idx = text.find("{", idx + 1)
+            out.append(doc)
+            idx = text.find("{", end)
     return out
 
 

@@ -105,7 +105,7 @@ def load_demographics(path: Union[str, Path]) -> DemographicSpec:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     try:
         quotas = tuple(
@@ -172,6 +172,11 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.residents)
+
+    @cached_property
+    def position_of(self) -> dict[int, int]:
+        """Each resident's position in `residents`, by id."""
+        return {r.id: i for i, r in enumerate(self.residents)}
 
     @cached_property
     def homes(self) -> np.ndarray:

@@ -38,6 +38,10 @@ class LandUse(str, enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "LandUse":
+        try:
+            return _USE_EXACT[text]
+        except (KeyError, TypeError):
+            pass
         key = str(text).strip().lower().replace("-", " ").replace("_", " ")
         key = " ".join(key.split())
         try:
@@ -55,6 +59,9 @@ _USE_LOOKUP.update({
     "office area": LandUse.OFFICE,
     "recreation area": LandUse.RECREATION,
 })
+#: What LandUse.parse resolves without normalising: each normalised name
+#: and value, and so each member, which hashes and compares as its value.
+_USE_EXACT = {**_USE_LOOKUP, **{u.value: u for u in LandUse}}
 
 #: The 8 types a planner may assign to a vacant area, in canonical order.
 ASSIGNABLE_USES = (
@@ -262,7 +269,7 @@ def save_plan(plan: Plan, path: Union[str, Path], provenance: Optional[dict] = N
 def load_plan(path: Union[str, Path]) -> Plan:
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("assignments"), dict):
         raise ParseError(f"{path}: missing 'assignments' object")
@@ -371,7 +378,7 @@ def load_region(path: Union[str, Path]) -> Region:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: expected a FeatureCollection document")

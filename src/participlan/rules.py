@@ -7,8 +7,7 @@ and so property tests can reason about them directly.
 from __future__ import annotations
 
 import json
-import re
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .region import ASSIGNABLE_USES, CANON_INDEX, LandUse, quota_order
 
@@ -104,23 +103,41 @@ def describe(facts: Mapping[str, Optional[str]]) -> str:
 # protocol expects structure.
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def fence(doc: dict) -> str:
     """`doc` as a fenced JSON block, the form prompts and replies carry."""
-    return "```json\n" + json.dumps(doc, sort_keys=True) + "\n```"
+    return "```json\n" + _encode(doc) + "\n```"
 
 
-_FENCE_RE = re.compile(r"```json\s*(.*?)```", re.DOTALL)
+def fenced_blocks(text: str) -> list[str]:
+    """The text of each ```json block in `text`, left to right: from the
+    end of the opening fence and the whitespace after it to the next ```."""
+    blocks = []
+    start = text.find("```json")
+    while start >= 0:
+        begin = start + 7
+        while begin < len(text) and text[begin].isspace():
+            begin += 1
+        end = text.find("```", begin)
+        if end < 0:
+            break
+        blocks.append(text[begin:end])
+        start = text.find("```json", end + 3)
+    return blocks
 
 
-def fenced_docs(text: str) -> list:
-    """The JSON value of each fenced block in `text` that parses."""
-    docs = []
-    for block in _FENCE_RE.findall(text):
-        try:
-            docs.append(json.loads(block))
-        except json.JSONDecodeError:
-            pass
-    return docs
+def last_fenced_doc(texts: Sequence[str]):
+    """The JSON value of the last fenced block in `texts` that parses, or
+    {} if none does; earlier blocks are not decoded."""
+    for text in reversed(texts):
+        for block in reversed(fenced_blocks(text)):
+            try:
+                return json.loads(block)
+            except (json.JSONDecodeError, RecursionError):
+                pass
+    return {}
 
 
 def opinion_reply(payload: dict) -> str:
@@ -134,14 +151,12 @@ def opinion_reply(payload: dict) -> str:
     radius = float(payload.get("service_radius_m", 500.0))
     entries = payload.get("view", [])
 
-    met = set()
-    for e in entries:
-        use = e.get("land_use")
-        if use is not None and float(e["distance_m"]) < radius:
-            met.add(LandUse.parse(use))
+    met = {LandUse.parse(use) for e in entries
+           if (use := e.get("land_use")) is not None
+           and float(e["distance_m"]) < radius}
 
     changeable = sorted(
-        (e for e in entries if e.get("changeable")),
+        [e for e in entries if e.get("changeable")],
         key=lambda e: (float(e["distance_m"]), int(e["area_id"])))
 
     requests = []
@@ -171,8 +186,15 @@ def opinion_reply(payload: dict) -> str:
 
 
 def _extract_requests(text: str) -> list[dict]:
-    return [r for doc in fenced_docs(text) if isinstance(doc, dict)
-            for r in doc.get("requests", [])]
+    requests = []
+    for block in fenced_blocks(text):
+        try:
+            doc = json.loads(block)
+        except (json.JSONDecodeError, RecursionError):
+            continue
+        if isinstance(doc, dict):
+            requests += doc.get("requests", [])
+    return requests
 
 
 def summary_reply(payload: dict) -> str:

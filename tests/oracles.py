@@ -5,12 +5,15 @@ so agreement with the vectorized package code is meaningful. Keep these
 functions dumb: nested loops over residents and areas, no numpy, no
 imports from the package beyond reading plain attributes.
 
-The last section is the exception: the package's scalar and dense
-distance forms that only tests use, built on its geometry module.
+Two sections are the exception: the package's scalar and dense
+distance forms that only tests use, built on its geometry module, and
+the rule backend's former regex read of its payload.
 """
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 
@@ -241,3 +244,24 @@ def kernel_distances(homes, region):
     reproduce."""
     return np.column_stack([min_distance_many(homes, area)
                             for area in region.areas])
+
+
+# ---------------------------------------------------------------------------
+# The rule backend's former payload read
+
+
+#: The fenced-block pattern that rules.fenced_blocks replaces.
+FENCE_RE = re.compile(r"```json\s*(.*?)```", re.DOTALL)
+
+
+def fenced_payload(texts):
+    """What the rule backend read from its user messages' texts: every
+    fenced block decoded, and the last that parses, or {} if none does."""
+    docs = []
+    for text in texts:
+        for block in FENCE_RE.findall(text):
+            try:
+                docs.append(json.loads(block))
+            except json.JSONDecodeError:
+                pass
+    return docs[-1] if docs else {}

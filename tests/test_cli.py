@@ -273,6 +273,8 @@ def _edited(path, keys, value):
 
 
 _FIRST = ["features", 0]
+#: A JSON array nested deeper than the decoder's recursion limit.
+NESTED = "[" * 100_000 + "]" * 100_000
 MALFORMED = {
     "region-id-text": ("region", _edited(REGION, _FIRST + ["properties", "id"], "x")),
     "region-id-infinite": ("region", _edited(REGION, _FIRST + ["properties", "id"],
@@ -299,6 +301,10 @@ MALFORMED = {
     "plan-assignments-list": ("plan", '{"assignments": [1]}'),
     "aggregate-without-means": ("aggregate", '{"metrics": {}}'),
     "aggregate-list": ("aggregate", "[1]"),
+    "region-nested-too-deeply": ("region", NESTED),
+    "demographics-nested-too-deeply": ("demographics", NESTED),
+    "plan-nested-too-deeply": ("plan", NESTED),
+    "aggregate-nested-too-deeply": ("aggregate", NESTED),
 }
 LOADERS = {"region": load_region, "demographics": load_demographics,
            "plan": load_plan}
@@ -324,6 +330,28 @@ def test_malformed_input_is_a_parse_error(tmp_path, case, capsys):
         path.rename(tmp_path / "aggregate.json")
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error while")
+
+
+def test_deeply_nested_transcript_is_a_usage_error(tmp_path, capsys):
+    tape = tmp_path / "tape.json"
+    tape.write_text(NESTED)
+    assert main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
+                 "--method", "llm", "--backend", "scripted", "--transcript",
+                 str(tape), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error while configuring backend")
+
+
+def test_deeply_nested_plan_reply_is_a_failed_seed(tmp_path, capsys):
+    tape = tmp_path / "tape.json"
+    tape.write_text(json.dumps([{"reply_text": '{"assignments": ' + NESTED
+                                 + "}", "request_digest": None}]))
+    assert main(["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
+                 "--method", "llm", "--backend", "scripted", "--transcript",
+                 str(tape), "--seeds", "101",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "seed 101 failed: planning: scripted transcript exhausted" in err
 
 
 def _scaled_region(path, scale, shift=0.0):

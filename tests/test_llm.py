@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from participlan import rules
 from participlan.errors import (
     BadReply,
     BackendError,
@@ -549,16 +550,54 @@ class TestScriptedBackend:
         assert replay.complete([user("anything")]) == "canned"
 
 
+#: A JSON array nested deeper than the decoder's recursion limit.
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     "[5]",
     '[{"request_digest": 7, "reply_text": "hi"}]',
     '[{"request_digest": null, "reply_text": 5}]',
     '[{"request_digest": null, "reply_text": ""}]',
+    _NESTED,
 ], ids=["invalid-json", "non-object-entry", "non-string-digest",
-        "non-string-reply", "empty-reply"])
+        "non-string-reply", "empty-reply", "nested-too-deeply"])
 def test_bad_transcript_is_parse_error(tmp_path, text):
     path = tmp_path / "tape.json"
     path.write_text(text)
     with pytest.raises(ParseError):
         load_transcript_file(path)
+
+
+@pytest.mark.parametrize("parse", [
+    lambda region: parse_plan_response(
+        '{"assignments": ' + _NESTED + "}", region),
+    lambda region: parse_plan_edits(
+        '{"edits": ' + _NESTED + "}", region, community_id=1),
+], ids=["plan", "edits"])
+def test_plan_reply_nested_too_deeply_has_no_object(grid16, parse):
+    with pytest.raises(ParseError, match="no JSON object"):
+        parse(grid16)
+
+
+_DEEP_OPINION = 'Please.\n```json\n{"requests": ' + _NESTED + "}\n```"
+
+
+def test_opinion_nested_too_deeply_has_no_requests():
+    assert parse_opinion_response(_DEEP_OPINION) == []
+
+
+def test_summary_of_an_opinion_nested_too_deeply_counts_no_requests():
+    assert rules.summary_reply({"opinions": [_DEEP_OPINION]}) \
+        == rules.summary_reply({"opinions": ["Please."]})
+
+
+def test_a_completion_body_nested_too_deeply_is_a_bad_reply():
+    class Deep(_FakeResponse):
+        def json(self):
+            return json.loads(_NESTED)
+
+    backend = _remote(lambda url, **kwargs: Deep(200))
+    with pytest.raises(BadReply):
+        backend.complete([user("hi")])

@@ -36,6 +36,12 @@ def test_land_use_parse_aliases():
         LandUse.parse("factory")
 
 
+def test_land_use_parse_of_a_member_is_the_member():
+    # str() of a (str, Enum) member is "LandUse.PARK", not its value
+    for use in LandUse:
+        assert LandUse.parse(use) is use
+
+
 def test_use_partition():
     assert len(ASSIGNABLE_USES) == 8
     assert LandUse.RESIDENTIAL in FIXED_USES
