@@ -177,8 +177,8 @@ def invite(community_id: int, region: Region, population: Population,
 def area_table(region: Region, plan: Plan) -> list[tuple]:
     """(id, use value or None, centroid x, centroid y, changeable) of every
     area under `plan`, in region order: all view_payload reads of them."""
-    return [(a.id, getattr(plan.use_of(a), "value", None), *a.centroid,
-             a.is_vacant) for a in region.areas]
+    return [(a.id, None if (use := plan.use_of(a)) is None else use.value,
+             *a.centroid, a.is_vacant) for a in region.areas]
 
 
 def view_payload(resident: Resident, region: Region, plan: Plan,
