@@ -26,9 +26,11 @@ objective, gsca's gains and greedy repair's satisfaction. Residents with
 the same areas in range share a coverage class (ProximityIndex.classes),
 and it keeps per-class counts of the areas in range per use and of green
 areas, so changing one area's use touches only that area's classes. Each
-resident's values are gathered from its class's hits through tables of
-the exact per-resident floats, so a plan scored after a series of
-changes equals the same plan scored from scratch bit for bit.
+resident's service and satisfaction are gathered from its class's hits
+through tables of the exact per-resident floats, so a plan scored after
+a series of changes equals the same plan scored from scratch bit for
+bit. The ecology share is counted from the sizes of the classes with
+green in range, with no gather: it is an exact count over n.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ MARGIN = 1e-5
 _N_SLOTS = len(ASSIGNABLE_USES) + 1
 
 
-def _slot_tables() -> tuple[np.ndarray, ...]:
+def _slot_tables() -> tuple:
     # plain ints: the first numpy ops on these dtypes cost the process
     # about 0.3 MB of peak memory at import
     slots = [[0] * _N_SLOTS for _ in range(len(USE_CODES) + 1)]
@@ -81,6 +83,8 @@ def _slot_tables() -> tuple[np.ndarray, ...]:
         slots[USE_CODES[use]][k] = 1
     for use in GREEN_USES:
         slots[USE_CODES[use]][_N_SLOTS - 1] = 1
+    deltas = [[tuple((k, b - a) for k, (a, b) in enumerate(zip(old, new))
+                     if a != b) for new in slots] for old in slots]
     categories = [sum(1 << ASSIGNABLE_USES.index(use) for use in uses)
                   for _, uses in SERVICE_CATEGORIES]
     category_slots = [sum(c for c in categories if c >> k & 1)
@@ -90,7 +94,7 @@ def _slot_tables() -> tuple[np.ndarray, ...]:
     in_esr = [float(hits >> (_N_SLOTS - 1)) for hits in range(1 << _N_SLOTS)]
     return (np.array(slots, dtype=np.int32),
             np.array(category_slots, dtype=np.uint16),
-            np.array(service), np.array(in_esr))
+            np.array(service), np.array(in_esr), deltas)
 
 
 #: The 0/1 slots an area gives, indexed by its use code (code -1,
@@ -98,8 +102,10 @@ def _slot_tables() -> tuple[np.ndarray, ...]:
 #: assignable use's service category, in ASSIGNABLE_USES order, 0 for a
 #: use without one; then, indexed by the hits of a class, its share of
 #: service categories in range (a category is in range when one of its
-#: uses is) and 1.0 where it has green in range, else 0.0.
-_SLOTS, CATEGORY_SLOTS, _HIT_SERVICE, _HIT_IN_ESR = _slot_tables()
+#: uses is) and 1.0 where it has green in range, else 0.0; and, as
+#: _DELTAS[old][new] by use code, the (slot, +1 or -1) pairs that change
+#: when an area's use goes from old to new.
+_SLOTS, CATEGORY_SLOTS, _HIT_SERVICE, _HIT_IN_ESR, _DELTAS = _slot_tables()
 
 
 #: Candidate pairs per block of a ProximityIndex build. Only one block's
@@ -356,7 +362,7 @@ class ProximityIndex:
         ptr, area classes). A class holds the rows with the same areas
         strictly within SERVICE_RADIUS_M and the same areas within
         ESR_RADIUS_M inclusive, leaving out fixed areas that give no
-        slot. Area j's int32 classes are area_classes[ptr[2j]:ptr[2j + 2]],
+        slot. Area j's intp classes are area_classes[ptr[2j]:ptr[2j + 2]],
         those within ESR_RADIUS_M first, up to ptr[2j + 1]."""
         self.require(REACH_M)
         fixed = self.region.fixed_codes
@@ -379,7 +385,8 @@ class ProximityIndex:
         table = found.view(keys.dtype).reshape(len(found), width)
         filled = table != pad
         keys = table[filled]
-        classes = np.repeat(np.arange(len(found), dtype=np.int32),
+        # intp, so that set_use indexes with a slice of it and no copy
+        classes = np.repeat(np.arange(len(found), dtype=np.intp),
                             filled.sum(axis=1))
         ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=pad))))
         return class_of, ptr, classes[np.argsort(keys, kind="stable")]
@@ -409,6 +416,8 @@ class CoverageCounts:
     (1.0 where some green area is in range) and satisfaction (share of the
     `needs` in range) gather each resident's value from its class's
     hits, for `rows` (every resident by default) in that order.
+    ecology_share, the mean of in_esr, is counted from the class sizes
+    (`sizes`, residents of `rows` per class) with no gather.
     """
 
     def __init__(self, index: ProximityIndex, codes: np.ndarray,
@@ -420,6 +429,7 @@ class CoverageCounts:
             needs[0][rows], needs[1][rows])
         self._fixed = (index.region.fixed_codes >= 0).tolist()
         n = int(class_of.max(initial=-1)) + 1
+        self.sizes = np.bincount(self._class_of, minlength=n)
         self.codes = np.array(codes, dtype=np.int8)
         # a pair counts its area's classes, the green slot only those
         # within ESR_RADIUS_M; each class is keyed by slot * n + class
@@ -443,6 +453,15 @@ class CoverageCounts:
         return _HIT_IN_ESR.take(self.hits).take(self._class_of)
 
     @property
+    def ecology_share(self) -> float:
+        """np.mean(in_esr) bit for bit: a mean of 0.0 and 1.0 values is
+        their exact count over n, here that of the green classes' sizes
+        (nan when n is 0, as np.mean gives)."""
+        n = len(self._class_of)
+        green = int(self.sizes.dot(self.hits >> (_N_SLOTS - 1)))
+        return green / n if n else np.nan
+
+    @property
     def satisfaction(self) -> np.ndarray:
         need_bits, lens = self._needs
         return np.bitwise_count(self.hits.take(self._class_of) & need_bits) / lens
@@ -452,20 +471,19 @@ class CoverageCounts:
         if its use is fixed."""
         if self._fixed[j]:
             raise InvariantError(f"area position {j} has a fixed use")
-        delta = _SLOTS[code] - _SLOTS[self.codes[j]]
+        delta = _DELTAS[self.codes[j]][code]
         self.codes[j] = code
         lo, eco, hi = self._ptr[2 * j:2 * j + 3].tolist()
-        # an intp copy makes the fancy indexing below cheaper; the
-        # ecology classes come first
-        classes = self._area_classes[lo:hi].astype(np.intp)
-        for k in np.flatnonzero(delta):
+        # the ecology classes come first
+        classes = self._area_classes[lo:hi]
+        for k, step in delta:
             near = classes[:eco - lo] if k == _N_SLOTS - 1 else classes
-            count, bit = self.counts[k], np.uint16(1 << k)
-            count[near] += delta[k]
-            if delta[k] > 0:
-                self.hits[near] |= bit
+            count = self.counts[k]
+            count[near] = after = count[near] + step
+            if step > 0:
+                self.hits[near] |= 1 << k
             else:
-                self.hits[near[count[near] == 0]] ^= bit
+                self.hits[near[after == 0]] ^= 1 << k
 
 
 def plan_coverage(region: Region, plan: Plan, population: Population,
@@ -509,7 +527,7 @@ def service(region: Region, plan: Plan, population: Population,
 
 def ecology(region: Region, plan: Plan, population: Population,
             cache: Optional[ProximityIndex] = None) -> float:
-    return float(np.mean(per_resident_in_esr(region, plan, population, cache)))
+    return plan_coverage(region, plan, population, cache).ecology_share
 
 
 def satisfaction(region: Region, plan: Plan, population: Population,
@@ -550,12 +568,12 @@ def report(region: Region, plan: Plan, population: Population,
     scalar functions agree exactly.
     """
     cov = plan_coverage(region, plan, population, cache, needs(population))
-    srv, esr, sat = cov.service, cov.in_esr, cov.satisfaction
+    sat = cov.satisfaction
     mask = population.marginalized_mask
     incl = float(np.mean(sat[mask])) if mask.any() else None
     return MetricsReport(
-        service=float(np.mean(srv)),
-        ecology=float(np.mean(esr)),
+        service=float(np.mean(cov.service)),
+        ecology=cov.ecology_share,
         satisfaction=float(np.mean(sat)),
         inclusion=incl,
     )

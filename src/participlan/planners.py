@@ -155,8 +155,8 @@ def _gsca(region: Region, population: Population
     index = ProximityIndex(region, population.homes, SERVICE_RADIUS_M,
                            mode="centroid")
     counts = CoverageCounts(index, region.fixed_codes)
-    class_of, ptr, area_classes = index.classes
-    sizes = np.bincount(class_of, minlength=len(counts.hits))
+    _, ptr, area_classes = index.classes
+    sizes = counts.sizes
     ends = ptr[0::2]
     reached = np.zeros(len(area_classes) + 1, dtype=sizes.dtype)
     trace: dict[LandUse, list[tuple[int, int]]] = {u: [] for u in ASSIGNABLE_USES}
@@ -209,10 +209,15 @@ def gsca_trace(region: Region, population: Population,
 # Local search
 
 
-def _objective(service: np.ndarray, in_esr: np.ndarray) -> float:
-    """The OBJECTIVE_WEIGHTS sum of the means of the per-resident arrays."""
+def _weighted(service: np.ndarray, ecology: float) -> float:
+    """The OBJECTIVE_WEIGHTS sum of np.mean(service) and `ecology`."""
     return (OBJECTIVE_WEIGHTS[0] * float(np.mean(service))
-            + OBJECTIVE_WEIGHTS[1] * float(np.mean(in_esr)))
+            + OBJECTIVE_WEIGHTS[1] * ecology)
+
+
+def _objective(service: np.ndarray, in_esr: np.ndarray) -> float:
+    """The objective of the per-resident arrays."""
+    return _weighted(service, float(np.mean(in_esr)))
 
 
 def plan_objective(region: Region, population: Population, plan: Plan,
@@ -231,7 +236,7 @@ def _anneal(region: Region, config: PlannerConfig, cache: ProximityIndex,
     start = random_plan(region, replace(config, seed=seed))
     evaluator = CoverageCounts(cache, start.use_codes(region))
     codes = evaluator.codes
-    cur_obj = _objective(evaluator.service, evaluator.in_esr)
+    cur_obj = _weighted(evaluator.service, evaluator.ecology_share)
     best, best_obj = codes.copy(), cur_obj
     columns = region.vacant_columns.tolist()
     n_iters = config.max_iters
@@ -253,7 +258,7 @@ def _anneal(region: Region, config: PlannerConfig, cache: ProximityIndex,
             moves = [(a, codes[b], codes[a]), (b, codes[a], codes[b])]
         for column, code, _ in moves:
             evaluator.set_use(column, code)
-        cand_obj = _objective(evaluator.service, evaluator.in_esr)
+        cand_obj = _weighted(evaluator.service, evaluator.ecology_share)
         delta = cand_obj - cur_obj
         if delta >= 0 or rng.random() < math.exp(delta / temp):
             cur_obj = cand_obj
@@ -272,10 +277,10 @@ def local_search_plan(region: Region, population: Population,
     across restarts (ties to the lowest restart index).
 
     Each candidate is applied to one CoverageCounts per restart, scored
-    from its per-resident arrays (equal to plan_objective) and set back
-    if rejected. `cache` is the boundary index of the population's homes,
-    reaching at least REACH_M (the one metrics.report takes), or None to
-    build one. A region with no vacant area gets the empty plan."""
+    from its service and ecology share (equal to plan_objective) and set
+    back if rejected. `cache` is the boundary index of the population's
+    homes, reaching at least REACH_M (the one metrics.report takes), or
+    None to build one. A region with no vacant area gets the empty plan."""
     config.validate()
     _check_feasible(region)
     if not region.vacant_ids:

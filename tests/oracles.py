@@ -5,19 +5,23 @@ so agreement with the vectorized package code is meaningful. Keep these
 functions dumb: nested loops over residents and areas, no numpy, no
 imports from the package beyond reading plain attributes.
 
-Two sections are the exception: the package's scalar and dense
-distance forms that only tests use, built on its geometry module, and
-the rule backend's former regex read of its payload.
+Three sections are the exception: the package's scalar and dense
+distance forms that only tests use, built on its geometry module, the
+rule backend's former regex read of its payload, and local search's
+former annealing loop, which gathered both per-resident arrays.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
 
 import numpy as np
 
-from participlan import geometry
+from participlan import geometry, planners
+from participlan.metrics import CoverageCounts
+from participlan.region import ASSIGNABLE_USES, USE_CODES, quota_spare
 
 SERVICE_CATEGORIES = {
     "education": ("school",),
@@ -265,3 +269,51 @@ def fenced_payload(texts):
             except json.JSONDecodeError:
                 pass
     return docs[-1] if docs else {}
+
+
+# ---------------------------------------------------------------------------
+# Local search's former annealing loop
+
+
+def anneal(region, config, cache, restart):
+    """planners._anneal as it was before the ecology share: (objective,
+    use codes) of the best plan one restart visits, each candidate scored
+    by planners._objective from the evaluator's service and in_esr
+    arrays."""
+    seed = config.seed + restart
+    rng = np.random.default_rng(seed)
+    start = planners.random_plan(region, dataclasses.replace(config, seed=seed))
+    evaluator = CoverageCounts(cache, start.use_codes(region))
+    codes = evaluator.codes
+    cur_obj = planners._objective(evaluator.service, evaluator.in_esr)
+    best, best_obj = codes.copy(), cur_obj
+    columns = region.vacant_columns.tolist()
+    n_iters = config.max_iters
+    ratio = planners.TEMPERATURE_LAST / planners.TEMPERATURE_FIRST
+    for k in range(n_iters):
+        temp = planners.TEMPERATURE_FIRST * ratio ** (k / max(1, n_iters - 1))
+        if rng.random() < 0.5 or len(columns) < 2:
+            a = columns[int(rng.integers(len(columns)))]
+            old = int(codes[a])
+            new = USE_CODES[ASSIGNABLE_USES[int(rng.integers(len(ASSIGNABLE_USES)))]]
+            if new == old or not quota_spare(region, codes, old):
+                continue
+            moves = [(a, new, old)]
+        else:
+            i, j = rng.choice(len(columns), size=2, replace=False)
+            a, b = columns[int(i)], columns[int(j)]
+            if codes[a] == codes[b]:
+                continue
+            moves = [(a, codes[b], codes[a]), (b, codes[a], codes[b])]
+        for column, code, _ in moves:
+            evaluator.set_use(column, code)
+        cand_obj = planners._objective(evaluator.service, evaluator.in_esr)
+        delta = cand_obj - cur_obj
+        if delta >= 0 or rng.random() < math.exp(delta / temp):
+            cur_obj = cand_obj
+            if cur_obj > best_obj:
+                best, best_obj = codes.copy(), cur_obj
+        else:
+            for column, _, code in moves:
+                evaluator.set_use(column, code)
+    return best_obj, best

@@ -11,6 +11,7 @@ from participlan.metrics import REACH_M, ProximityIndex
 from participlan.planners import (
     PLANNER_NAMES,
     PlannerConfig,
+    _anneal,
     centralized_plan,
     decentralized_plan,
     gsca_plan,
@@ -24,7 +25,8 @@ from participlan.region import (ASSIGNABLE_USES, LandUse, Plan, plan_digest,
                                 validate_plan)
 
 import oracles
-from conftest import _resident
+from conftest import _resident, scatter_population
+from test_acceptance import _random_region
 
 
 def _counts(plan):
@@ -218,6 +220,41 @@ def test_local_search_plans_on_dhm_10k_are_pinned(dhm, pop_dhm_10k, seed,
     # row of counts; 10k homes on 70 cells repeat many of those sets
     plan = local_search_plan(dhm, pop_dhm_10k, PlannerConfig(seed=seed))
     assert plan_digest(plan) == digest
+
+
+def _anneal_cases():
+    """(region, population, index radius, seed): random regions with at
+    least one vacant area at both radii, then a region whose one vacant
+    area may take any use, so every candidate is a reassignment."""
+    rng = np.random.default_rng(2718)
+    for radius in (500.0, 700.0):
+        for _ in range(4):
+            region = _random_region(rng, int(rng.integers(2, 6)),
+                                    int(rng.integers(2, 6)), cell_m=250.0)
+            while not region.vacant_ids:
+                region = _random_region(rng, 3, 3, cell_m=250.0)
+            yield (region, scatter_population(region, 80, rng), radius,
+                   int(rng.integers(1000)))
+    lone = fixtures.make_grid_region(
+        "lone", 1, 3, 250.0, [(0, 0)], [(0, 2)],
+        {u: 0 for u in ASSIGNABLE_USES}, lambda row, col: 1, {1: "lone"})
+    yield lone, scatter_population(lone, 40, rng), 500.0, 5
+
+
+def test_anneal_matches_the_full_gather_oracle():
+    # the oracle scores each candidate from both per-resident arrays
+    cases = 0
+    for region, pop, radius, seed in _anneal_cases():
+        index = ProximityIndex(region, pop.homes, radius)
+        config = PlannerConfig(seed=seed, max_iters=300)
+        for restart in range(config.restarts):
+            obj, codes = _anneal(region, config, index, restart)
+            want_obj, want_codes = oracles.anneal(region, config, index,
+                                                  restart)
+            assert obj == want_obj
+            assert codes.tolist() == want_codes.tolist()
+            cases += 1
+    assert cases == 27
 
 
 def test_planner_config_validation():

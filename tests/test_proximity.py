@@ -356,6 +356,68 @@ def test_counts_see_only_a_residential_area():
         counts.set_use(0, USE_CODES[LandUse.PARK])
 
 
+def _check_share(counts, index, rows=None):
+    """The ecology share is np.mean(in_esr) bit for bit, and counts and
+    hits equal a fresh build of the same codes."""
+    assert counts.ecology_share == np.mean(counts.in_esr)
+    fresh = CoverageCounts(index, counts.codes, rows=rows)
+    assert np.array_equal(counts.counts, fresh.counts)
+    assert np.array_equal(counts.hits, fresh.hits)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("radius", [500.0, 700.0])
+def test_ecology_share_follows_a_random_walk(radius, restricted):
+    # each step sets an assignable use, -1 (unassigned) or the area's own
+    # code; a restricted evaluator counts only its rows, as greedy
+    # repair's does
+    rng = np.random.default_rng(1618)
+    for _ in range(6):
+        region = _random_region(rng, int(rng.integers(2, 6)),
+                                int(rng.integers(2, 6)), cell_m=250.0)
+        while not region.vacant_ids:
+            region = _random_region(rng, 3, 3, cell_m=250.0)
+        pop = scatter_population(region, 80, rng)
+        index = ProximityIndex(region, pop.homes, radius)
+        rows = np.array(sorted(rng.choice(len(pop), size=30, replace=False))
+                        ) if restricted else None
+        counts = CoverageCounts(
+            index, random_plan_for(region, rng).use_codes(region), rows=rows)
+        columns = region.vacant_columns.tolist()
+        _check_share(counts, index, rows)
+        for _ in range(40):
+            j = columns[int(rng.integers(len(columns)))]
+            codes = [USE_CODES[u] for u in ASSIGNABLE_USES]
+            codes += [-1, int(counts.codes[j])]
+            counts.set_use(j, codes[int(rng.integers(len(codes)))])
+            _check_share(counts, index, rows)
+
+
+def test_set_use_edge_moves_match_a_fresh_build(grid16, hand_plan,
+                                                pop_grid16):
+    # the same code, to and from -1, and park <-> open space, which
+    # leaves every green count as it was
+    index = ProximityIndex(grid16, pop_grid16.homes, 500.0)
+    counts = CoverageCounts(index, hand_plan.use_codes(grid16))
+    park, open_space = USE_CODES[LandUse.PARK], USE_CODES[LandUse.OPEN_SPACE]
+    green = counts.counts[len(ASSIGNABLE_USES)]
+    for j in grid16.vacant_columns.tolist():
+        for code in (int(counts.codes[j]), -1, -1, park, open_space, park):
+            was, before = int(counts.codes[j]), green.copy()
+            counts.set_use(j, code)
+            _check_share(counts, index)
+            if {was, code} == {park, open_space}:
+                assert np.array_equal(green, before)
+
+
+def test_ecology_share_on_an_empty_population(grid16, hand_plan):
+    counts = CoverageCounts(ProximityIndex(grid16, np.zeros((0, 2)), 500.0),
+                            hand_plan.use_codes(grid16))
+    with pytest.warns(RuntimeWarning):
+        assert np.isnan(np.mean(counts.in_esr))
+    assert np.isnan(counts.ecology_share)
+
+
 def test_empty_population_builds_an_empty_index():
     region = fixtures.grid16_region()
     index = ProximityIndex(region, np.zeros((0, 2)), 500.0)
