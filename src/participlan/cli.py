@@ -36,7 +36,7 @@ from .planners import PLANNER_NAMES, PlannerConfig
 from .population import load_demographics, synthesize
 from .region import load_plan, load_region, save_plan, validate_plan
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("participlan.cli")  # not __main__ under python -m
 
 DEFAULT_SEEDS = (101, 202, 303, 404, 505)
 

@@ -167,7 +167,7 @@ def invite(community_id: int, region: Region, population: Population,
     hit = in_community[cache.columns] & cache.within(invite_buffer_m)
     near = np.zeros(len(population), dtype=bool)
     near[cache.residents[hit]] = True
-    invited = tuple(r.id for i, r in enumerate(population.residents) if near[i])
+    invited = tuple(population.ids[near].tolist())
     if not invited:
         raise EmptyCommunity(
             f"community {community_id}: no resident within {invite_buffer_m:.0f} m")
@@ -334,7 +334,7 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
         # the speakers' exact distances come from one kernel call
         views = cache.rows(positions)
         for rid, pos, row in zip(speakers, positions, views):
-            resident = population.residents[pos]
+            resident = population.resident(pos)
             view = view_payload(resident, region, plan, SERVICE_RADIUS_M,
                                 cache, pos, row, table)
             if roleplay:

@@ -6,6 +6,13 @@ marks them as part of a marginalized group, a one-sentence description,
 and a short list of facility needs. Synthesis is a pure function of
 (spec, region, seed).
 
+A Population is arrays over a table of personas: residents with one
+profile and background share a persona, whose description and needs
+come from one rules call each. Per resident it keeps an id, a persona
+index, a home and the home's area id. Resident objects are built on
+demand, for the speakers a discussion prompts and for code that walks
+Population.residents.
+
 Homes are drawn in batches, one (x, y) per resident from one block of
 uniforms. Points inside an axis-aligned rectangle's box need no test, and
 the rest take point_in_polygon in order. The generator rewinds to the
@@ -15,6 +22,8 @@ that drawing one resident at a time with _sample_point_in_polygon gives.
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -25,8 +34,9 @@ import numpy as np
 from . import geometry, rules
 from .errors import GeometryError, NeedsMissing, ParseError, SpecError
 from .geometry import Point
-from .region import (ASSIGNABLE_USES, CANON_INDEX, USE_CODES, Area, LandUse,
-                     Region)
+from .region import ASSIGNABLE_USES, USE_CODES, Area, LandUse, Region
+
+log = logging.getLogger(__name__)
 
 _PROFILE_FIELDS = ("gender", "age_band", "education", "family_size")
 
@@ -166,66 +176,101 @@ class Resident:
 
 
 @dataclass(frozen=True)
+class Persona:
+    """What the residents with one profile and background share."""
+    profile: Profile
+    background: Optional[str]
+    description: str
+    needs: tuple[LandUse, ...]
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 class Population:
-    residents: tuple[Resident, ...]
-    seed: int
+    """Residents as read-only arrays over a persona table (see above)."""
+
+    def __init__(self, residents: Sequence[Resident], seed: int) -> None:
+        """The population of hand-made Resident objects."""
+        table: dict[Persona, int] = {}
+        persona_of = [table.setdefault(Persona(r.profile, r.background,
+                                               r.description, r.needs),
+                                       len(table)) for r in residents]
+        self._set(seed, tuple(table), persona_of,
+                  [tuple(r.home) for r in residents],
+                  [r.home_area_id for r in residents], [r.id for r in residents])
+
+    @classmethod
+    def from_arrays(cls, seed: int, personas: tuple[Persona, ...], persona_of,
+                    homes, home_area_ids, ids) -> Population:
+        """The population of a persona table and, per resident, a persona
+        index, a home (n, 2), a home area id and an id; arrays of the
+        right dtype are kept, and made read-only, in place."""
+        population = cls.__new__(cls)
+        population._set(seed, personas, persona_of, homes, home_area_ids, ids)
+        return population
+
+    def _set(self, seed, personas, persona_of, homes, home_area_ids, ids):
+        self.seed, self.personas = seed, personas
+        self.persona_of, self.home_area_ids, self.ids = (
+            _read_only(a, np.intp) for a in (persona_of, home_area_ids, ids))
+        self.homes = _read_only(homes, float).reshape(-1, 2)
 
     def __len__(self) -> int:
-        return len(self.residents)
+        return len(self.ids)
+
+    def resident(self, i: int) -> Resident:
+        """The resident at position i, its home equal to homes[i]."""
+        p = self.personas[self.persona_of[i]]
+        return Resident(int(self.ids[i]), p.profile, p.background,
+                        p.description, Point(*self.homes[i].tolist()),
+                        int(self.home_area_ids[i]), p.needs)
+
+    @cached_property
+    def residents(self) -> tuple[Resident, ...]:
+        return tuple(map(self.resident, range(len(self))))
 
     @cached_property
     def position_of(self) -> dict[int, int]:
-        """Each resident's position in `residents`, by id."""
-        return {r.id: i for i, r in enumerate(self.residents)}
+        """Each resident's position in the arrays, by id."""
+        return dict(zip(self.ids.tolist(), range(len(self))))
 
-    @cached_property
-    def homes(self) -> np.ndarray:
-        """(x, y) of every home, read-only."""
-        homes = np.fromiter((c for r in self.residents for c in r.home),
-                            dtype=float, count=2 * len(self)).reshape(-1, 2)
-        homes.flags.writeable = False
-        return homes
+    def _gather(self, per_persona, dtype) -> np.ndarray:
+        """One row per persona, gathered to every resident, read-only."""
+        return _read_only(np.asarray(per_persona, dtype=dtype)[self.persona_of],
+                          dtype)
 
     @cached_property
     def needs_mask(self) -> tuple[np.ndarray, np.ndarray]:
         """(bool[resident, assignable use], needs count per resident),
         read-only; raises NeedsMissing if a resident has no needs."""
-        # one row per distinct needs tuple, which the residents of one
-        # synthesized persona share
-        row_of: dict[tuple[LandUse, ...], int] = {}
-        which = np.fromiter((row_of.setdefault(r.needs, len(row_of))
-                             for r in self.residents),
-                            dtype=np.intp, count=len(self))
-        if () in row_of:
-            first = int(np.argmax(which == row_of[()]))
-            raise NeedsMissing(
-                f"resident {self.residents[first].id} has an empty needs list")
-        rows = np.zeros((len(row_of), len(ASSIGNABLE_USES)), dtype=bool)
-        for k, needs in enumerate(row_of):
-            rows[k, [CANON_INDEX[u] for u in needs if u in CANON_INDEX]] = True
-        mask = rows[which]
-        counts = np.array([len(needs) for needs in row_of], dtype=float)[which]
-        mask.flags.writeable = counts.flags.writeable = False
-        return mask, counts
+        counts = self._gather([len(p.needs) for p in self.personas], float)
+        if not counts.all():
+            raise NeedsMissing(f"resident {self.ids[np.argmin(counts)]} "
+                               "has an empty needs list")
+        mask = self._gather([[u in p.needs for u in ASSIGNABLE_USES]
+                             for p in self.personas], bool)
+        # (0, uses) when there are no residents
+        return mask.reshape(len(self), len(ASSIGNABLE_USES)), counts
 
     @cached_property
     def marginalized_mask(self) -> np.ndarray:
         """True for every marginalized resident, read-only."""
-        mask = np.array([r.is_marginalized for r in self.residents], dtype=bool)
-        mask.flags.writeable = False
-        return mask
+        return self._gather([p.background is not None for p in self.personas],
+                            bool)
 
     def marginalized(self) -> tuple[Resident, ...]:
         return tuple(r for r in self.residents if r.is_marginalized)
 
 
 def _draw_categorical(rng: np.random.Generator, dist: Mapping[str, float],
-                      n: int) -> list[str]:
-    labels = list(dist)
-    probs = np.array([dist[k] for k in labels], dtype=float)
-    probs = probs / probs.sum()
-    idx = rng.choice(len(labels), size=n, p=probs)
-    return [labels[i] for i in idx]
+                      n: int) -> np.ndarray:
+    """n indexes into list(dist), drawn with its probabilities."""
+    probs = np.array(list(dist.values()), dtype=float)
+    return rng.choice(len(probs), size=n, p=probs / probs.sum())
 
 
 _MAX_SAMPLE_TRIES = 10_000
@@ -300,52 +345,57 @@ def synthesize(spec: DemographicSpec, region: Region, seed: int) -> Population:
     proportionally to polygon area. Residents with the same profile and
     background share one description and needs list.
     """
+    t0 = time.perf_counter()
     spec.validate()
     rng = np.random.default_rng(seed)
     n = spec.n_agents
 
+    labels = {name: list(spec.distribution(name)) for name in _PROFILE_FIELDS}
     cols = {name: _draw_categorical(rng, spec.distribution(name), n)
             for name in _PROFILE_FIELDS}
 
-    backgrounds: list[Optional[str]] = [None] * n
-    i = 0
+    # each resident's background is an index into `tags`; None is 0
+    tags = list(dict.fromkeys([None] + [q.label for q in spec.quotas]))
+    backgrounds = np.zeros(n, dtype=np.intp)
+    start = 0
     for q in spec.quotas:
-        for _ in range(q.count):
-            backgrounds[i] = q.label
+        backgrounds[start:start + q.count] = tags.index(q.label)
+        for i in range(start, start + q.count):
             for fname, allowed in q.force.items():
-                if cols[fname][i] not in allowed:
+                if labels[fname][cols[fname][i]] not in allowed:
                     dist = spec.distribution(fname)
                     sub = {k: dist[k] for k in allowed if dist.get(k, 0) > 0}
                     if not sub:
                         sub = {k: 1.0 for k in allowed}
-                    cols[fname][i] = _draw_categorical(rng, sub, 1)[0]
-            i += 1
+                    pick = list(sub)[_draw_categorical(rng, sub, 1)[0]]
+                    cols[fname][i] = labels[fname].index(pick)
+        start += q.count
 
     res_areas = region.residential_areas
     weights = np.array([a.area_m2 for a in res_areas], dtype=float)
     weights = weights / weights.sum()
     home_idx = rng.choice(len(res_areas), size=n, p=weights)
     boxes = region.area_boxes[region.fixed_codes == USE_CODES[LandUse.RESIDENTIAL]]
-    homes = _sample_homes(rng, res_areas, boxes, home_idx).tolist()
+    homes = _sample_homes(rng, res_areas, boxes, home_idx)
 
-    personas: dict[tuple, tuple[Profile, str, tuple[LandUse, ...]]] = {}
-    residents = []
-    keys = zip(*(cols[f] for f in _PROFILE_FIELDS), backgrounds)
-    for rid, key in enumerate(keys):
-        persona = personas.get(key)
-        if persona is None:
-            profile = Profile(*key[:-1])
-            facts = profile.facts(key[-1])
-            persona = personas[key] = (profile, rules.describe(facts),
-                                       rules.needs_from_rules(facts))
-        profile, description, needs = persona
-        residents.append(Resident(
-            id=rid,
-            profile=profile,
-            background=key[-1],
-            description=description,
-            home=Point(*homes[rid]),
-            home_area_id=res_areas[home_idx[rid]].id,
-            needs=needs,
-        ))
-    return Population(residents=tuple(residents), seed=seed)
+    # one persona per distinct (profile, background): number the distinct
+    # codes field by field, so that no number outgrows n * labels
+    persona_of = np.zeros(n, dtype=np.intp)
+    for codes, names in zip([*cols.values(), backgrounds], [*labels.values(), tags]):
+        persona_of = np.unique(persona_of * len(names) + codes,
+                               return_inverse=True)[1]
+    member = np.empty(persona_of.max() + 1, dtype=np.intp)
+    member[persona_of] = np.arange(n)  # some resident of each persona
+    personas = []
+    for i in member.tolist():
+        profile = Profile(*(labels[f][cols[f][i]] for f in _PROFILE_FIELDS))
+        facts = profile.facts(tags[backgrounds[i]])
+        personas.append(Persona(profile, facts["background"],
+                                rules.describe(facts),
+                                rules.needs_from_rules(facts)))
+    area_ids = np.array([a.id for a in res_areas])[home_idx]
+    population = Population.from_arrays(seed, tuple(personas), persona_of,
+                                        homes, area_ids, np.arange(n))
+    log.debug("seed %s: %d residents, %d personas, synthesized in %.4f s",
+              seed, n, len(personas), time.perf_counter() - t0)
+    return population

@@ -5,10 +5,11 @@ so agreement with the vectorized package code is meaningful. Keep these
 functions dumb: nested loops over residents and areas, no numpy, no
 imports from the package beyond reading plain attributes.
 
-Three sections are the exception: the package's scalar and dense
+Four sections are the exception: the package's scalar and dense
 distance forms that only tests use, built on its geometry module, the
-rule backend's former regex read of its payload, and local search's
-former annealing loop, which gathered both per-resident arrays.
+rule backend's former regex read of its payload, local search's former
+annealing loop, which gathered both per-resident arrays, and the
+population's arrays read by a walk over resident objects.
 """
 from __future__ import annotations
 
@@ -317,3 +318,34 @@ def anneal(region, config, cache, restart):
             for column, _, code in moves:
                 evaluator.set_use(column, code)
     return best_obj, best
+
+
+# ---------------------------------------------------------------------------
+# A population's arrays, one resident at a time
+
+
+def population_arrays(residents):
+    """(position by id, homes, (needs mask, needs count), marginalized
+    mask) of a sequence of Resident objects, by a walk over them."""
+    position_of = {}
+    homes = np.zeros((len(residents), 2))
+    mask = np.zeros((len(residents), len(ASSIGNABLE_USES)), dtype=bool)
+    counts = np.zeros(len(residents))
+    marginalized = np.zeros(len(residents), dtype=bool)
+    for i, r in enumerate(residents):
+        position_of[r.id] = i
+        homes[i] = _home_of(r)
+        for need in r.needs:
+            if need in ASSIGNABLE_USES:
+                mask[i, ASSIGNABLE_USES.index(need)] = True
+        counts[i] = len(r.needs)
+        marginalized[i] = r.background is not None
+    return position_of, homes, (mask, counts), marginalized
+
+
+def invite(region, residents, community_id, buffer):
+    """Ids of the residents within `buffer` of an area of the community,
+    in the order given."""
+    rings = [_ring_of(a) for a in region.areas if a.community_id == community_id]
+    return tuple(r.id for r in residents
+                 if min(poly_dist(*_home_of(r), ring) for ring in rings) <= buffer)

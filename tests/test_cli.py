@@ -610,6 +610,47 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, flag, value):
     assert not (tmp_path / "x").exists()
 
 
+def test_verbose_logs_each_seeds_synthesis(tmp_path, capsys):
+    args = ["simulate", "--region", REGION, "--demographics", DEMOGRAPHICS,
+            "--method", "random", "--rounds", "2", "--speakers", "10",
+            "--seeds", "101,102"]
+    quiet, verbose = tmp_path / "quiet", tmp_path / "verbose"
+    assert main(args + ["--out", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--verbose", "--out", str(verbose)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    for seed in (101, 102):
+        pattern = (rf"DEBUG participlan\.population: seed {seed}: 1000 residents, "
+                   r"\d+ personas, synthesized in \d+\.\d{4} s")
+        assert sum(bool(re.fullmatch(pattern, line)) for line in lines) == 1
+    files = sorted(p.relative_to(quiet) for p in quiet.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(verbose)
+                           for p in verbose.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name != "report.txt":  # timings
+            assert (quiet / rel).read_bytes() == (verbose / rel).read_bytes(), rel
+
+
+def test_verbose_logs_under_python_m(tmp_path):
+    # the synthesis line, and a failed seed's traceback from the cli module
+    # run as __main__
+    tape = tmp_path / "tape.json"
+    tape.write_text("[]")
+    package_root = str(Path(participlan.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "participlan.cli", "plan", "--region", REGION,
+         "--demographics", DEMOGRAPHICS, "--method", "llm", "--backend",
+         "scripted", "--transcript", str(tape), "--seeds", "7", "--verbose",
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 1, out.stderr
+    assert "DEBUG participlan.population: seed 7: 1000 residents, " in out.stderr
+    assert "DEBUG participlan.cli: seed 7 failed\nTraceback" in out.stderr
+
+
 def test_verbose_logs_remote_requests(tmp_path, fake_remote, capsys):
     run = ["plan", "--region", REGION, "--demographics", DEMOGRAPHICS,
            "--method", "llm", "--seeds", "101"] + REMOTE

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from participlan import fixtures
+from participlan.discussion import invite
 from participlan.errors import NeedsMissing, SpecError
 from participlan.geometry import Point
 from participlan.population import (
@@ -323,3 +325,126 @@ def test_batched_homes_equal_the_scalar_draws(offset, seed):
                    communities=((1, "quads"),)).area_boxes
     assert _sample_homes(batched, areas, boxes, home_idx).tolist() == want
     assert batched.random() == scalar.random()
+
+
+def _population_digest(pop):
+    """SHA-256 over every field of every resident, homes as float.hex."""
+    lines = [
+        f"{r.id}|{r.profile.gender}|{r.profile.age_band}|{r.profile.education}"
+        f"|{r.profile.family_size}|{r.background}|{r.description}"
+        f"|{[u.value for u in r.needs]}|{r.home.x.hex()}|{r.home.y.hex()}"
+        f"|{r.home_area_id}"
+        for r in pop.residents]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+#: _population_digest per (region, residents, seed), recorded with one
+#: Resident object built per resident during synthesis.
+POPULATION_DIGESTS = {
+    ("hlg_like", 1000, 1):
+        "e9fdcf86afefdd08eae7a6bb1f1bc8f03095d5ab84e12b1a16224804691874e7",
+    ("hlg_like", 1000, 2):
+        "68530170111a2088e502ed827e2c5cc4e0546068bcd39c3b2f38f91fb7d295a8",
+    ("dhm_like", 10_000, 1):
+        "9b1083acddd07aa323a496cd55d80d9039f31a627381fb48a3436c0c0b43fc7d",
+    ("dhm_like", 10_000, 2):
+        "35418aa39519a6a90a205cd4565ec8a73c178f5ddf7539f23795e1fa4fbdf18b",
+}
+
+
+@pytest.mark.parametrize("name, n, seed", sorted(POPULATION_DIGESTS))
+def test_synthesized_population_is_pinned(name, n, seed):
+    region = getattr(fixtures, f"{name}_region")()
+    pop = synthesize(fixtures.hlg_like_demographics(n), region, seed=seed)
+    assert len(pop) == n
+    assert _population_digest(pop) == POPULATION_DIGESTS[name, n, seed]
+
+
+def _zero_probability_spec(n):
+    """Quotas whose allowed labels all have zero marginal probability, so
+    their forced fields are drawn uniformly from the allowed labels."""
+    return DemographicSpec(
+        n_agents=n,
+        gender={"female": 0.5, "male": 0.5, "other": 0.0},
+        age_band={"18-29": 0.4, "30-44": 0.6, "45-64": 0.0, "65+": 0.0},
+        education={"secondary": 0.5, "bachelor": 0.5},
+        family_size={"1": 0.0, "2": 0.7, "3": 0.3},
+        quotas=(
+            MarginalizedQuota("elderly living alone", 40,
+                              {"age_band": ("65+", "45-64"),
+                               "family_size": ("1",)}),
+            MarginalizedQuota("drifter", 30, {"gender": ("other",),
+                                              "age_band": ("18-29",)}),
+            MarginalizedQuota("office worker", 20,
+                              {"age_band": ("45-64", "30-44")}),
+        ))
+
+
+#: _population_digest of _zero_probability_spec(200) on grid16, per seed,
+#: recorded with one Resident object built per resident during synthesis.
+ZERO_PROBABILITY_DIGESTS = {
+    1: "da6250d2beb1e2fe2fd685f7a715a84fc6bee45278fa87cad79d454bdabfb924",
+    2: "d51857c22604b37e1498bc2cecd3253bdecf10cc30376b048d71f5830db9d46b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ZERO_PROBABILITY_DIGESTS))
+def test_zero_probability_quota_labels_are_drawn_uniformly(grid16, seed):
+    pop = synthesize(_zero_probability_spec(200), grid16, seed=seed)
+    elderly = [r for r in pop.residents if r.background == "elderly living alone"]
+    drifters = [r for r in pop.residents if r.background == "drifter"]
+    assert len(elderly) == 40 and len(drifters) == 30
+    # both zero-probability labels are drawn, and only for the quota
+    assert {r.profile.age_band for r in elderly} == {"65+", "45-64"}
+    assert {r.profile.family_size for r in elderly} == {"1"}
+    assert {r.profile.gender for r in drifters} == {"other"}
+    for r in pop.residents:
+        if r.background is None:
+            assert r.profile.age_band in ("18-29", "30-44")
+            assert r.profile.gender != "other" and r.profile.family_size != "1"
+    assert _population_digest(pop) == ZERO_PROBABILITY_DIGESTS[seed]
+
+
+def _wide_spec(n_labels):
+    """n_labels equally likely labels per profile field: more label
+    combinations than a numpy index holds once n_labels**4 passes 2**63."""
+    def uniform(prefix):
+        return {f"{prefix}{k}": 1.0 / n_labels for k in range(n_labels)}
+    return DemographicSpec(
+        n_agents=60, gender=uniform("g"), age_band=uniform("a"),
+        education=uniform("e"), family_size=uniform("f"),
+        quotas=(MarginalizedQuota("drifter", 5, {"age_band": ("a7", "a8")}),))
+
+
+#: _population_digest of _wide_spec(60_000) on grid16 with seed 3,
+#: recorded with one Resident object built per resident during synthesis.
+WIDE_SPEC_DIGEST = (
+    "d0f7e410a70fd4c1faf30f17de47fc69a3ebedf6d7b661e5db0cd908b54fb0fc")
+
+
+def test_synthesis_with_more_label_combinations_than_an_index_holds(grid16):
+    assert 60_000 ** 4 > np.iinfo(np.intp).max
+    pop = synthesize(_wide_spec(60_000), grid16, seed=3)
+    assert len({r.description for r in pop.residents}) == 60
+    assert _population_digest(pop) == WIDE_SPEC_DIGEST
+
+
+@pytest.mark.parametrize("order", ["subset", "reversed subset"])
+def test_arrays_follow_residents_whose_ids_are_not_positions(hlg, pop_hlg,
+                                                             order):
+    keep = [r for r in pop_hlg.residents if r.id % 3]
+    if order == "reversed subset":
+        keep.reverse()
+    pop = Population(residents=tuple(keep), seed=pop_hlg.seed)
+    position_of, homes, (mask, counts), marginalized = \
+        oracles.population_arrays(keep)
+    assert pop.position_of == position_of
+    assert pop.homes.tobytes() == homes.tobytes()
+    assert np.array_equal(pop.needs_mask[0], mask)
+    assert pop.needs_mask[1].tobytes() == counts.tobytes()
+    assert pop.marginalized_mask.tolist() == marginalized.tolist()
+    assert 0 < marginalized.sum() < len(keep)
+    assert pop.residents == tuple(keep)
+    assert pop.marginalized() == tuple(r for r in keep if r.is_marginalized)
+    for cid in hlg.community_ids:
+        assert invite(cid, hlg, pop) == oracles.invite(hlg, keep, cid, 500.0)
