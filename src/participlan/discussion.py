@@ -6,7 +6,8 @@ the frozen plan (each seeing their neighborhood and all prior round
 summaries), summarize every round, then let the planner revise the
 community from the accumulated summaries. The full pipeline applies
 this to every community in ascending id order and records a metrics
-report after the initial plan and after each revision.
+report after the initial plan and after each revision, each read from
+the one coverage evaluator that every revision edits.
 """
 from __future__ import annotations
 
@@ -226,13 +227,12 @@ def apply_edits(plan: Plan, edits: PlanEdit) -> Plan:
     return Plan(assignment)
 
 
-def _greedy_repair(plan: Plan, community_id: int, region: Region,
-                   population: Population, rows: np.ndarray,
-                   rounds: Sequence[Round], cache: ProximityIndex
+def _greedy_repair(evaluator: metrics_mod.CoverageCounts, community_id: int,
+                   region: Region, rows: np.ndarray, rounds: Sequence[Round]
                    ) -> tuple[Plan, PlanEdit]:
-    """Apply the most-requested edits that keep quotas feasible and never
-    lower the mean satisfaction of the invited residents, whose positions
-    in the population are `rows`."""
+    """Apply to `evaluator` the most-requested edits that keep quotas
+    feasible and never lower the mean satisfaction of the invited
+    residents, whose positions in the population are `rows`."""
     tally: dict[tuple[int, LandUse], int] = {}
     for rnd in rounds:
         for op in rnd.opinions:
@@ -245,11 +245,9 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
                 tally[key] = tally.get(key, 0) + 1
     order = sorted(tally, key=lambda k: (-tally[k], k[0], CANON_INDEX[k[1]]))
 
-    evaluator = metrics_mod.CoverageCounts(
-        cache, plan.use_codes(region), metrics_mod.needs(population), rows)
     codes = evaluator.codes
     column_of = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
-    base = float(np.mean(evaluator.satisfaction))
+    base = float(np.mean(evaluator.satisfaction[rows]))
     accepted: list[tuple[int, LandUse]] = []
     for area_id, use in order:
         column = column_of[area_id]
@@ -257,7 +255,7 @@ def _greedy_repair(plan: Plan, community_id: int, region: Region,
         if old == USE_CODES[use] or not quota_spare(region, codes, old):
             continue
         evaluator.set_use(column, USE_CODES[use])
-        cand_sat = float(np.mean(evaluator.satisfaction))
+        cand_sat = float(np.mean(evaluator.satisfaction[rows]))
         if cand_sat - base >= 0:  # the edit's change of invited satisfaction
             base = cand_sat
             accepted.append((area_id, use))
@@ -310,12 +308,17 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
                            config: DiscussionConfig = DiscussionConfig(),
                            *,
                            cache: Optional[ProximityIndex] = None,
+                           coverage: Optional[metrics_mod.CoverageCounts] = None,
                            roleplay: bool = True) -> tuple[Plan, Transcript]:
     """One community through the fishbowl protocol; the plan stays frozen
-    until the planner's revision at the end."""
+    until the planner's revision at the end, which also edits `coverage`,
+    the plan's evaluator of every resident (built if absent)."""
     config.validate()
     if cache is None:
         cache = _proximity_index(region, population, config)
+    if coverage is None:
+        coverage = metrics_mod.plan_coverage(region, plan, population, cache,
+                                             metrics_mod.needs(population))
     invited = invite(community_id, region, population,
                      config.invite_buffer_m, cache)
     rng = np.random.default_rng([config.seed, community_id])
@@ -358,11 +361,14 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
     if isinstance(planner_backend, RuleBackend):
         rows = np.array([population.position_of[rid] for rid in invited],
                         dtype=np.intp)
-        new_plan, edits = _greedy_repair(plan, community_id, region,
-                                         population, rows, rounds, cache)
+        new_plan, edits = _greedy_repair(coverage, community_id, region,
+                                         rows, rounds)
     else:
         new_plan, edits, notes = _llm_revision(plan, community_id, region,
                                                planner_backend, history)
+        codes = new_plan.use_codes(region)
+        for j in np.flatnonzero(codes != coverage.codes).tolist():
+            coverage.set_use(j, int(codes[j]))
     transcript = Transcript(
         community_id=community_id,
         rounds=tuple(rounds),
@@ -386,22 +392,25 @@ def run_full_pipeline(region: Region, population: Population,
     """Initial plan, then sequential community revisions with a metrics
     report after every stage (index 0 = initial plan); the discussion
     backend also plans the revisions."""
+    config.validate()
     plan = initial_planner(region)
     check = validate_plan(region, plan)
     if not check.ok:
         raise InvariantError(f"initial plan invalid: {check.summary()}")
     cache = _proximity_index(region, population, config)
-    reports = [metrics_mod.report(region, plan, population, cache)]
+    coverage = metrics_mod.plan_coverage(region, plan, population, cache,
+                                         metrics_mod.needs(population))
+    reports = [metrics_mod.coverage_report(coverage, population)]
     transcripts: list[Transcript] = []
     for cid in sorted(region.community_ids):
         try:
             plan, transcript = run_community_revision(
                 plan, cid, region, population, backend, backend,
-                config, cache=cache, roleplay=roleplay)
+                config, cache=cache, coverage=coverage, roleplay=roleplay)
             transcripts.append(transcript)
         except EmptyCommunity as exc:
             log.warning("skipping community %s: %s", cid, exc)
-        reports.append(metrics_mod.report(region, plan, population, cache))
+        reports.append(metrics_mod.coverage_report(coverage, population))
     return plan, transcripts, reports
 
 

@@ -30,7 +30,8 @@ resident's service and satisfaction are gathered from its class's hits
 through tables of the exact per-resident floats, so a plan scored after
 a series of changes equals the same plan scored from scratch bit for
 bit. The ecology share is counted from the sizes of the classes with
-green in range, with no gather: it is an exact count over n.
+green in range, with no gather: it is an exact count over n. A pipeline
+run builds one, which each revision edits and each stage's report reads.
 """
 from __future__ import annotations
 
@@ -562,12 +563,15 @@ class MetricsReport:
 
 def report(region: Region, plan: Plan, population: Population,
            cache: Optional[ProximityIndex] = None) -> MetricsReport:
-    """All four metrics from one evaluator.
+    """All four metrics from one evaluator built for the plan."""
+    return coverage_report(plan_coverage(region, plan, population, cache,
+                                         needs(population)), population)
 
-    Aggregates are means of the per-resident arrays, so report() and the
-    scalar functions agree exactly.
-    """
-    cov = plan_coverage(region, plan, population, cache, needs(population))
+
+def coverage_report(cov: CoverageCounts, population: Population
+                    ) -> MetricsReport:
+    """All four metrics of the plan `cov` holds, as means of its
+    per-resident arrays, so they equal the scalar functions exactly."""
     sat = cov.satisfaction
     mask = population.marginalized_mask
     incl = float(np.mean(sat[mask])) if mask.any() else None

@@ -211,6 +211,34 @@ def test_ablate_single_planner(tmp_path):
     assert not any((out / "transcripts").glob("*.json"))
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (["simulate", "--method", "random"], 1),
+    (["simulate", "--method", "local-search", "--search-iters", "50",
+      "--restarts", "3"], 1 + 3),
+    (["simulate", "--method", "gsca"], 2),
+    (["ablate", "--mode", "no-discussion", "--method", "random"], 1),
+    (["ablate", "--mode", "single-planner", "--method", "random"], 1),
+])
+def test_one_coverage_evaluator_per_seed(tmp_path, monkeypatch, argv,
+                                         builds):
+    # a pipeline run builds one evaluator, which every revision edits and
+    # every stage's report reads; local search builds one per restart and
+    # gsca one on its centroid index
+    built = []
+    init = metrics.CoverageCounts.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(metrics.CoverageCounts, "__init__", counting_init)
+    assert main(argv + ["--region", REGION, "--demographics", DEMOGRAPHICS,
+                        "--seeds", "7", "--backend", "rule", "--rounds", "1",
+                        "--speakers", "10", "--out",
+                        str(tmp_path / "run")]) == 0
+    assert len(built) == builds
+
+
 def test_compare_marks_best(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -18,8 +18,8 @@ from participlan.discussion import (
 )
 from participlan import fixtures
 from participlan.errors import EmptyCommunity, NotPresent
-from participlan.llm import PlanEdit, render_revision_prompt
-from participlan.metrics import ProximityIndex, satisfaction
+from participlan.llm import PlanEdit, RuleBackend, render_revision_prompt
+from participlan.metrics import ProximityIndex, report, satisfaction
 from participlan.planners import PlannerConfig, random_plan
 from participlan.population import synthesize
 from participlan.region import LandUse, Plan, plan_digest, validate_plan
@@ -245,6 +245,21 @@ def test_pipeline_rejects_invalid_initial_plan(hlg, pop_hlg, rule_backend):
                           DiscussionConfig(rounds=1, speakers_per_round=5))
 
 
+def test_pipeline_validates_the_config_before_planning(hlg, pop_hlg,
+                                                      rule_backend):
+    planned = []
+
+    def planner(region):
+        planned.append(region)
+        return random_plan(region, PlannerConfig(seed=1))
+
+    with pytest.raises(ValueError, match="invite_buffer_m must be positive "
+                       "and finite"):
+        run_full_pipeline(hlg, pop_hlg, planner, rule_backend,
+                          DiscussionConfig(invite_buffer_m=np.inf))
+    assert planned == []
+
+
 def test_empty_community_is_skipped(grid16, demo_spec_small, rule_backend):
     # carve grid16 into two communities where community 2 is a single
     # vacant cell far from all homes, giving it areas but no residents
@@ -376,3 +391,44 @@ def test_llm_revision_keeps_the_plan_after_two_bad_replies(hlg, pop_hlg,
         f"repair rejected: edit touches area {outside} outside community 2; "
         "keeping previous plan")
     assert len(planner.seen) == 2
+
+
+class _RevisionScript:
+    """Answers opinion and summary prompts as the rule backend does, and
+    revision prompts with `replies` in order."""
+
+    def __init__(self, replies):
+        self.rules = RuleBackend()
+        self.replies = list(replies)
+
+    def complete(self, messages):
+        if "[role:plan_revision]" in messages[0].content:
+            return self.replies.pop(0)
+        return self.rules.complete(messages)
+
+
+def test_llm_revisions_reach_every_stage_report(hlg, pop_hlg):
+    # hlg's four communities merged into two: one takes a swap, the other
+    # keeps its plan after a reply and its repair are both rejected
+    region = dataclasses.replace(
+        hlg,
+        areas=tuple(dataclasses.replace(a, community_id=1 + (a.community_id > 2))
+                    for a in hlg.areas),
+        communities=((1, "west"), (2, "east")))
+    initial = random_plan(region, PlannerConfig(seed=4))
+    swap = _swap_in_community(region, initial, 1)
+    outside = next(a.id for a in region.community_areas(1) if a.is_vacant)
+    backend = _RevisionScript([_edits_reply(*swap), "no edits here",
+                               _edits_reply((outside, LandUse.PARK))])
+    final, transcripts, reports = run_full_pipeline(
+        region, pop_hlg, lambda r: initial, backend,
+        DiscussionConfig(rounds=1, speakers_per_round=3, seed=4))
+    assert [t.final_edits.edits for t in transcripts] == [swap, ()]
+    assert backend.replies == []
+    swapped = apply_edits(initial, PlanEdit(swap))
+    assert final.assignment == swapped.assignment
+    # each stage's report equals the report of that stage's plan from
+    # scratch, and the swap moved it
+    assert reports == [report(region, plan, pop_hlg)
+                       for plan in (initial, swapped, swapped)]
+    assert reports[1] != reports[0]

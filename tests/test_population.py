@@ -8,7 +8,8 @@ import pytest
 import oracles
 from participlan import fixtures
 from participlan.discussion import invite
-from participlan.errors import NeedsMissing, SpecError
+from participlan.errors import (GeometryError, NeedsMissing, PlanningError,
+                                SpecError)
 from participlan.geometry import Point
 from participlan.population import (
     DemographicSpec,
@@ -325,6 +326,29 @@ def test_batched_homes_equal_the_scalar_draws(offset, seed):
                    communities=((1, "quads"),)).area_boxes
     assert _sample_homes(batched, areas, boxes, home_idx).tolist() == want
     assert batched.random() == scalar.random()
+
+
+#: A parallelogram that fills 1e-6 of its bounding box: rejection
+#: sampling expects a million draws per home.
+SLIVER = tuple(Point(x, y) for x, y in
+               ((0.0, 0.0), (0.001, 0.0), (1000.0, 1000.0), (999.999, 1000.0)))
+
+
+def test_home_sampler_gives_up_on_a_sliver():
+    with pytest.raises(GeometryError, match="rejection sampling failed "
+                       "after 10000 tries"):
+        _sample_point_in_polygon(np.random.default_rng(0), SLIVER)
+
+
+def test_synthesis_on_a_sliver_is_a_planning_error():
+    region = Region(name="sliver",
+                    areas=(Area(1, SLIVER, community_id=1,
+                                fixed_use=LandUse.RESIDENTIAL),),
+                    requirements={u: 0 for u in ASSIGNABLE_USES},
+                    communities=((1, "sliver"),))
+    region.validate()
+    with pytest.raises(PlanningError, match="rejection sampling failed"):
+        synthesize(fixtures.hlg_like_demographics(300), region, seed=1)
 
 
 def _population_digest(pop):
