@@ -511,6 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Numeric flags are checked before any seed runs: a bad value is a usage
 # error, not a failure of every seed.
 _FLAG_CHECKS = (
+    ("seeds", lambda v: min(v) >= 0 and len(set(v)) == len(v),
+     "--seeds values must be distinct and >= 0"),
     ("rounds", lambda v: v >= 1, "--rounds must be >= 1"),
     ("rounds_list", lambda v: min(v) >= 1, "--rounds-list values must be >= 1"),
     ("buffer", lambda v: 0 < v < np.inf, "--buffer must be positive and finite"),

@@ -229,7 +229,7 @@ def apply_edits(plan: Plan, edits: PlanEdit) -> Plan:
 
 def _greedy_repair(evaluator: metrics_mod.CoverageCounts, community_id: int,
                    region: Region, rows: np.ndarray, rounds: Sequence[Round]
-                   ) -> tuple[Plan, PlanEdit]:
+                   ) -> PlanEdit:
     """Apply to `evaluator` the most-requested edits that keep quotas
     feasible and never lower the mean satisfaction of the invited
     residents, whose positions in the population are `rows`."""
@@ -267,13 +267,13 @@ def _greedy_repair(evaluator: metrics_mod.CoverageCounts, community_id: int,
             for a, u in accepted)
     else:
         rationale = "greedy repair: no request improved invited satisfaction"
-    return Plan.from_codes(region, codes), PlanEdit(tuple(accepted), rationale)
+    return PlanEdit(tuple(accepted), rationale)
 
 
 def _llm_revision(plan: Plan, community_id: int, region: Region,
                   planner_backend: Backend, summaries: Sequence[str]
-                  ) -> tuple[Plan, PlanEdit, list[str]]:
-    """Parse-apply-validate with one repair prompt, else keep plan_before."""
+                  ) -> tuple[PlanEdit, list[str]]:
+    """The planner's edits, or none after a rejected reply and repair."""
     def check(reply: str) -> Union[PlanEdit, str]:
         edits = parse_plan_edits(reply, region, community_id)
         report = validate_plan(region, apply_edits(plan, edits))
@@ -289,9 +289,9 @@ def _llm_revision(plan: Plan, community_id: int, region: Region,
             "every minimum count met."))
     notes = [f"revision attempt rejected: {problem}" for problem in rejected]
     if isinstance(last, PlanEdit):
-        return apply_edits(plan, last), last, notes
+        return last, notes
     notes.append(f"repair rejected: {last}; keeping previous plan")
-    return plan, PlanEdit((), "revision rejected after repair"), notes
+    return PlanEdit((), "revision rejected after repair"), notes
 
 
 def _proximity_index(region: Region, population: Population,
@@ -311,8 +311,9 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
                            coverage: Optional[metrics_mod.CoverageCounts] = None,
                            roleplay: bool = True) -> tuple[Plan, Transcript]:
     """One community through the fishbowl protocol; the plan stays frozen
-    until the planner's revision at the end, which also edits `coverage`,
-    the plan's evaluator of every resident (built if absent)."""
+    until the planner's revision at the end. Each accepted edit is one
+    set_use on `coverage`, the plan's evaluator of every resident (built
+    if absent), and the revised plan is read from its codes."""
     config.validate()
     if cache is None:
         cache = _proximity_index(region, population, config)
@@ -361,14 +362,14 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
     if isinstance(planner_backend, RuleBackend):
         rows = np.array([population.position_of[rid] for rid in invited],
                         dtype=np.intp)
-        new_plan, edits = _greedy_repair(coverage, community_id, region,
-                                         rows, rounds)
+        edits = _greedy_repair(coverage, community_id, region, rows, rounds)
     else:
-        new_plan, edits, notes = _llm_revision(plan, community_id, region,
-                                               planner_backend, history)
-        codes = new_plan.use_codes(region)
-        for j in np.flatnonzero(codes != coverage.codes).tolist():
-            coverage.set_use(j, int(codes[j]))
+        edits, notes = _llm_revision(plan, community_id, region,
+                                     planner_backend, history)
+        column_of = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
+        for area_id, use in edits.edits:
+            coverage.set_use(column_of[area_id], USE_CODES[use])
+    new_plan = Plan.from_codes(region, coverage.codes)
     transcript = Transcript(
         community_id=community_id,
         rounds=tuple(rounds),

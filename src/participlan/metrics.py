@@ -416,20 +416,18 @@ class CoverageCounts:
     reverts it. service (share of service categories in range), in_esr
     (1.0 where some green area is in range) and satisfaction (share of the
     `needs` in range) gather each resident's value from its class's
-    hits, for `rows` (every resident by default) in that order.
-    ecology_share, the mean of in_esr, is counted from the class sizes
-    (`sizes`, residents of `rows` per class) with no gather.
+    hits, in population order; a caller reads a subset of residents by
+    indexing, as greedy repair reads satisfaction[rows]. ecology_share,
+    the mean of in_esr, is counted from the class sizes (`sizes`,
+    residents per class) with no gather.
     """
 
     def __init__(self, index: ProximityIndex, codes: np.ndarray,
-                 needs: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                 rows: Optional[np.ndarray] = None):
-        class_of, self._ptr, self._area_classes = index.classes
-        self._class_of = class_of if rows is None else class_of[rows]
-        self._needs = needs if needs is None or rows is None else (
-            needs[0][rows], needs[1][rows])
+                 needs: Optional[tuple[np.ndarray, np.ndarray]] = None):
+        self._class_of, self._ptr, self._area_classes = index.classes
+        self._needs = needs
         self._fixed = (index.region.fixed_codes >= 0).tolist()
-        n = int(class_of.max(initial=-1)) + 1
+        n = int(self._class_of.max(initial=-1)) + 1
         self.sizes = np.bincount(self._class_of, minlength=n)
         self.codes = np.array(codes, dtype=np.int8)
         # a pair counts its area's classes, the green slot only those
@@ -498,32 +496,9 @@ def plan_coverage(region: Region, plan: Plan, population: Population,
     return CoverageCounts(cache, plan.use_codes(region), needs)
 
 
-def per_resident_service(region: Region, plan: Plan, population: Population,
-                         cache: Optional[ProximityIndex] = None) -> np.ndarray:
-    """Share of service categories reachable per resident, in [0, 1]."""
-    return plan_coverage(region, plan, population, cache).service
-
-
-def per_resident_in_esr(region: Region, plan: Plan, population: Population,
-                        cache: Optional[ProximityIndex] = None) -> np.ndarray:
-    """1.0 for residents inside the ecology service range, else 0.0.
-
-    The range is the union of closed ESR_RADIUS_M buffers around every
-    green area: parks, open spaces and the fixed green stock.
-    """
-    return plan_coverage(region, plan, population, cache).in_esr
-
-
-def per_resident_satisfaction(region: Region, plan: Plan, population: Population,
-                              cache: Optional[ProximityIndex] = None) -> np.ndarray:
-    """Share of each resident's needs with a facility strictly in range."""
-    return plan_coverage(region, plan, population, cache,
-                         needs(population)).satisfaction
-
-
 def service(region: Region, plan: Plan, population: Population,
             cache: Optional[ProximityIndex] = None) -> float:
-    return float(np.mean(per_resident_service(region, plan, population, cache)))
+    return float(np.mean(plan_coverage(region, plan, population, cache).service))
 
 
 def ecology(region: Region, plan: Plan, population: Population,
@@ -533,7 +508,8 @@ def ecology(region: Region, plan: Plan, population: Population,
 
 def satisfaction(region: Region, plan: Plan, population: Population,
                  cache: Optional[ProximityIndex] = None) -> float:
-    return float(np.mean(per_resident_satisfaction(region, plan, population, cache)))
+    return float(np.mean(plan_coverage(region, plan, population, cache,
+                                       needs(population)).satisfaction))
 
 
 def inclusion(region: Region, plan: Plan, population: Population,
@@ -541,8 +517,8 @@ def inclusion(region: Region, plan: Plan, population: Population,
     mask = population.marginalized_mask
     if not mask.any():
         raise NoMarginalized("population has no marginalized residents")
-    per = per_resident_satisfaction(region, plan, population, cache)
-    return float(np.mean(per[mask]))
+    cov = plan_coverage(region, plan, population, cache, needs(population))
+    return float(np.mean(cov.satisfaction[mask]))
 
 
 @dataclass(frozen=True)

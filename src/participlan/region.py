@@ -179,6 +179,10 @@ class Region:
         return tuple(a for a in self.areas if a.community_id == community_id)
 
     def validate(self) -> None:
+        repeated = sorted({c for c in self.community_ids
+                           if self.community_ids.count(c) > 1})
+        if repeated:
+            raise InvariantError(f"community ids repeated: {repeated}")
         ids = [a.id for a in self.areas]
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise InvariantError(

@@ -629,6 +629,10 @@ def test_bug_in_the_svg_writer_is_not_an_input_error(tmp_path, monkeypatch):
     ("--timeout", "nan"),
     ("--timeout", "inf"),
     ("--temperature", "nan"),
+    # a negative seed fails inside np.random.default_rng; a repeated one
+    # runs and counts twice in the aggregate
+    ("--seeds", "-1"),
+    ("--seeds", "101,101"),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -636,6 +640,20 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, flag, value):
               flag, value, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_repeated_community_id_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(Path(REGION).read_text())
+    doc["communities"].append({"id": 1, "name": "again"})
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps(doc))
+    assert main(["simulate", "--region", str(region),
+                 "--demographics", DEMOGRAPHICS, "--method", "random",
+                 "--backend", "rule", "--seeds", "101", "--rounds", "1",
+                 "--speakers", "3", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error while loading inputs")
+    assert "community ids repeated: [1]" in err
 
 
 def test_verbose_logs_each_seeds_synthesis(tmp_path, capsys):

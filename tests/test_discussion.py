@@ -19,10 +19,12 @@ from participlan.discussion import (
 from participlan import fixtures
 from participlan.errors import EmptyCommunity, NotPresent
 from participlan.llm import PlanEdit, RuleBackend, render_revision_prompt
-from participlan.metrics import ProximityIndex, report, satisfaction
+from participlan.metrics import (REACH_M, ProximityIndex, needs,
+                                 plan_coverage, report, satisfaction)
 from participlan.planners import PlannerConfig, random_plan
 from participlan.population import synthesize
-from participlan.region import LandUse, Plan, plan_digest, validate_plan
+from participlan.region import (ASSIGNABLE_USES, LandUse, Plan, plan_digest,
+                                validate_plan)
 
 import oracles
 
@@ -391,6 +393,31 @@ def test_llm_revision_keeps_the_plan_after_two_bad_replies(hlg, pop_hlg,
         f"repair rejected: edit touches area {outside} outside community 2; "
         "keeping previous plan")
     assert len(planner.seen) == 2
+
+
+def test_llm_revision_naming_an_area_twice_keeps_its_last_use(
+        hlg, pop_hlg, rule_backend):
+    # area a first takes a use no swap gives it, then b's use: only the
+    # last edit of an area counts, so the reply is a quota-keeping swap
+    config = DiscussionConfig(rounds=1, speakers_per_round=3, seed=4)
+    plan = random_plan(hlg, PlannerConfig(seed=4))
+    (a, use_b), (b, use_a) = _swap_in_community(hlg, plan, 2)
+    first = next(u for u in ASSIGNABLE_USES if u not in (use_a, use_b))
+    edits = ((a, first), (a, use_b), (b, use_a))
+    cache = ProximityIndex(hlg, pop_hlg.homes, REACH_M)
+    coverage = plan_coverage(hlg, plan, pop_hlg, cache, needs(pop_hlg))
+    revised, transcript = run_community_revision(
+        plan, 2, hlg, pop_hlg, rule_backend,
+        _RecordingBackend([_edits_reply(*edits)]), config,
+        cache=cache, coverage=coverage)
+    assert transcript.final_edits.edits == edits
+    assert revised.assignment[a] is use_b
+    assert revised.assignment == apply_edits(plan, PlanEdit(edits)).assignment
+    fresh = plan_coverage(hlg, revised, pop_hlg, cache, needs(pop_hlg))
+    assert np.array_equal(coverage.codes, fresh.codes)
+    assert np.array_equal(coverage.counts, fresh.counts)
+    assert np.array_equal(coverage.hits, fresh.hits)
+    assert np.array_equal(coverage.satisfaction, fresh.satisfaction)
 
 
 class _RevisionScript:

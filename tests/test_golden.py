@@ -1,4 +1,4 @@
-"""Golden run directories: every byte-stable file of nine CLI runs.
+"""Golden run directories: every byte-stable file of ten CLI runs.
 
 The SHA-256 of each file a run writes, except the timing-bearing
 report.txt files, was recorded before the dense distance matrix was
@@ -12,6 +12,9 @@ second seed's plan reply is unusable and its repair finds the tape
 exhausted; in "simulate-every-seed-failed" the tape is empty. The runs
 happen in a temporary working directory with relative input paths, so
 config.snapshot.json and the run id do not depend on where the suite runs.
+The "irregular" run is the only one whose areas are not rectangles: it
+pins the distance kernel deciding the index's pairs, synthesis's
+containment test on polygons, and greedy repair on those classes.
 
 The hashes hold for the recording platform (x86-64, numpy GOLDEN_NUMPY):
 they pin floating-point output with repr, and a different numpy build may
@@ -20,6 +23,7 @@ round a last bit differently, so a mismatch names both numpy versions.
 import hashlib
 import json
 import os
+import random
 import shutil
 
 import numpy as np
@@ -55,6 +59,11 @@ RUNS = {
                                    "--backend", "scripted",
                                    "--transcript", "tape.json",
                                    "--seeds", "101,202"],
+    "irregular": ["simulate", "--region", "irregular.region.json",
+                  "--demographics", "hlg_like.demographics.json",
+                  "--backend", "rule", "--method", "local-search",
+                  "--search-iters", "200", "--seeds", "101,202",
+                  "--rounds", "2", "--speakers", "20"],
 }
 
 #: Exit status of the runs that do not return 0.
@@ -259,6 +268,56 @@ GOLDEN = {
         "transcripts/seed202.community4.txt":
             "d6eb5ce8b47a10cd6e6458533e73a045ef21cb00f08c6885b04b5b3c32957525",
     },
+    "irregular": {
+        "aggregate.json":
+            "4518b737b5a268e236e39f09a53099f009190f7a081c5d5174b78caf22715169",
+        "config.snapshot.json":
+            "695bb4a495e805febe3f54c85e6c6d21cf9a642aef71d4c14c09c025520098b4",
+        "metrics.csv":
+            "0f434c24f475ff743071da12d607c824d5aea939dbd8c9955e62a13834198bf6",
+        "plans/seed101.final.json":
+            "e46c15e9f6e7525fe6b51cf19501a2465737e26fe007d84a276eda58324d00c1",
+        "plans/seed101.initial.json":
+            "a0af7753680397fe00cc9e25af034add77b3fab97e381b2fae8adb0a21a92394",
+        "plans/seed202.final.json":
+            "d1691a35626cc9a463f00c89ab94f8c165eb4ab3d7737b7af810e2d70dfade1b",
+        "plans/seed202.initial.json":
+            "41ae7c0ec09b4f07e3f599126753970ac9230907090b5190de16004b234ed91f",
+        "trajectory.csv":
+            "15f063d5cd29e9bca16dd347112c28527e11dcc33c125ece863a53833d46f32a",
+        "transcripts/seed101.community1.json":
+            "21931d38795034b8832c9323ccddc11669afbe2b7ea8c1cfc4b21338234709aa",
+        "transcripts/seed101.community1.txt":
+            "ef5b28f0160fc0dad427833a64e03a6ffc34c4c07e8747d454fcbcb7f410c931",
+        "transcripts/seed101.community2.json":
+            "cd2c6edbb45ae58de1f48ec9c7f3f48b8afa137797c1a5f264c8ca1e8328b52f",
+        "transcripts/seed101.community2.txt":
+            "cd40491ca443aa708c5e298c69402834a4d90f6202e8ef70eadc5302dc336936",
+        "transcripts/seed101.community3.json":
+            "5832435053981b84a05b7c75bc0455fad16492cdacfbb1347f3f652140af0f2f",
+        "transcripts/seed101.community3.txt":
+            "4eade0a6783ef26e3230addf84b1b2d56984190e8a854aa60c000beaf6d17133",
+        "transcripts/seed101.community4.json":
+            "bd2dc5e56dfe9d94e3eb81b4059b655d7997a149cdfca27f0ab0708a707b5aad",
+        "transcripts/seed101.community4.txt":
+            "e468ec686d983573bbd893a16166e1f41d8f536142b4820c5ea40fd047a5948a",
+        "transcripts/seed202.community1.json":
+            "b715394f21f247fc0a5e5ca9b0a933014c99043805e5421a492a7654ca79919d",
+        "transcripts/seed202.community1.txt":
+            "173534c2a2c5485058a8610e5638c7737c4c80a82b6b2035a25fe44bdd8732f5",
+        "transcripts/seed202.community2.json":
+            "1ec6486e766b5c273d8067548002fe0345868fbea09ee6f041fa72d03b2a91d8",
+        "transcripts/seed202.community2.txt":
+            "a5952ca29aeef66dc2e805e7fabdd7ff69a1b906a811573f4fa7cc2beda7388f",
+        "transcripts/seed202.community3.json":
+            "31b6bef89fe68e870d9d237d16de77bddedd3b93a39251c2ba39e45420bfb7d7",
+        "transcripts/seed202.community3.txt":
+            "3025f49a9d8f901418d590b1c2cad57cb261fbeb6a2fdbe4b4402a404474da9a",
+        "transcripts/seed202.community4.json":
+            "805eff248d45e76476789566d304c42927dae8e7540a207c1cddef375cb7ff96",
+        "transcripts/seed202.community4.txt":
+            "046cd9241eec3090b273ffb017df36b682aa4e165c9991aefc45154321c65201",
+    },
 }
 
 
@@ -271,6 +330,33 @@ def _tape(name):
     plan_reply = RuleBackend().complete(render_initial_plan_prompt(region))
     return [{"reply_text": plan_reply, "request_digest": None},
             {"reply_text": "no plan today", "request_digest": None}]
+
+
+def _write_irregular_region(path):
+    """hlg_like with every interior lattice vertex moved by
+    uniform(-40, 40) m in x, then in y, from random.Random(7), visiting the
+    vertices in sorted (x, y) order; the border vertices stay fixed."""
+    doc = json.loads(data_path("hlg_like.region.json").read_text())
+    rings = [f["geometry"]["coordinates"][0] for f in doc["features"]]
+    vertices = sorted({tuple(p) for ring in rings for p in ring})
+    xs, ys = zip(*vertices)
+    rng = random.Random(7)
+    moved = {}
+    for x, y in vertices:
+        border = x in (min(xs), max(xs)) or y in (min(ys), max(ys))
+        moved[x, y] = [x, y] if border else [x + rng.uniform(-40, 40),
+                                             y + rng.uniform(-40, 40)]
+    for ring in rings:
+        ring[:] = [moved[tuple(p)] for p in ring]
+    path.write_text(json.dumps(doc))
+
+
+def test_irregular_region_has_no_rectangle(tmp_path):
+    path = tmp_path / "irregular.region.json"
+    _write_irregular_region(path)
+    region = load_region(path)
+    assert len(region.areas) == 63
+    assert not any(a.fills_its_box for a in region.areas)
 
 
 def _digests(root):
@@ -290,6 +376,7 @@ def _digests(root):
 def test_golden_run_directory(name, tmp_path, monkeypatch):
     for rel in ("hlg_like.region.json", "hlg_like.demographics.json"):
         shutil.copy(data_path(rel), tmp_path / rel)
+    _write_irregular_region(tmp_path / "irregular.region.json")
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tape.json").write_text(json.dumps(_tape(name)))
     assert main(RUNS[name] + ["--out", "run"]) == EXIT.get(name, 0)

@@ -9,9 +9,8 @@ from participlan.metrics import (
     ProximityIndex,
     ecology,
     inclusion,
-    per_resident_in_esr,
-    per_resident_satisfaction,
-    per_resident_service,
+    needs,
+    plan_coverage,
     report,
     satisfaction,
     service,
@@ -65,12 +64,11 @@ class TestHandDerivedGoldens:
 
 
 def test_per_resident_vectors(grid16, hand_plan, hand_population):
-    sv = per_resident_service(grid16, hand_plan, hand_population)
-    assert sv == pytest.approx([0.8, 1.0, 0.6, 0.8], abs=1e-12)
-    esr = per_resident_in_esr(grid16, hand_plan, hand_population)
-    assert list(esr) == [False, True, True, False]
-    sat = per_resident_satisfaction(grid16, hand_plan, hand_population)
-    assert sat == pytest.approx([2 / 3, 1.0, 2 / 3, 0.0], abs=1e-12)
+    cov = plan_coverage(grid16, hand_plan, hand_population,
+                        needs=needs(hand_population))
+    assert cov.service == pytest.approx([0.8, 1.0, 0.6, 0.8], abs=1e-12)
+    assert list(cov.in_esr) == [False, True, True, False]
+    assert cov.satisfaction == pytest.approx([2 / 3, 1.0, 2 / 3, 0.0], abs=1e-12)
 
 
 def test_synthesized_population_matches_oracle(grid16, hand_plan, pop_grid16):
@@ -116,9 +114,9 @@ def test_satisfaction_requires_needs(grid16, hand_plan, hand_population):
 def test_report_aggregates_equal_per_resident_means(grid16, hand_plan,
                                                     pop_grid16):
     rep = report(grid16, hand_plan, pop_grid16)
-    srv = per_resident_service(grid16, hand_plan, pop_grid16)
-    esr = per_resident_in_esr(grid16, hand_plan, pop_grid16)
-    sat = per_resident_satisfaction(grid16, hand_plan, pop_grid16)
+    cov = plan_coverage(grid16, hand_plan, pop_grid16,
+                        needs=needs(pop_grid16))
+    srv, esr, sat = cov.service, cov.in_esr, cov.satisfaction
     assert len(srv) == len(esr) == len(sat) == len(pop_grid16)
     assert rep.service == pytest.approx(np.mean(srv), abs=0)
     assert rep.ecology == pytest.approx(np.mean(esr), abs=0)

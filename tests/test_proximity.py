@@ -166,15 +166,16 @@ def _reference(index, assignment, needs=None, rows=None):
 def _check_against_reference(counts, index, assignment, needs=None,
                              rows=None):
     service, in_esr, sat = _reference(index, assignment, needs, rows)
-    assert np.array_equal(counts.service, service)
-    assert np.array_equal(counts.in_esr, in_esr)
+    rows = slice(None) if rows is None else rows
+    assert np.array_equal(counts.service[rows], service)
+    assert np.array_equal(counts.in_esr[rows], in_esr)
     if needs is not None:
-        assert np.array_equal(counts.satisfaction, sat)
+        assert np.array_equal(counts.satisfaction[rows], sat)
     return service, in_esr
 
 
 def test_restricted_rows_match_the_full_evaluator():
-    # greedy repair scores only the invited rows
+    # greedy repair reads only the invited rows of the full evaluator
     rng = np.random.default_rng(77)
     region = _random_region(rng, 5, 5)
     pop = scatter_population(region, 60, rng)
@@ -182,8 +183,7 @@ def test_restricted_rows_match_the_full_evaluator():
     index = ProximityIndex(region, pop.homes, 600.0)
     rows = np.array(sorted(rng.choice(len(pop), size=25, replace=False)))
     needs = metrics.needs(pop)
-    counts = CoverageCounts(index, Plan(assignment).use_codes(region), needs,
-                            rows=rows)
+    counts = CoverageCounts(index, Plan(assignment).use_codes(region), needs)
     _check_against_reference(counts, index, assignment, needs, rows)
     column = dict(zip(region.vacant_ids, region.vacant_columns.tolist()))
     moves = [(a, ASSIGNABLE_USES[int(rng.integers(len(ASSIGNABLE_USES)))])
@@ -356,21 +356,19 @@ def test_counts_see_only_a_residential_area():
         counts.set_use(0, USE_CODES[LandUse.PARK])
 
 
-def _check_share(counts, index, rows=None):
+def _check_share(counts, index):
     """The ecology share is np.mean(in_esr) bit for bit, and counts and
     hits equal a fresh build of the same codes."""
     assert counts.ecology_share == np.mean(counts.in_esr)
-    fresh = CoverageCounts(index, counts.codes, rows=rows)
+    fresh = CoverageCounts(index, counts.codes)
     assert np.array_equal(counts.counts, fresh.counts)
     assert np.array_equal(counts.hits, fresh.hits)
 
 
-@pytest.mark.parametrize("restricted", [False, True])
 @pytest.mark.parametrize("radius", [500.0, 700.0])
-def test_ecology_share_follows_a_random_walk(radius, restricted):
+def test_ecology_share_follows_a_random_walk(radius):
     # each step sets an assignable use, -1 (unassigned) or the area's own
-    # code; a restricted evaluator counts only its rows, as greedy
-    # repair's does
+    # code
     rng = np.random.default_rng(1618)
     for _ in range(6):
         region = _random_region(rng, int(rng.integers(2, 6)),
@@ -379,18 +377,16 @@ def test_ecology_share_follows_a_random_walk(radius, restricted):
             region = _random_region(rng, 3, 3, cell_m=250.0)
         pop = scatter_population(region, 80, rng)
         index = ProximityIndex(region, pop.homes, radius)
-        rows = np.array(sorted(rng.choice(len(pop), size=30, replace=False))
-                        ) if restricted else None
         counts = CoverageCounts(
-            index, random_plan_for(region, rng).use_codes(region), rows=rows)
+            index, random_plan_for(region, rng).use_codes(region))
         columns = region.vacant_columns.tolist()
-        _check_share(counts, index, rows)
+        _check_share(counts, index)
         for _ in range(40):
             j = columns[int(rng.integers(len(columns)))]
             codes = [USE_CODES[u] for u in ASSIGNABLE_USES]
             codes += [-1, int(counts.codes[j])]
             counts.set_use(j, codes[int(rng.integers(len(codes)))])
-            _check_share(counts, index, rows)
+            _check_share(counts, index)
 
 
 def test_set_use_edge_moves_match_a_fresh_build(grid16, hand_plan,

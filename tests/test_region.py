@@ -147,6 +147,17 @@ def test_load_region_rejects_duplicate_ids(tmp_path, grid16):
         load_region(path)
 
 
+def test_load_region_rejects_repeated_community_ids(tmp_path, grid16):
+    path = tmp_path / "region.json"
+    save_region(grid16, path)
+    doc = json.loads(path.read_text())
+    doc["communities"].append({"id": doc["communities"][0]["id"],
+                               "name": "again"})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvariantError, match=r"community ids repeated: \[1\]"):
+        load_region(path)
+
+
 def test_region_requires_all_quota_keys():
     with pytest.raises(InvariantError, match="school"):
         make_grid_region(
