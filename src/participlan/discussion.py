@@ -213,7 +213,8 @@ def _sample_speakers(rng: np.random.Generator, invited: Sequence[int],
     n_keep = min(int(round(m_eff * (1.0 - exchange_fraction))), len(prev))
     kept = [int(x) for x in rng.choice(list(prev), size=n_keep, replace=False)] \
         if n_keep else []
-    pool = [x for x in invited if x not in set(kept)]
+    kept_set = set(kept)
+    pool = [x for x in invited if x not in kept_set]
     n_new = m_eff - len(kept)
     newcomers = [int(x) for x in rng.choice(pool, size=n_new, replace=False)] \
         if n_new else []

@@ -13,11 +13,11 @@ index, a home and the home's area id. Resident objects are built on
 demand, for the speakers a discussion prompts and for code that walks
 Population.residents.
 
-Homes are drawn in batches, one (x, y) per resident from one block of
-uniforms. Points inside an axis-aligned rectangle's box need no test, and
-the rest take point_in_polygon in order. The generator rewinds to the
-first point that misses its area, so the homes equal, bit for bit, those
-that drawing one resident at a time with _sample_point_in_polygon gives.
+Homes come from one stream of (x, y) pairs of uniforms: residents take
+pairs in order, each until a pair lands in its area, so the homes equal,
+bit for bit, those of drawing one resident at a time. Pairs are drawn in
+blocks and tested in batches; points inside an axis-aligned rectangle's
+box need no test, and the rest take point_in_polygon in order.
 """
 from __future__ import annotations
 
@@ -276,45 +276,33 @@ def _draw_categorical(rng: np.random.Generator, dist: Mapping[str, float],
 _MAX_SAMPLE_TRIES = 10_000
 
 
-def _sample_point_in_polygon(rng: np.random.Generator,
-                             boundary: Sequence[Point]) -> Point:
-    xs = [p[0] for p in boundary]
-    ys = [p[1] for p in boundary]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    for _ in range(_MAX_SAMPLE_TRIES):
-        p = Point(float(rng.uniform(lo_x, hi_x)), float(rng.uniform(lo_y, hi_y)))
-        if geometry.point_in_polygon(p, tuple(boundary)):
-            return p
-    raise GeometryError(
-        f"rejection sampling failed after {_MAX_SAMPLE_TRIES} tries; "
-        "polygon too thin?")
-
-
 def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
                   boxes: np.ndarray, home_idx: np.ndarray) -> np.ndarray:
-    """(x, y) of each resident's home, in areas[home_idx[i]]: the points
-    _sample_point_in_polygon draws one resident at a time. `boxes` holds
+    """(x, y) of each resident's home, in areas[home_idx[i]]. `boxes` holds
     each area's (x0, y0, x1, y1) bounding box, as in Region.area_boxes.
 
-    A batch draws one (x, y) per resident; lo + span * u equals the scalar
-    uniform draw bit for bit. Points of rectangles inside their box need no
-    test; the others take point_in_polygon in order. At the batch's first
-    point outside its area, the generator goes back to where that point's
-    draws began, the scalar sampler finishes that resident, and the next
-    batch starts after it.
+    Residents take (x, y) pairs of uniforms u from one stream, in order,
+    each until the point lo + span * u lands in its area. Points of
+    rectangles inside their box need no test; the others take
+    point_in_polygon in order. A batch maps up to `size` pairs to the next
+    residents, one each, up to its first miss; the resident that missed
+    goes on with the next pair. `size` doubles after a batch with no miss
+    and falls back to twice the pairs used after one. Pairs are drawn only
+    when all drawn ones are used, and never more than residents are left,
+    so every pair drawn is used.
     """
     lo, hi = boxes[:, :2], boxes[:, 2:]
     span = hi - lo
     filled = np.array([a.fills_its_box for a in areas])
-    bitgen = rng.bit_generator
     n = len(home_idx)
     homes = np.empty((n, 2))
-    start, size = 0, n
+    pairs = np.empty((0, 2))
+    start, size, misses = 0, n, 0
     while start < n:
-        state = bitgen.state
-        idx = home_idx[start:start + size]
-        pts = lo[idx] + span[idx] * rng.random((len(idx), 2))
+        if not len(pairs):
+            pairs = rng.random((min(size, n - start), 2))
+        idx = home_idx[start:start + min(size, len(pairs))]
+        pts = lo[idx] + span[idx] * pairs[:len(idx)]
         ok = filled[idx] & (pts < hi[idx]).all(axis=1)
         r = len(idx)
         for i in np.flatnonzero(~ok).tolist():
@@ -324,14 +312,17 @@ def _sample_homes(rng: np.random.Generator, areas: Sequence[Area],
                 break
         homes[start:start + r] = pts[:r]
         if r == len(idx):
-            start, size = start + r, 2 * size
+            pairs = pairs[r:]
+            start, size, misses = start + r, 2 * size, 0
             continue
-        # advance() also empties PCG64's 32-bit buffer, which synthesis
-        # never fills: it draws only doubles
-        bitgen.state = state
-        bitgen.advance(2 * r)
-        homes[start + r] = _sample_point_in_polygon(rng, areas[idx[r]].boundary)
-        start, size = start + r + 1, 2 * (r + 1)
+        # misses in a row of resident start + r
+        misses = (misses if r == 0 else 0) + 1
+        if misses == _MAX_SAMPLE_TRIES:
+            raise GeometryError(
+                f"area {areas[idx[r]].id}: rejection sampling failed after "
+                f"{_MAX_SAMPLE_TRIES} tries; polygon too thin?")
+        pairs = pairs[r + 1:]
+        start, size = start + r, 2 * (r + 1)
     return homes
 
 

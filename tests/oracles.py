@@ -5,11 +5,12 @@ so agreement with the vectorized package code is meaningful. Keep these
 functions dumb: nested loops over residents and areas, no numpy, no
 imports from the package beyond reading plain attributes.
 
-Four sections are the exception: the package's scalar and dense
+Five sections are the exception: the package's scalar and dense
 distance forms that only tests use, built on its geometry module, the
 rule backend's former regex read of its payload, local search's former
-annealing loop, which gathered both per-resident arrays, and the
-population's arrays read by a walk over resident objects.
+annealing loop, which gathered both per-resident arrays, the
+population's arrays read by a walk over resident objects, and
+synthesis's former home sampler, one resident at a time.
 """
 from __future__ import annotations
 
@@ -349,3 +350,22 @@ def invite(region, residents, community_id, buffer):
     rings = [_ring_of(a) for a in region.areas if a.community_id == community_id]
     return tuple(r.id for r in residents
                  if min(poly_dist(*_home_of(r), ring) for ring in rings) <= buffer)
+
+
+# ---------------------------------------------------------------------------
+# Synthesis's former home sampler, one resident at a time
+
+
+def sample_point_in_polygon(rng, boundary):
+    """A point drawn uniformly in the bounding box of `boundary`, x then
+    y, until one lies in the polygon; geometry.point_in_polygon decides."""
+    xs = [p[0] for p in boundary]
+    ys = [p[1] for p in boundary]
+    lo_x, hi_x = min(xs), max(xs)
+    lo_y, hi_y = min(ys), max(ys)
+    for _ in range(10_000):
+        p = geometry.Point(float(rng.uniform(lo_x, hi_x)),
+                           float(rng.uniform(lo_y, hi_y)))
+        if geometry.point_in_polygon(p, tuple(boundary)):
+            return p
+    raise AssertionError("no point in the polygon after 10000 tries")

@@ -103,6 +103,22 @@ def test_sample_speakers_partial_exchange():
     assert len(kept) >= 30
 
 
+def test_partial_exchange_speakers_are_pinned():
+    # the exact speakers of four seeded rounds that each keep 6 of 10
+    rng = np.random.default_rng(5)
+    invited = list(range(200, 230))
+    got, prev = [], None
+    for _ in range(4):
+        prev = _sample_speakers(rng, invited, prev, 10, 0.4)
+        got.append(prev)
+    assert got == [
+        [200, 201, 208, 211, 213, 214, 217, 219, 226, 228],
+        [201, 203, 208, 211, 213, 217, 219, 221, 223, 228],
+        [201, 203, 208, 211, 216, 217, 221, 223, 225, 228],
+        [201, 205, 208, 209, 211, 216, 217, 221, 223, 227],
+    ]
+
+
 def test_apply_edits():
     plan = Plan({1: LandUse.PARK, 2: LandUse.SCHOOL})
     edit = PlanEdit(edits=((2, LandUse.CLINIC),), rationale="x")

@@ -18,7 +18,6 @@ from participlan.population import (
     Profile,
     Resident,
     _sample_homes,
-    _sample_point_in_polygon,
     load_demographics,
     save_demographics,
     synthesize,
@@ -298,29 +297,37 @@ def test_synthesis_on_odd_shapes_is_pinned(lot, seed):
     assert digest == ODD_SHAPES_DIGESTS[lot, seed]
 
 
-@pytest.mark.parametrize("offset", [0.0, 4.0e6])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_batched_homes_equal_the_scalar_draws(offset, seed):
+@pytest.mark.parametrize("seed, offset, triangles", [
+    *(pytest.param(seed, offset, False, id=f"{seed}-{offset}")
+      for seed in (1, 2, 3) for offset in (0.0, 4.0e6)),
+    *(pytest.param(seed, 0.0, True, id=f"triangles-{seed}")
+      for seed in (1, 2, 3))])
+def test_batched_homes_equal_the_scalar_draws(seed, offset, triangles):
     # Quads a little off their bounding boxes, rectangles, a triangle and a
-    # sliver: rectangle points pass untested, the others are tested, and
-    # the misses rewind the generator.
+    # sliver: rectangle points pass untested and the others are tested.
+    # Or six right triangles that each fill half their box: 12,000 homes
+    # miss about as many times in all, but only a few times each.
     def ring(*xy):
         return tuple(Point(offset + x, offset + y) for x, y in xy)
-    areas = []
-    for k in range(12):
-        x = 300.0 * k
-        areas.append(Area(len(areas) + 1, ring(
-            (x, 0), (x + 200, 4), (x + 198, 204), (x - 3, 200)), 1))
-        areas.append(Area(len(areas) + 1, ring(
-            (x, 300), (x + 250, 300), (x + 250, 450), (x, 450)), 1))
-    areas.append(Area(len(areas) + 1, ring((0, 600), (300, 600), (0, 800)), 1))
-    areas.append(Area(len(areas) + 1, ring((0, 900), (1000, 1700), (995, 1700)), 1))
+    if triangles:
+        areas = [Area(k + 1, ring((300.0 * k, 0), (300.0 * k + 200, 0),
+                                  (300.0 * k, 200)), 1) for k in range(6)]
+    else:
+        areas = []
+        for k in range(12):
+            x = 300.0 * k
+            areas.append(Area(len(areas) + 1, ring(
+                (x, 0), (x + 200, 4), (x + 198, 204), (x - 3, 200)), 1))
+            areas.append(Area(len(areas) + 1, ring(
+                (x, 300), (x + 250, 300), (x + 250, 450), (x, 450)), 1))
+        areas.append(Area(len(areas) + 1, ring((0, 600), (300, 600), (0, 800)), 1))
+        areas.append(Area(len(areas) + 1, ring((0, 900), (1000, 1700), (995, 1700)), 1))
     weights = np.array([a.area_m2 for a in areas])
     home_idx = np.random.default_rng(seed).choice(
-        len(areas), size=2000, p=weights / weights.sum())
+        len(areas), size=12_000 if triangles else 2000, p=weights / weights.sum())
 
     scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = [list(_sample_point_in_polygon(scalar, areas[i].boundary))
+    want = [list(oracles.sample_point_in_polygon(scalar, areas[i].boundary))
             for i in home_idx]
     boxes = Region(name="quads", areas=tuple(areas), requirements={},
                    communities=((1, "quads"),)).area_boxes
@@ -334,10 +341,29 @@ SLIVER = tuple(Point(x, y) for x, y in
                ((0.0, 0.0), (0.001, 0.0), (1000.0, 1000.0), (999.999, 1000.0)))
 
 
+def _boxes(areas):
+    return Region(name="boxes", areas=tuple(areas), requirements={},
+                  communities=((1, "boxes"),)).area_boxes
+
+
 def test_home_sampler_gives_up_on_a_sliver():
+    areas = [Area(1, SLIVER, 1)]
     with pytest.raises(GeometryError, match="rejection sampling failed "
                        "after 10000 tries"):
-        _sample_point_in_polygon(np.random.default_rng(0), SLIVER)
+        _sample_homes(np.random.default_rng(0), areas, _boxes(areas),
+                      np.array([0]))
+
+
+def test_home_sampler_names_the_area_it_gives_up_on():
+    # the rectangle's resident is placed in the batch where the sliver's
+    # resident first misses
+    areas = [Area(3, tuple(Point(x, y) for x, y in
+                           ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))), 1),
+             Area(7, SLIVER, 1)]
+    with pytest.raises(GeometryError, match="^area 7: rejection sampling "
+                       "failed after 10000 tries"):
+        _sample_homes(np.random.default_rng(0), areas, _boxes(areas),
+                      np.array([0, 1]))
 
 
 def test_synthesis_on_a_sliver_is_a_planning_error():
