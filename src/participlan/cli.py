@@ -129,9 +129,9 @@ def _setup(args):
     except (PlanningError, OSError) as exc:
         print(f"error while loading inputs: {exc}", file=sys.stderr)
         return None
-    config = _backend_config(args)
-    tape = [] if config.kind == "remote" and config.transcript_path else None
     try:
+        config = _backend_config(args)
+        tape = [] if config.kind == "remote" and config.transcript_path else None
         return region, spec, make_backend(config, record_to=tape), tape
     except (PlanningError, OSError, ValueError) as exc:
         print(f"error while configuring backend: {exc}", file=sys.stderr)
@@ -292,15 +292,13 @@ def _simulate_seed(args, region, spec, backend, seed, out, provenance):
         exchange_fraction=args.exchange_fraction,
         seed=seed,
     )
-    # run the initial planner once so the saved plan is the one simulated
     initial_plan = _initial_plan(args, region, population, seed, backend)
     if args.command == "ablate":
         final_plan, transcripts, reports = discussion_mod.run_ablation(
-            args.mode, region, population, lambda _r: initial_plan, backend,
-            config)
+            args.mode, region, population, initial_plan, backend, config)
     else:
         final_plan, transcripts, reports = discussion_mod.run_full_pipeline(
-            region, population, lambda _r: initial_plan, backend, config)
+            region, population, initial_plan, backend, config)
 
     plans_dir = out / "plans"
     plans_dir.mkdir(parents=True, exist_ok=True)

@@ -5,9 +5,9 @@ community, run N rounds where M sampled speakers voice opinions about
 the frozen plan (each seeing their neighborhood and all prior round
 summaries), summarize every round, then let the planner revise the
 community from the accumulated summaries. The full pipeline applies
-this to every community in ascending id order and records a metrics
-report after the initial plan and after each revision, each read from
-the one coverage evaluator that every revision edits.
+this to every community of an initial plan in ascending id order and
+records a metrics report after that plan and after each revision, each
+read from the one coverage evaluator that every revision edits.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class DiscussionConfig:
     invite_buffer_m: float = 500.0
     exchange_fraction: float = 1.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.rounds < 1:
@@ -315,7 +318,6 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
     until the planner's revision at the end. Each accepted edit is one
     set_use on `coverage`, the plan's evaluator of every resident (built
     if absent), and the revised plan is read from its codes."""
-    config.validate()
     if cache is None:
         cache = _proximity_index(region, population, config)
     if coverage is None:
@@ -382,23 +384,22 @@ def run_community_revision(plan: Plan, community_id: int, region: Region,
     return new_plan, transcript
 
 
-InitialPlanner = Callable[[Region], Plan]
+def _require_valid(region: Region, plan: Plan) -> None:
+    check = validate_plan(region, plan)
+    if not check.ok:
+        raise InvariantError(f"initial plan invalid: {check.summary()}")
 
 
 def run_full_pipeline(region: Region, population: Population,
-                      initial_planner: InitialPlanner, backend: Backend,
+                      plan: Plan, backend: Backend,
                       config: DiscussionConfig = DiscussionConfig(),
                       *,
                       roleplay: bool = True
                       ) -> tuple[Plan, list[Transcript], list[MetricsReport]]:
-    """Initial plan, then sequential community revisions with a metrics
-    report after every stage (index 0 = initial plan); the discussion
-    backend also plans the revisions."""
-    config.validate()
-    plan = initial_planner(region)
-    check = validate_plan(region, plan)
-    if not check.ok:
-        raise InvariantError(f"initial plan invalid: {check.summary()}")
+    """Revise the initial `plan`, which must pass validate_plan, community
+    by community: (final plan, transcripts, a metrics report after every
+    stage, index 0 = `plan`). The backend also plans the revisions."""
+    _require_valid(region, plan)
     cache = _proximity_index(region, population, config)
     coverage = metrics_mod.plan_coverage(region, plan, population, cache,
                                          metrics_mod.needs(population))
@@ -420,24 +421,22 @@ ABLATION_MODES = ("no-roleplay", "no-discussion", "single-planner")
 
 
 def run_ablation(mode: str, region: Region, population: Population,
-                 initial_planner: InitialPlanner, backend: Backend,
+                 plan: Plan, backend: Backend,
                  config: DiscussionConfig = DiscussionConfig()
                  ) -> tuple[Plan, list[Transcript], list[MetricsReport]]:
-    """Pipeline variants that drop one ingredient at a time.
+    """Pipeline variants that drop one ingredient at a time, returned as
+    run_full_pipeline returns them (single-planner: `plan`, no revision).
 
     Metrics always use the residents' original needs; no-roleplay only
     changes what the discussion sees.
     """
     if mode == "single-planner":
-        plan = initial_planner(region)
-        check = validate_plan(region, plan)
-        if not check.ok:
-            raise InvariantError(f"initial plan invalid: {check.summary()}")
+        _require_valid(region, plan)
         return plan, [], [metrics_mod.report(region, plan, population)]
     if mode == "no-discussion":
-        return run_full_pipeline(region, population, initial_planner, backend,
+        return run_full_pipeline(region, population, plan, backend,
                                  replace(config, rounds=1))
     if mode == "no-roleplay":
-        return run_full_pipeline(region, population, initial_planner, backend,
+        return run_full_pipeline(region, population, plan, backend,
                                  config, roleplay=False)
     raise ValueError(f"unknown ablation mode {mode!r}")

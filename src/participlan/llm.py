@@ -73,6 +73,9 @@ class BackendConfig:
     api_key_env: str = "OPENAI_API_KEY"
     transcript_path: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.kind not in ("remote", "rule", "scripted"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
@@ -116,7 +119,6 @@ class RemoteBackend:
                  transport: Optional[Callable] = None,
                  sleeper: Callable[[float], None] = time.sleep,
                  record_to: Optional[list] = None):
-        config.validate()
         key = os.environ.get(config.api_key_env, "")
         if not key:
             raise BackendError(
@@ -219,7 +221,6 @@ class ScriptedBackend:
     """
 
     def __init__(self, config: BackendConfig):
-        config.validate()
         self.config = config
         self.telemetry = Telemetry()
         self._entries = load_transcript_file(config.transcript_path)
@@ -306,7 +307,6 @@ Backend = Union[RemoteBackend, ScriptedBackend, RuleBackend]
 def make_backend(config: BackendConfig,
                  transport: Optional[Callable] = None,
                  record_to: Optional[list] = None) -> Backend:
-    config.validate()
     if config.kind == "remote":
         return RemoteBackend(config, transport=transport, record_to=record_to)
     if config.kind == "scripted":

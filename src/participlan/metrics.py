@@ -462,6 +462,8 @@ class CoverageCounts:
 
     @property
     def satisfaction(self) -> np.ndarray:
+        if self._needs is None:
+            raise InvariantError("satisfaction needs the residents' needs")
         need_bits, lens = self._needs
         return np.bitwise_count(self.hits.take(self._class_of) & need_bits) / lens
 

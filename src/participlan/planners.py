@@ -45,6 +45,9 @@ class PlannerConfig:
     restarts: int = 3
     center: Optional[Point] = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         # 0 is allowed so a zero-iteration search returns its start plan
         if self.max_iters < 0:
@@ -62,7 +65,6 @@ def _check_feasible(region: Region) -> None:
 
 def random_plan(region: Region, config: PlannerConfig = PlannerConfig()) -> Plan:
     """Quotas filled over a uniform shuffle; slack areas get uniform types."""
-    config.validate()
     _check_feasible(region)
     rng = np.random.default_rng(config.seed)
     vacant = list(region.vacant_ids)
@@ -86,7 +88,6 @@ def _round_robin(region: Region, config: PlannerConfig,
     is met while any quota is open, until every vacant area is assigned.
     Each turn samples a free area in proportion to weights(use, free ids,
     areas placed per use), uniformly if the weights sum to zero."""
-    config.validate()
     _check_feasible(region)
     rng = np.random.default_rng(config.seed)
     ids = list(region.vacant_ids)
@@ -191,7 +192,6 @@ def gsca_plan(region: Region, population: Population,
               config: PlannerConfig = PlannerConfig()) -> Plan:
     """Greedy per-type maximum coverage of residents, largest quota first;
     leftover areas are then filled by max marginal service."""
-    config.validate()
     _check_feasible(region)
     return Plan.from_codes(region, _gsca(region, population)[0])
 
@@ -200,7 +200,6 @@ def gsca_trace(region: Region, population: Population,
                config: PlannerConfig = PlannerConfig()
                ) -> dict[LandUse, list[tuple[int, int]]]:
     """Per-type greedy picks as (area_id, newly_covered_count) sequences."""
-    config.validate()
     _check_feasible(region)
     return _gsca(region, population)[1]
 
@@ -281,7 +280,6 @@ def local_search_plan(region: Region, population: Population,
     back if rejected. `cache` is the boundary index of the population's
     homes, reaching at least REACH_M (the one metrics.report takes), or
     None to build one. A region with no vacant area gets the empty plan."""
-    config.validate()
     _check_feasible(region)
     if not region.vacant_ids:
         return Plan({})

@@ -374,7 +374,7 @@ def test_07_protocol_invariants(hlg, demo_spec, rule_backend):
     config = DiscussionConfig(rounds=3, speakers_per_round=50, seed=101)
     initial = random_plan(hlg, PlannerConfig(seed=101))
     final, transcripts, reports = run_full_pipeline(
-        hlg, pop, lambda _r: initial, rule_backend, config)
+        hlg, pop, initial, rule_backend, config)
     elapsed = time.perf_counter() - t0
 
     ok = len(transcripts) == 4 and len(reports) == 5
@@ -411,13 +411,13 @@ def test_08_improvement_and_single_planner(hlg, demo_spec, rule_backend):
         config = DiscussionConfig(rounds=3, speakers_per_round=50, seed=seed)
         initial = random_plan(hlg, PlannerConfig(seed=seed))
         final, _t, reports = run_full_pipeline(
-            hlg, pop, lambda _r: initial, rule_backend, config)
+            hlg, pop, initial, rule_backend, config)
         first, last = reports[0].satisfaction, reports[-1].satisfaction
         details.append(f"seed {seed}: {first:.4f}->{last:.4f}")
         if last < first:
             ok = False
         _f, _t2, ablated = run_ablation(
-            "single-planner", hlg, pop, lambda _r: initial, rule_backend,
+            "single-planner", hlg, pop, initial, rule_backend,
             config)
         base = report(hlg, initial, pop)
         if not (ablated[0].service == base.service
@@ -468,7 +468,7 @@ def test_10_scale_smoke(demo_spec):
     config = DiscussionConfig(rounds=3, speakers_per_round=50, seed=1)
     t0 = time.perf_counter()
     final, transcripts, reports = run_full_pipeline(
-        region, pop, lambda _r: plan, backend, config)
+        region, pop, plan, backend, config)
     pipeline_time = time.perf_counter() - t0
 
     ok = (metric_time < 2.0 and pipeline_time < 60.0

@@ -491,6 +491,18 @@ def test_remote_without_key_is_config_error(tmp_path, monkeypatch, capsys):
     assert "OPENAI_API_KEY" in err
 
 
+def test_remote_without_endpoint_is_config_error(tmp_path, capsys):
+    code = main(["simulate", "--region", REGION,
+                 "--demographics", DEMOGRAPHICS, "--backend", "remote",
+                 "--model", "m", "--seeds", "101",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error while configuring backend: "
+                                       "remote backend needs endpoint and "
+                                       "model\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     args = ["simulate", "--region", REGION, "--demographics", DEMOGRAPHICS,
             "--method", "random", "--rounds", "2", "--speakers", "10",

@@ -247,7 +247,7 @@ def test_transcript_round_trip(tmp_path, hlg, pop_hlg, rule_backend):
 def test_pipeline_trajectory_and_order(hlg, pop_hlg, rule_backend):
     config = DiscussionConfig(rounds=2, speakers_per_round=10, seed=5)
     final, transcripts, reports = run_full_pipeline(
-        hlg, pop_hlg, lambda r: random_plan(r, PlannerConfig(seed=5)),
+        hlg, pop_hlg, random_plan(hlg, PlannerConfig(seed=5)),
         rule_backend, config)
     assert len(reports) == 1 + len(hlg.community_ids)
     assert [t.community_id for t in transcripts] == list(hlg.community_ids)
@@ -259,7 +259,7 @@ def test_pipeline_trajectory_and_order(hlg, pop_hlg, rule_backend):
 def test_pipeline_rejects_invalid_initial_plan(hlg, pop_hlg, rule_backend):
     from participlan.errors import InvariantError
     with pytest.raises(InvariantError):
-        run_full_pipeline(hlg, pop_hlg, lambda r: Plan({}), rule_backend,
+        run_full_pipeline(hlg, pop_hlg, Plan({}), rule_backend,
                           DiscussionConfig(rounds=1, speakers_per_round=5))
 
 
@@ -273,8 +273,8 @@ def test_pipeline_validates_the_config_before_planning(hlg, pop_hlg,
 
     with pytest.raises(ValueError, match="invite_buffer_m must be positive "
                        "and finite"):
-        run_full_pipeline(hlg, pop_hlg, planner, rule_backend,
-                          DiscussionConfig(invite_buffer_m=np.inf))
+        config = DiscussionConfig(invite_buffer_m=np.inf)
+        run_full_pipeline(hlg, pop_hlg, planner(hlg), rule_backend, config)
     assert planned == []
 
 
@@ -298,7 +298,7 @@ def test_empty_community_is_skipped(grid16, demo_spec_small, rule_backend):
     pop = Population(residents=tuple(keep), seed=2)
     config = DiscussionConfig(rounds=1, speakers_per_round=5, seed=2)
     final, transcripts, reports = run_full_pipeline(
-        region, pop, lambda r: random_plan(r, PlannerConfig(seed=2)),
+        region, pop, random_plan(region, PlannerConfig(seed=2)),
         rule_backend, config)
     assert [t.community_id for t in transcripts] == [1]
     assert len(reports) == 3  # initial + one per community, even skipped
@@ -308,7 +308,7 @@ def test_ablation_single_planner(hlg, pop_hlg, rule_backend):
     config = DiscussionConfig(rounds=2, speakers_per_round=10, seed=5)
     initial = random_plan(hlg, PlannerConfig(seed=5))
     final, transcripts, reports = run_ablation(
-        "single-planner", hlg, pop_hlg, lambda r: initial, rule_backend,
+        "single-planner", hlg, pop_hlg, initial, rule_backend,
         config)
     assert final.assignment == initial.assignment
     assert transcripts == []
@@ -319,7 +319,7 @@ def test_ablation_no_discussion_single_round(hlg, pop_hlg, rule_backend):
     config = DiscussionConfig(rounds=3, speakers_per_round=10, seed=5)
     _, transcripts, _ = run_ablation(
         "no-discussion", hlg, pop_hlg,
-        lambda r: random_plan(r, PlannerConfig(seed=5)), rule_backend, config)
+        random_plan(hlg, PlannerConfig(seed=5)), rule_backend, config)
     assert all(len(t.rounds) == 1 for t in transcripts)
 
 
@@ -327,11 +327,11 @@ def test_ablation_no_roleplay_uses_generic_voice(hlg, pop_hlg, rule_backend):
     config = DiscussionConfig(rounds=1, speakers_per_round=5, seed=5)
     _, transcripts, _ = run_ablation(
         "no-roleplay", hlg, pop_hlg,
-        lambda r: random_plan(r, PlannerConfig(seed=5)), rule_backend, config)
+        random_plan(hlg, PlannerConfig(seed=5)), rule_backend, config)
     assert transcripts
     with pytest.raises(ValueError):
         run_ablation("no-such-mode", hlg, pop_hlg,
-                     lambda r: random_plan(r, PlannerConfig(seed=5)),
+                     random_plan(hlg, PlannerConfig(seed=5)),
                      rule_backend, config)
     assert set(ABLATION_MODES) == {"no-roleplay", "no-discussion",
                                    "single-planner"}
@@ -464,7 +464,7 @@ def test_llm_revisions_reach_every_stage_report(hlg, pop_hlg):
     backend = _RevisionScript([_edits_reply(*swap), "no edits here",
                                _edits_reply((outside, LandUse.PARK))])
     final, transcripts, reports = run_full_pipeline(
-        region, pop_hlg, lambda r: initial, backend,
+        region, pop_hlg, initial, backend,
         DiscussionConfig(rounds=1, speakers_per_round=3, seed=4))
     assert [t.final_edits.edits for t in transcripts] == [swap, ()]
     assert backend.replies == []

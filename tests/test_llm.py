@@ -56,10 +56,9 @@ def test_chat_message_validation():
     ("timeout_s", 0.0),
 ])
 def test_backend_config_rejects_bad_numbers(field, value):
-    config = BackendConfig(kind="remote", endpoint="http://localhost:1/v1",
-                           model="m", **{field: value})
     with pytest.raises(ValueError, match=field):
-        config.validate()
+        BackendConfig(kind="remote", endpoint="http://localhost:1/v1",
+                      model="m", **{field: value})
 
 
 def test_request_digest_stable_and_sensitive():

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from participlan.errors import NeedsMissing, NoMarginalized
+from participlan.errors import InvariantError, NeedsMissing, NoMarginalized
 from participlan.metrics import (
     METRIC_COLUMNS,
     ProximityIndex,
@@ -69,6 +69,14 @@ def test_per_resident_vectors(grid16, hand_plan, hand_population):
     assert cov.service == pytest.approx([0.8, 1.0, 0.6, 0.8], abs=1e-12)
     assert list(cov.in_esr) == [False, True, True, False]
     assert cov.satisfaction == pytest.approx([2 / 3, 1.0, 2 / 3, 0.0], abs=1e-12)
+
+
+def test_satisfaction_without_needs_is_an_invariant_error(grid16, hand_plan,
+                                                          hand_population):
+    cov = plan_coverage(grid16, hand_plan, hand_population)
+    assert cov.service == pytest.approx([0.8, 1.0, 0.6, 0.8], abs=1e-12)
+    with pytest.raises(InvariantError, match="needs"):
+        cov.satisfaction
 
 
 def test_synthesized_population_matches_oracle(grid16, hand_plan, pop_grid16):
