@@ -18,6 +18,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,27 +42,16 @@ log = logging.getLogger("participlan.cli")  # not __main__ under python -m
 DEFAULT_SEEDS = (101, 202, 303, 404, 505)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
+def _int_list(minimum: int):
+    """The argparse type of a comma-separated list of distinct integers,
+    each >= minimum: a repeated seed or round count would run twice."""
+    def int_list(text: str) -> list[int]:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one value")
-    return values
-
-
-def _backend_config(args) -> BackendConfig:
-    return BackendConfig(
-        kind=args.backend,
-        endpoint=args.endpoint,
-        model=args.model,
-        temperature=args.temperature,
-        max_tokens=args.max_tokens,
-        timeout_s=args.timeout,
-        api_key_env=args.api_key_env,
-        transcript_path=args.transcript,
-    )
+        if not values or min(values) < minimum or len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"need distinct integers >= {minimum}, got {text!r}")
+        return values
+    return int_list
 
 
 def _snapshot(args, extra: Optional[dict] = None) -> dict:
@@ -100,8 +90,7 @@ def _initial_plan(args, region, population, seed: int, backend, cache=None):
     """The plan of the --method planner for one seed; local search runs on
     `cache`, the seed's REACH_M boundary index, or builds its own."""
     method = args.method
-    config = PlannerConfig(
-        seed=seed, max_iters=args.search_iters, restarts=args.restarts)
+    config = replace(args.planner, seed=seed)
     if method == "random":
         return planners_mod.random_plan(region, config)
     if method == "centralized":
@@ -130,10 +119,10 @@ def _setup(args):
         print(f"error while loading inputs: {exc}", file=sys.stderr)
         return None
     try:
-        config = _backend_config(args)
+        config = args.backend_config
         tape = [] if config.kind == "remote" and config.transcript_path else None
         return region, spec, make_backend(config, record_to=tape), tape
-    except (PlanningError, OSError, ValueError) as exc:
+    except (PlanningError, OSError) as exc:
         print(f"error while configuring backend: {exc}", file=sys.stderr)
         return None
 
@@ -285,13 +274,7 @@ def cmd_plan(args) -> int:
 def _simulate_seed(args, region, spec, backend, seed, out, provenance):
     """One pipeline or ablation run, saving its plans and transcripts."""
     population = synthesize(spec, region, seed)
-    config = DiscussionConfig(
-        rounds=args.rounds,
-        speakers_per_round=args.speakers,
-        invite_buffer_m=args.buffer,
-        exchange_fraction=args.exchange_fraction,
-        seed=seed,
-    )
+    config = replace(args.discussion, seed=seed)
     initial_plan = _initial_plan(args, region, population, seed, backend)
     if args.command == "ablate":
         final_plan, transcripts, reports = discussion_mod.run_ablation(
@@ -408,6 +391,7 @@ def cmd_sweep_rounds(args) -> int:
     for n in args.rounds_list:
         sub = argparse.Namespace(**vars(args))
         sub.rounds = n
+        sub.discussion = replace(args.discussion, rounds=n)
         sub.out = str(out / f"rounds{n}")
         code = _run_seeds(sub, setup, "simulate", _simulate_seed)
         if code != 0:
@@ -426,15 +410,18 @@ def cmd_sweep_rounds(args) -> int:
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=("rule", "scripted", "remote"),
-                   default="rule", help="chat backend kind")
-    p.add_argument("--endpoint", default="",
+                   default=BackendConfig.kind, help="chat backend kind")
+    p.add_argument("--endpoint", default=BackendConfig.endpoint,
                    help="chat-completions URL (remote backend)")
-    p.add_argument("--model", default="", help="model name (remote backend)")
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--api-key-env", dest="api_key_env", default="OPENAI_API_KEY")
-    p.add_argument("--transcript", default=None,
+    p.add_argument("--model", default=BackendConfig.model,
+                   help="model name (remote backend)")
+    p.add_argument("--temperature", type=float, default=BackendConfig.temperature)
+    p.add_argument("--max-tokens", dest="max_tokens", type=int,
+                   default=BackendConfig.max_tokens)
+    p.add_argument("--timeout", type=float, default=BackendConfig.timeout_s)
+    p.add_argument("--api-key-env", dest="api_key_env",
+                   default=BackendConfig.api_key_env)
+    p.add_argument("--transcript", default=BackendConfig.transcript_path,
                    help="transcript file to record to (remote) or replay "
                         "from (scripted)")
 
@@ -442,11 +429,12 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--region", required=True, help="region file")
     p.add_argument("--demographics", required=True, help="demographic spec file")
-    p.add_argument("--seeds", type=_parse_int_list, default=list(DEFAULT_SEEDS),
+    p.add_argument("--seeds", type=_int_list(0), default=list(DEFAULT_SEEDS),
                    help="comma-separated seed list")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--search-iters", dest="search_iters", type=int, default=800)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--search-iters", dest="search_iters", type=int,
+                   default=PlannerConfig.max_iters)
+    p.add_argument("--restarts", type=int, default=PlannerConfig.restarts)
     p.add_argument("--verbose", action="store_true",
                    help="debug logging on stderr")
     _add_backend_args(p)
@@ -455,11 +443,12 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 def _add_discussion_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=PLANNER_NAMES, default="llm",
                    help="initial planner")
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--speakers", type=int, default=50)
-    p.add_argument("--exchange-fraction", dest="exchange_fraction",
-                   type=float, default=1.0)
-    p.add_argument("--buffer", type=float, default=500.0,
+    p.add_argument("--rounds", type=int, default=DiscussionConfig.rounds)
+    p.add_argument("--speakers", type=int, default=DiscussionConfig.speakers_per_round)
+    p.add_argument("--exchange-fraction", dest="exchange_fraction", type=float,
+                   default=DiscussionConfig.exchange_fraction)
+    p.add_argument("--buffer", type=float,
+                   default=DiscussionConfig.invite_buffer_m,
                    help="invite buffer in meters")
 
 
@@ -500,28 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-rounds", help="simulate across round counts")
     _add_common_args(p)
     _add_discussion_args(p)
-    p.add_argument("--rounds-list", dest="rounds_list", type=_parse_int_list,
+    p.add_argument("--rounds-list", dest="rounds_list", type=_int_list(1),
                    default=[1, 2, 3, 4])
     p.set_defaults(func=cmd_sweep_rounds)
     return parser
-
-
-# Numeric flags are checked before any seed runs: a bad value is a usage
-# error, not a failure of every seed.
-_FLAG_CHECKS = (
-    ("seeds", lambda v: min(v) >= 0 and len(set(v)) == len(v),
-     "--seeds values must be distinct and >= 0"),
-    ("rounds", lambda v: v >= 1, "--rounds must be >= 1"),
-    ("rounds_list", lambda v: min(v) >= 1, "--rounds-list values must be >= 1"),
-    ("buffer", lambda v: 0 < v < np.inf, "--buffer must be positive and finite"),
-    ("speakers", lambda v: v >= 1, "--speakers must be >= 1"),
-    ("exchange_fraction", lambda v: 0 <= v <= 1,
-     "--exchange-fraction must be in [0, 1]"),
-    ("restarts", lambda v: v >= 1, "--restarts must be >= 1"),
-    ("search_iters", lambda v: v >= 0, "--search-iters must be >= 0"),
-    ("temperature", lambda v: v >= 0, "--temperature must be >= 0"),
-    ("timeout", lambda v: 0 < v < np.inf, "--timeout must be positive and finite"),
-)
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -537,10 +508,25 @@ _LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest, ok, message in _FLAG_CHECKS:
-        value = getattr(args, dest, None)
-        if value is not None and not ok(value):
-            parser.error(message)
+    # Each command that runs seeds builds its configs once, before any seed
+    # runs, and each config checks its own settings: a bad value is a usage
+    # error, not a failure of every seed.
+    try:
+        if hasattr(args, "seeds"):
+            args.planner = PlannerConfig(max_iters=args.search_iters,
+                                         restarts=args.restarts)
+            args.backend_config = BackendConfig(
+                kind=args.backend, endpoint=args.endpoint, model=args.model,
+                temperature=args.temperature, max_tokens=args.max_tokens,
+                timeout_s=args.timeout, api_key_env=args.api_key_env,
+                transcript_path=args.transcript)
+        if hasattr(args, "rounds"):
+            args.discussion = DiscussionConfig(
+                rounds=args.rounds, speakers_per_round=args.speakers,
+                invite_buffer_m=args.buffer,
+                exchange_fraction=args.exchange_fraction)
+    except ValueError as exc:
+        parser.error(str(exc))
     package_log = logging.getLogger("participlan")
     package_log.setLevel(logging.DEBUG if getattr(args, "verbose", False)
                          else logging.WARNING)

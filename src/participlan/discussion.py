@@ -22,7 +22,7 @@ import numpy as np
 from . import llm as llm_mod
 from . import metrics as metrics_mod
 from . import rules
-from .errors import EmptyCommunity, InvariantError, NotPresent
+from .errors import EmptyCommunity, InvariantError, NotPresent, check_count
 from .geometry import compass_label
 from .llm import (Backend, PlanEdit, RuleBackend, ask_with_repair,
                   parse_opinion_response, parse_plan_edits,
@@ -46,10 +46,9 @@ class DiscussionConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.speakers_per_round < 1:
-            raise ValueError("speakers_per_round must be >= 1")
+        check_count("rounds", self.rounds, 1)
+        check_count("speakers_per_round", self.speakers_per_round, 1)
+        check_count("seed", self.seed, 0)
         if not (0.0 <= self.exchange_fraction <= 1.0):
             raise ValueError("exchange_fraction must be in [0, 1]")
         if not 0 < self.invite_buffer_m < np.inf:

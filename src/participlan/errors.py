@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its settings' count check."""
+import numbers
 
 
 class PlanningError(Exception):
@@ -59,3 +60,9 @@ class RepairFailed(BackendError):
 
 class EmptyCommunity(PlanningError):
     """No resident lives in or near the community under discussion."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """A setting that must be an integer, numpy's included, >= minimum."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")

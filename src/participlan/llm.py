@@ -24,7 +24,7 @@ import requests
 
 from . import rules
 from .errors import (BackendError, BadReply, ParseError, RateLimited,
-                     RepairFailed, TransportError)
+                     RepairFailed, TransportError, check_count)
 from .geometry import compass_label
 from .metrics import SERVICE_RADIUS_M
 from .region import (ASSIGNABLE_USES, LandUse, Plan, Region, validate_plan)
@@ -63,6 +63,9 @@ def assistant(content: str) -> ChatMessage:
 
 @dataclass(frozen=True)
 class BackendConfig:
+    """A backend's settings. Each field is checked on its own when built;
+    what a kind needs of the other fields (an endpoint and a model, a
+    transcript) is checked by its backend's constructor, as BackendError."""
     kind: str = "rule"
     endpoint: str = ""
     model: str = ""
@@ -81,14 +84,11 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if self.max_tokens is not None:
+            check_count("max_tokens", self.max_tokens, 1)
+        check_count("max_retries", self.max_retries, 0)
         if not 0 < self.timeout_s < math.inf:
             raise ValueError("timeout_s must be positive and finite")
-        if self.kind == "remote" and not (self.endpoint and self.model):
-            raise ValueError("remote backend needs endpoint and model")
-        if self.kind == "scripted" and not self.transcript_path:
-            raise ValueError("scripted backend needs transcript_path")
 
 
 @dataclass
@@ -112,13 +112,16 @@ class RemoteBackend:
     """Chat-completions HTTP client with retry, backoff, and recording.
 
     `transport` has the signature of requests.post and is injectable so
-    tests can capture the exact wire payload without a network.
+    tests can capture the exact wire payload without a network. Building
+    one without an endpoint, a model or the API key raises BackendError.
     """
 
     def __init__(self, config: BackendConfig,
                  transport: Optional[Callable] = None,
                  sleeper: Callable[[float], None] = time.sleep,
                  record_to: Optional[list] = None):
+        if not (config.endpoint and config.model):
+            raise BackendError("remote backend needs endpoint and model")
         key = os.environ.get(config.api_key_env, "")
         if not key:
             raise BackendError(
@@ -217,10 +220,13 @@ class ScriptedBackend:
 
     Entries with a request_digest are verified against the incoming
     request so drifted prompts fail loudly; entries with digest null
-    replay unconditionally (hand-written scripts).
+    replay unconditionally (hand-written scripts). Building one without a
+    transcript_path raises BackendError.
     """
 
     def __init__(self, config: BackendConfig):
+        if not config.transcript_path:
+            raise BackendError("scripted backend needs transcript_path")
         self.config = config
         self.telemetry = Telemetry()
         self._entries = load_transcript_file(config.transcript_path)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import Infeasible
+from .errors import Infeasible, check_count
 from .geometry import Point
 from .metrics import (CATEGORY_SLOTS, REACH_M, SERVICE_RADIUS_M,
                       CoverageCounts, ProximityIndex)
@@ -49,11 +49,10 @@ class PlannerConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_count("seed", self.seed, 0)
         # 0 is allowed so a zero-iteration search returns its start plan
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        check_count("max_iters", self.max_iters, 0)
+        check_count("restarts", self.restarts, 1)
 
 
 def _check_feasible(region: Region) -> None:

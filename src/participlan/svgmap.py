@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Optional, Union
+from xml.sax.saxutils import escape
 
 from .region import LandUse, Plan, Region
 
@@ -82,7 +83,7 @@ def render_svg(region: Region, plan: Optional[Plan] = None) -> str:
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
                f'width="{_fmt(width)}" height="{_fmt(height)}" '
                f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
-    out.append(f'<title>{region.name}</title>')
+    out.append(f'<title>{escape(region.name)}</title>')
     out.append(f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
                'fill="#ffffff"/>')
 
@@ -106,7 +107,7 @@ def render_svg(region: Region, plan: Optional[Plan] = None) -> str:
     ly = _MARGIN
     out.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly + 4.0)}" '
                'font-family="sans-serif" font-size="13" '
-               f'fill="#000000">{region.name}</text>')
+               f'fill="#000000">{escape(region.name)}</text>')
     for i, use in enumerate(LandUse):
         y = ly + 24.0 + i * 20.0
         out.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y)}" width="14" height="14" '

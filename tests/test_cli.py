@@ -645,11 +645,23 @@ def test_bug_in_the_svg_writer_is_not_an_input_error(tmp_path, monkeypatch):
     # runs and counts twice in the aggregate
     ("--seeds", "-1"),
     ("--seeds", "101,101"),
+    ("--max-tokens", "0"),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--region", REGION, "--demographics", DEMOGRAPHICS,
               flag, value, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_repeated_round_count_is_usage_error(tmp_path):
+    # each round count writes rounds<n>/ and one sweep.csv row
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-rounds", "--region", REGION,
+              "--demographics", DEMOGRAPHICS, "--rounds-list", "2,2",
+              "--seeds", "1", "--speakers", "3", "--method", "random",
+              "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert not (tmp_path / "x").exists()
 

@@ -1,5 +1,7 @@
 import collections
+import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 from participlan import fixtures
 from participlan.region import LandUse
@@ -77,6 +79,13 @@ def test_svg_contains_all_areas_and_legend(hlg, hand_plan, grid16):
     # unassigned areas get the fallback hatch color
     svg_empty = render_svg(grid16, None)
     assert svg_empty.count("<polygon") == len(grid16.areas)
+
+
+def test_svg_escapes_the_region_name(grid16):
+    region = dataclasses.replace(grid16, name="Smith & Sons <north>")
+    root = ET.fromstring(render_svg(region, None))
+    title = root.find("{http://www.w3.org/2000/svg}title")
+    assert title.text == "Smith & Sons <north>"
 
 
 def test_svg_marks_community_boundaries(hlg):

@@ -32,12 +32,27 @@ def test_every_export_resolves():
     (BackendConfig, "temperature", -0.1),
     (BackendConfig, "timeout_s", np.nan),
     (BackendConfig, "max_retries", -1),
+    # each of these used to build and then fail in its first use, with a
+    # numpy ValueError or a TypeError
+    (DiscussionConfig, "seed", -1),
+    (DiscussionConfig, "rounds", 1.5),
+    (PlannerConfig, "seed", -1),
+    (PlannerConfig, "restarts", 2.5),
+    # sent to the endpoint as it was
+    (BackendConfig, "max_tokens", 0),
 ])
 def test_an_invalid_setting_cannot_be_built(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(cls(), **{field: value})
+
+
+def test_a_numpy_integer_is_a_count():
+    count = np.int64(3)
+    assert DiscussionConfig(rounds=count, seed=count).rounds == 3
+    assert PlannerConfig(max_iters=count, restarts=count, seed=count).restarts == 3
+    assert BackendConfig(max_tokens=count, max_retries=count).max_tokens == 3
 
 
 def test_readme_library_example_runs(capsys):
